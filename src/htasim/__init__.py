@@ -9,75 +9,3 @@ for the command-line front end.
 """
 
 __version__ = "0.1.0"
-
-from .farfield import (
-    ApertureField,
-    BeamMetrics,
-    BlockageMask,
-    PatternGrid,
-    ScenarioResult,
-    SimulationSettings,
-    directivity,
-    extract_metrics,
-    illuminate,
-    radiate,
-    run_scenario,
-)
-from .feed import (
-    FeedExcitation,
-    FeedPattern,
-    default_taper_exponent,
-    incident_field,
-    minus10db_angle,
-    pattern_amplitude,
-    taper_exponent_for_angle,
-)
-from .geometry import (
-    ApertureConfig,
-    ApertureSpec,
-    FeedConfig,
-    FeedPlacement,
-    LayoutConfig,
-    Point3,
-    SystemLayout,
-    build_layout,
-    focal_from_taper,
-    mirror_feed,
-    path_length,
-)
-from .polarization import (
-    GridOrientation,
-    JonesVector,
-    PolarizationState,
-    RoutingPlan,
-    grid_reflect,
-    grid_transmit,
-    rotate_pol_90,
-    route,
-)
-from .synthesis import (
-    CellMap,
-    PhaseMap,
-    ScanTarget,
-    bifocal_phase,
-    quantize,
-    single_focus_phase,
-    synthesize_fta,
-    synthesize_ta,
-    wavenumber,
-)
-from .unitcell import (
-    CurveLibrary,
-    PhaseCurve,
-    ScatterCoeffs,
-    UnitCellGeometry,
-    builtin_curve_library,
-    load_curve_csv,
-    lookup_geometry,
-    magnitude_of,
-    pcr,
-    phase_of,
-    uc1_scatter_model,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -33,11 +33,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, default_config, load_config
+from .config import KEYS, ConfigError, RunConfig, default_config, load_config, with_overrides
 from .farfield import (
     BeamMetrics,
     HEMISPHERE_FORWARD,
     allowed_feed_ids,
+    principal_cut,
     run_scenario,
     synthesize_cell_maps,
 )
@@ -52,6 +53,7 @@ from .polarization import (
     route,
 )
 from .synthesis import (
+    bifocal_phase,
     bifocal_phase_unwrapped,
     single_focus_phase_unwrapped,
     ScanTarget,
@@ -63,27 +65,29 @@ from .synthesis import (
     write_cell_map_csv,
     write_phase_map_csv,
 )
-from .unitcell import CurveLibrary, builtin_curve_library, library_with_csv_overrides
+from .unitcell import (
+    RESIDUAL_WARN_DEG,
+    CurveLibrary,
+    builtin_curve_library,
+    library_with_csv_overrides,
+)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
-_STATES = {
-    "x": PolarizationState.X,
-    "y": PolarizationState.Y,
-    "slant45": PolarizationState.SLANT45,
-}
 
+class CommandError(Exception):
+    """Ends a command: `main` prints the message to stderr and exits with
+    the code."""
 
-def _load(args) -> RunConfig:
-    if args.config is None:
-        return default_config()
-    return load_config(args.config)
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 def _curves(cfg: RunConfig) -> CurveLibrary:
-    if cfg.curves_source == "builtin":
+    if cfg.uc1_curve_csv is None and cfg.uc2_curve_csv is None:
         return builtin_curve_library()
     try:
         return library_with_csv_overrides(
@@ -91,8 +95,33 @@ def _curves(cfg: RunConfig) -> CurveLibrary:
             uc2_csv=cfg.uc2_curve_csv,
             frequencies_ghz=cfg.frequencies_ghz,
         )
-    except FileNotFoundError as exc:
-        raise ConfigError(f"curve file not found: {exc.filename}") from exc
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"curve file unusable: {exc}") from exc
+
+
+def _prepare(args, with_layout: bool = True):
+    """The set-up every command shares: the config with the command's flag
+    overrides (argparse dests named after config keys) checked by the same
+    key table, the curve library and the layout."""
+    overrides = {k: v for k, v in vars(args).items() if k in KEYS and v is not None}
+    try:
+        cfg = default_config() if args.config is None else load_config(args.config)
+        cfg = with_overrides(cfg, overrides)
+        curves = _curves(cfg)
+    except ConfigError as exc:
+        raise CommandError(EXIT_USAGE, f"config error: {exc}") from exc
+    if not with_layout:
+        return cfg, curves, None
+    try:
+        return cfg, curves, build_layout(cfg.layout)
+    except ValueError as exc:
+        raise CommandError(EXIT_DOMAIN, f"layout error: {exc}") from exc
+
+
+def _out_dir(cfg: RunConfig) -> Path:
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _design_frequency(cfg: RunConfig) -> float:
@@ -129,7 +158,7 @@ def _metrics_dict(state, feed_id, frequency, hemisphere, m: BeamMetrics) -> dict
 # --- validate ---------------------------------------------------------------
 
 
-def _run_checks(cfg: RunConfig):
+def _run_checks(cfg: RunConfig, curves: CurveLibrary):
     """Yield (name, passed, detail) for every self-consistency check."""
     rng = np.random.default_rng(20240901)
 
@@ -149,16 +178,10 @@ def _run_checks(cfg: RunConfig):
     sym = np.array_equal(x, -x[::-1]) and np.array_equal(y, -y[::-1])
     yield "aperture_grid_symmetry", sym, "element centers negate under index reflection"
 
-    ok = True
-    for feed in layout.feeds:
-        m = mirror_feed(layout, feed)
-        back = mirror_point(m, layout.f)
-        if (back.x, back.y, back.z) != (
-            feed.position.x,
-            feed.position.y,
-            feed.position.z,
-        ):
-            ok = False
+    ok = all(
+        mirror_point(mirror_feed(layout, feed), layout.f) == feed.position
+        for feed in layout.feeds
+    )
     yield "mirror_involution", ok, "mirroring twice returns the feed"
 
     worst = 0.0
@@ -184,19 +207,12 @@ def _run_checks(cfg: RunConfig):
     rel = np.max(np.abs((m1 + m2) / 2.0 - closed) / np.abs(closed))
     yield "bifocal_mean_equivalence", rel < 1e-9, f"max rel dev {rel:.2e}"
 
-    from .synthesis import bifocal_phase
-
     a = bifocal_phase(layout.ta, vf1, vf2, +theta, k0)
     b = bifocal_phase(layout.ta, vf1, vf2, -theta, k0)
     yield "bifocal_theta_independence", np.array_equal(a.phases_deg, b.phases_deg), (
         "deflection angle drops out of the symmetric average"
     )
 
-    try:
-        curves = _curves(cfg)
-    except ConfigError as exc:
-        yield "curves_loadable", False, str(exc)
-        return
     for kind, label in (("uc1", "curve_roundtrip_ta"), ("uc2", "curve_roundtrip_fta")):
         worst = 0.0
         for f in cfg.frequencies_ghz:
@@ -247,17 +263,14 @@ def _run_checks(cfg: RunConfig):
         maps = synthesize_cell_maps(layout, curves, f)
         for side in ("ta", "fta"):
             worst = max(worst, maps[side][0].max_residual_deg)
-    yield "quantization_residual", worst <= 5.0, f"max realized-phase residual {worst:.2e} deg"
+    yield "quantization_residual", worst <= RESIDUAL_WARN_DEG, f"max realized-phase residual {worst:.2e} deg"
 
 
 def cmd_validate(args) -> int:
-    try:
-        cfg = _load(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # the layout is built by the checks, whose first one reports it
+    cfg, curves, _ = _prepare(args, with_layout=False)
     failed = 0
-    for name, passed, detail in _run_checks(cfg):
+    for name, passed, detail in _run_checks(cfg, curves):
         tag = "PASS" if passed else "FAIL"
         print(f"{tag} {name}: {detail}")
         failed += 0 if passed else 1
@@ -269,21 +282,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    try:
-        cfg = _load(args)
-        curves = _curves(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        layout = build_layout(cfg.layout)
-    except ValueError as exc:
-        print(f"layout error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    cfg, curves, layout = _prepare(args)
     freq = _design_frequency(cfg)
     k0 = wavenumber(freq)
-    out = Path(args.out or cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     jobs = (
         ("ta", synthesize_ta(layout, k0), curves.curve("uc1", freq)),
         ("fta", synthesize_fta(layout, k0), curves.curve("uc2", freq)),
@@ -299,8 +301,7 @@ def cmd_synthesize(args) -> int:
                 f"{side}_phase.csv, {side}_cells.csv"
             )
     except OSError as exc:
-        print(f"write failed: {exc.filename}: {exc.strerror}", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise CommandError(EXIT_DOMAIN, f"write failed: {exc.filename}: {exc.strerror}") from exc
     return EXIT_OK
 
 
@@ -309,72 +310,42 @@ def cmd_synthesize(args) -> int:
 
 def _emit_beam(out_dir: Path, state, feed_id, freq, hemisphere, pattern, metrics):
     stem = f"{state.value}_{feed_id}_{freq:g}GHz_{'fwd' if hemisphere == HEMISPHERE_FORWARD else 'back'}"
-    _write_cut_csv(pattern, out_dir / f"{stem}_cut.csv")
+    _write_cut_csv(pattern, metrics.peak_phi_deg, out_dir / f"{stem}_cut.csv")
     payload = _metrics_dict(state, feed_id, freq, hemisphere, metrics)
     (out_dir / f"{stem}_metrics.json").write_text(json.dumps(payload, indent=2) + "\n")
     return stem
 
 
-def _write_cut_csv(pattern, path):
-    """Beam-plane cut through the co-polar peak, signed theta."""
-    from .farfield import _nearest_phi_index
-
-    co = np.abs(pattern.e_co) ** 2
-    it, ip = np.unravel_index(int(np.argmax(co)), co.shape)
-    phi = pattern.phi_deg
-    i_pos = ip
-    i_neg = _nearest_phi_index(phi, phi[ip] + 180.0)
+def _write_cut_csv(pattern, peak_phi_deg, path):
+    """Beam-plane cut through the co-polar peak, signed theta, in dB of
+    the co-polar peak."""
+    theta, phi, co, cross = principal_cut(pattern, peak_phi_deg)
     peak = np.abs(pattern.e_co).max()
     with np.errstate(divide="ignore"):
-        co_db = 20.0 * np.log10(np.abs(pattern.e_co) / peak)
-        cx_db = 20.0 * np.log10(np.abs(pattern.e_cross) / peak)
+        co_db = 20.0 * np.log10(np.abs(co) / peak)
+        cx_db = 20.0 * np.log10(np.abs(cross) / peak)
     with open(path, "w", newline="") as fh:
         fh.write("theta_deg,phi_deg,e_co_db,e_cross_db\n")
-        for k in range(pattern.theta_deg.size - 1, 0, -1):
-            fh.write(
-                f"{-pattern.theta_deg[k]:.4f},{phi[i_neg]:.4f},"
-                f"{co_db[k, i_neg]:.4f},{cx_db[k, i_neg]:.4f}\n"
-            )
-        for k in range(pattern.theta_deg.size):
-            fh.write(
-                f"{pattern.theta_deg[k]:.4f},{phi[i_pos]:.4f},"
-                f"{co_db[k, i_pos]:.4f},{cx_db[k, i_pos]:.4f}\n"
-            )
+        for row in zip(theta, phi, co_db, cx_db):
+            fh.write("{:.4f},{:.4f},{:.4f},{:.4f}\n".format(*row))
 
 
 def cmd_simulate(args) -> int:
-    try:
-        cfg = _load(args)
-        curves = _curves(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    state = _STATES[args.state]
+    cfg, curves, layout = _prepare(args)
+    state = PolarizationState(args.state)
     freq = args.freq
     if freq not in cfg.frequencies_ghz:
-        print(
-            f"frequency {freq} GHz is not in the configured list "
-            f"{cfg.frequencies_ghz}",
-            file=sys.stderr,
+        raise CommandError(
+            EXIT_USAGE,
+            f"frequency {freq} GHz is not in the configured list {cfg.frequencies_ghz}",
         )
-        return EXIT_USAGE
-    if args.gain_offset_db is not None and args.gain_offset_db > 0:
-        print("--gain-offset-db is a loss budget and must be <= 0", file=sys.stderr)
-        return EXIT_USAGE
     try:
-        layout = build_layout(cfg.layout)
-    except ValueError as exc:
-        print(f"layout error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    settings = cfg.settings(freq, for_cuts=True)
-    settings = _apply_overrides(settings, args)
-    try:
-        result = run_scenario(layout, state, args.feed, settings, curves)
+        result = run_scenario(
+            layout, state, args.feed, cfg.settings(freq, for_cuts=True), curves
+        )
     except (KeyError, ValueError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    out = Path(args.out or cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+        raise CommandError(EXIT_DOMAIN, f"scenario error: {exc}") from exc
+    out = _out_dir(cfg)
     for hemisphere, item in (
         (HEMISPHERE_FORWARD, result.forward),
         ("-z", result.backward),
@@ -388,23 +359,6 @@ def cmd_simulate(args) -> int:
             f"D {metrics.directivity_dbi:.2f} dBi, SLL {_fmt(metrics.sll_db, 2) or 'n/a'} dB"
         )
     return EXIT_OK
-
-
-def _apply_overrides(settings, args):
-    from dataclasses import replace
-
-    from .farfield import BlockageMask
-
-    kwargs = {}
-    if getattr(args, "theta_step", None) is not None:
-        kwargs["theta_step_deg"] = args.theta_step
-    if getattr(args, "phi_step", None) is not None:
-        kwargs["phi_step_deg"] = args.phi_step
-    if getattr(args, "gain_offset_db", None) is not None:
-        kwargs["gain_offset_db"] = args.gain_offset_db
-    if getattr(args, "blockage", False) and settings.blockage is None:
-        kwargs["blockage"] = BlockageMask()
-    return replace(settings, **kwargs) if kwargs else settings
 
 
 # --- sweep ------------------------------------------------------------------
@@ -434,7 +388,7 @@ def sweep_rows(cfg: RunConfig, curves: CurveLibrary, layout, out_dir: Path | Non
     rows = []
     cache: dict[float, dict] = {}
     feed_ids = cfg.feed_active_ids or layout.feed_ids
-    for state in (PolarizationState.X, PolarizationState.Y, PolarizationState.SLANT45):
+    for state in PolarizationState:
         for feed_id in feed_ids:
             for freq in sorted(cfg.frequencies_ghz):
                 settings = cfg.settings(freq)
@@ -442,6 +396,7 @@ def sweep_rows(cfg: RunConfig, curves: CurveLibrary, layout, out_dir: Path | Non
                     continue
                 if freq not in cache:
                     cache[freq] = synthesize_cell_maps(layout, curves, freq)
+                beam = {"state": state.value, "feed_id": feed_id, "frequency_ghz": freq}
                 try:
                     result = run_scenario(
                         layout, state, feed_id, settings, curves, cache[freq]
@@ -454,14 +409,7 @@ def sweep_rows(cfg: RunConfig, curves: CurveLibrary, layout, out_dir: Path | Non
                             continue
                         pattern, metrics = item
                         rows.append(
-                            {
-                                "state": state.value,
-                                "feed_id": feed_id,
-                                "frequency_ghz": freq,
-                                "hemisphere": hemisphere,
-                                "metrics": metrics,
-                                "status": "ok",
-                            }
+                            {**beam, "hemisphere": hemisphere, "metrics": metrics, "status": "ok"}
                         )
                         if out_dir is not None:
                             _emit_beam(
@@ -469,15 +417,7 @@ def sweep_rows(cfg: RunConfig, curves: CurveLibrary, layout, out_dir: Path | Non
                                 pattern, metrics,
                             )
                 except Exception as exc:  # partial-failure policy: keep going
-                    rows.append(
-                        {
-                            "state": state.value,
-                            "feed_id": feed_id,
-                            "frequency_ghz": freq,
-                            "hemisphere": "",
-                            "status": f"failed: {exc}",
-                        }
-                    )
+                    rows.append({**beam, "hemisphere": "", "status": f"failed: {exc}"})
     _fill_scan_loss(rows, layout)
     return rows
 
@@ -527,18 +467,8 @@ def write_beam_table(rows, path):
 
 
 def cmd_sweep(args) -> int:
-    try:
-        cfg = _load(args)
-        curves = _curves(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        layout = build_layout(cfg.layout)
-    except ValueError as exc:
-        print(f"layout error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    out = Path(args.out or cfg.output_dir)
+    cfg, curves, layout = _prepare(args)
+    out = Path(cfg.output_dir)
     beams_dir = out / "beams"
     beams_dir.mkdir(parents=True, exist_ok=True)
     rows = sweep_rows(cfg, curves, layout, beams_dir)
@@ -546,18 +476,18 @@ def cmd_sweep(args) -> int:
     write_beam_table(rows, table_path)
     failed = sum(1 for r in rows if r["status"] != "ok")
     print(f"{len(rows)} beams -> {table_path} ({failed} failed)")
-    for state in ("x", "y", "slant45"):
+    for state in PolarizationState:
         for hemi in ("+z", "-z"):
             losses = [
                 r["scan_loss_db"]
                 for r in rows
                 if r["status"] == "ok"
-                and r["state"] == state
+                and r["state"] == state.value
                 and r["hemisphere"] == hemi
                 and r["scan_loss_db"] is not None
             ]
             if losses:
-                print(f"  {state:8s} {hemi}: max scan loss {max(losses):.2f} dB")
+                print(f"  {state.value:8s} {hemi}: max scan loss {max(losses):.2f} dB")
     return EXIT_OK if failed == 0 else EXIT_DOMAIN
 
 
@@ -577,22 +507,12 @@ def load_reference_targets() -> dict:
 
 
 def cmd_report(args) -> int:
-    try:
-        cfg = _load(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    table_path = Path(args.beam_table or Path(args.out or cfg.output_dir) / "beam_table.csv")
+    cfg, _, layout = _prepare(args)
+    table_path = Path(args.beam_table or Path(cfg.output_dir) / "beam_table.csv")
     if not table_path.is_file():
-        print(f"beam table not found: {table_path}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        layout = build_layout(cfg.layout)
-    except ValueError as exc:
-        print(f"layout error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise CommandError(EXIT_USAGE, f"beam table not found: {table_path}")
     targets = load_reference_targets()
-    tol = max(2.0, cfg.theta_step_deg)
+    tol = max(2.0, cfg.sim.theta_step_deg)
     print(
         f"{'state':8s} {'feed':5s} {'freq':6s} {'hemi':4s} "
         f"{'achieved':>8s} {'geom':>6s} {'d_geo':>6s} {'meas':>6s} {'d_meas':>6s}  note"
@@ -639,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     def _common(p, with_out=True):
         p.add_argument("--config", help="path to a key = value config file")
         if with_out:
-            p.add_argument("--out", help="output directory (default from config)")
+            p.add_argument("--out", dest="output_dir", help="overrides output_dir")
 
     p = sub.add_parser("validate", help="run self-consistency checks")
     _common(p, with_out=False)
@@ -651,13 +571,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one scenario")
     _common(p)
-    p.add_argument("--state", required=True, choices=sorted(_STATES))
+    p.add_argument("--state", required=True, choices=[s.value for s in PolarizationState])
     p.add_argument("--feed", required=True, help="feed id, e.g. A4")
     p.add_argument("--freq", required=True, type=float, help="frequency in GHz")
-    p.add_argument("--theta-step", type=float, dest="theta_step")
-    p.add_argument("--phi-step", type=float, dest="phi_step")
-    p.add_argument("--blockage", action="store_true", help="enable the feed-board shadow")
-    p.add_argument("--gain-offset-db", type=float, dest="gain_offset_db")
+    for flag, key in (
+        ("--theta-step", "sampling.cut_theta_step_deg"),
+        ("--phi-step", "sampling.cut_phi_step_deg"),
+        ("--gain-offset-db", "gain_offset_db"),
+    ):
+        p.add_argument(flag, type=float, dest=key, metavar="VALUE", help=f"overrides {key}")
+    p.add_argument(
+        "--blockage", action="store_const", const=True, dest="blockage.enabled",
+        help="overrides blockage.enabled with true",
+    )
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="run every legal state/feed/frequency beam")
@@ -673,7 +599,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CommandError as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -9,22 +9,23 @@ The grammar is dependency-free on purpose:
 * comma-separated values make a list (`frequencies = 9.0, 9.75, 10.5`),
 * booleans are `true` / `false`.
 
-Unknown keys are rejected so typos fail loudly.
+Every accepted key is one row of `KEYS`: the `RunConfig` attribute it
+sets (dotted into `layout`, `sim` and `blockage`), its parser and, where
+one applies, the rule its value must satisfy.  Defaults live only in the
+dataclasses those attributes belong to.  Unknown keys are rejected so
+typos fail loudly.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
-from .farfield import DEFAULT_TA_FEED_IDS, BlockageMask, SimulationSettings
-from .geometry import (
-    ApertureConfig,
-    DEFAULT_FEEDS,
-    FeedConfig,
-    LayoutConfig,
-)
+from .farfield import BlockageMask, SimulationSettings
+from .geometry import FeedConfig, LayoutConfig
+from .unitcell import CURVE_FREQUENCIES_GHZ
 
 _ASSIGN_RE = re.compile(r"^([A-Za-z0-9_.\[\]]+)\s*=\s*(.*)$")
 _INDEX_RE = re.compile(r"^([A-Za-z0-9_]+)\[(\d+)\]$")
@@ -34,51 +35,116 @@ class ConfigError(Exception):
     """Unparseable or invalid configuration."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Everything one CLI invocation needs."""
 
-    layout: LayoutConfig = field(default_factory=LayoutConfig)
-    frequencies_ghz: tuple[float, ...] = (9.0, 9.75, 10.5)
-    feed_q: float | None = None
-    feed_gain_dbi: float = 10.5
-    feed_state: str = "x"
-    feed_active_ids: tuple[str, ...] | None = None
-    ta_feed_ids: tuple[str, ...] = DEFAULT_TA_FEED_IDS
-    theta_step_deg: float = 0.5
-    phi_step_deg: float = 2.0
+    layout: LayoutConfig = LayoutConfig()
+    sim: SimulationSettings = SimulationSettings()  # metrics-grid engine knobs
+    frequencies_ghz: tuple[float, ...] = CURVE_FREQUENCIES_GHZ
+    feed_active_ids: tuple[str, ...] | None = None  # None -> every feed
     cut_theta_step_deg: float = 0.25
     cut_phi_step_deg: float = 1.0
-    crosspol_leakage: float = 0.0
     blockage_enabled: bool = False
-    blockage_width_mm: float = 360.0
-    blockage_depth_mm: float = 40.0
-    oblique_phase_deg_per_deg: float = 0.0
-    gain_offset_db: float = 0.0
-    reference_aperture_mm2: float | None = None
-    curves_source: str = "builtin"
-    uc1_curve_csv: str | None = None
+    blockage: BlockageMask = BlockageMask()
+    uc1_curve_csv: str | None = None  # None -> builtin curves
     uc2_curve_csv: str | None = None
     output_dir: str = "out"
 
     def settings(self, frequency_ghz: float, for_cuts: bool = False) -> SimulationSettings:
-        return SimulationSettings(
-            frequency_ghz=frequency_ghz,
-            theta_step_deg=self.cut_theta_step_deg if for_cuts else self.theta_step_deg,
-            phi_step_deg=self.cut_phi_step_deg if for_cuts else self.phi_step_deg,
-            feed_q=self.feed_q,
-            feed_gain_dbi=self.feed_gain_dbi,
-            crosspol_leakage=self.crosspol_leakage,
-            blockage=(
-                BlockageMask(self.blockage_width_mm, self.blockage_depth_mm)
-                if self.blockage_enabled
-                else None
-            ),
-            oblique_phase_deg_per_deg=self.oblique_phase_deg_per_deg,
-            gain_offset_db=self.gain_offset_db,
-            reference_aperture_mm2=self.reference_aperture_mm2,
-            ta_feed_ids=self.ta_feed_ids,
+        """Engine settings at one frequency, on the metrics or the cut grid."""
+        steps = (
+            (self.cut_theta_step_deg, self.cut_phi_step_deg)
+            if for_cuts
+            else (self.sim.theta_step_deg, self.sim.phi_step_deg)
         )
+        return replace(
+            self.sim,
+            frequency_ghz=frequency_ghz,
+            theta_step_deg=steps[0],
+            phi_step_deg=steps[1],
+            blockage=self.blockage if self.blockage_enabled else None,
+        )
+
+
+def _tuple_of(cast):
+    """Parser of a one-or-more value list into a tuple."""
+    return lambda value: tuple(cast(v) for v in (value if isinstance(value, list) else [value]))
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+_FEED_FIELDS = {"id": str, "x_mm": float, "y_mm": float}
+
+
+def _feeds(entries) -> tuple[FeedConfig, ...]:
+    feeds = []
+    for k, entry in enumerate(entries):
+        unknown = sorted(set(entry) - set(_FEED_FIELDS))
+        if unknown:
+            raise ValueError(f"unknown feeds[{k}].* keys: {unknown}")
+        if "id" not in entry or "x_mm" not in entry:
+            raise ValueError(f"feeds[{k}] needs `id` and `x_mm`")
+        feeds.append(FeedConfig(**{n: _FEED_FIELDS[n](v) for n, v in entry.items()}))
+    return tuple(feeds)
+
+
+def _divides(full: float):
+    return lambda step: step > 0 and abs(full / step - round(full / step)) <= 1e-9
+
+
+class Key(NamedTuple):
+    """One config key: the dotted RunConfig attribute it sets, the parser of
+    its raw value and the rule the parsed value must satisfy."""
+
+    attr: str
+    parse: Callable
+    ok: Callable = lambda value: True
+    rule: str = ""
+
+
+_THETA_STEP = (_divides(90.0), "must divide 90 evenly")
+_PHI_STEP = (_divides(360.0), "must divide 360 evenly")
+
+KEYS = {
+    "f_mm": Key("layout.f_mm", float),
+    "h_mm": Key("layout.h_mm", float),
+    "F_mm": Key("layout.F_mm", float),
+    "d_mm": Key("layout.d_mm", float),
+    "ta.size_mm": Key("layout.ta.size_mm", float),
+    "ta.period_mm": Key("layout.ta.period_mm", float),
+    "fta.size_mm": Key("layout.fta.size_mm", float),
+    "fta.period_mm": Key("layout.fta.period_mm", float),
+    "feeds": Key("layout.feeds", _feeds),
+    "frequencies": Key(
+        "frequencies_ghz", _tuple_of(float), lambda fs: all(f > 0 for f in fs), "must be positive"
+    ),
+    "ta_feed_ids": Key("sim.ta_feed_ids", _tuple_of(str)),
+    "feed.q": Key("sim.feed_q", float),
+    "feed.active_ids": Key("feed_active_ids", _tuple_of(str)),
+    "sampling.theta_step_deg": Key("sim.theta_step_deg", float, *_THETA_STEP),
+    "sampling.phi_step_deg": Key("sim.phi_step_deg", float, *_PHI_STEP),
+    "sampling.cut_theta_step_deg": Key("cut_theta_step_deg", float, *_THETA_STEP),
+    "sampling.cut_phi_step_deg": Key("cut_phi_step_deg", float, *_PHI_STEP),
+    "crosspol.leakage": Key(
+        "sim.crosspol_leakage", float, lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"
+    ),
+    "blockage.enabled": Key("blockage_enabled", _flag),
+    "blockage.width_mm": Key("blockage.width_x_mm", float),
+    "blockage.depth_mm": Key("blockage.width_y_mm", float),
+    "oblique.phase_deg_per_deg": Key("sim.oblique_phase_deg_per_deg", float),
+    "gain_offset_db": Key(
+        "sim.gain_offset_db", float, lambda v: v <= 0.0, "is a loss budget and must be <= 0"
+    ),
+    "reference_aperture_mm2": Key("sim.reference_aperture_mm2", float),
+    "curves.uc1_csv": Key("uc1_curve_csv", str),
+    "curves.uc2_csv": Key("uc2_curve_csv", str),
+    "output_dir": Key("output_dir", str),
+}
 
 
 def _parse_scalar(raw: str):
@@ -138,149 +204,67 @@ def parse_config_text(text: str) -> dict:
     return root
 
 
-def _take(tree: dict, key: str, default):
-    return tree.pop(key) if key in tree else default
+def _flatten(tree: dict, prefix: str = ""):
+    """(dotted key, value) pairs of a parsed tree; indexed lists stay whole."""
+    for name, value in tree.items():
+        if isinstance(value, dict):
+            yield from _flatten(value, f"{prefix}{name}.")
+        else:
+            yield prefix + name, value
 
 
-def _as_tuple_of_str(value) -> tuple[str, ...]:
-    if isinstance(value, str):
-        return (value,)
-    return tuple(str(v) for v in value)
+def _set(obj, attr: str, value):
+    """Copy of the frozen dataclass `obj` with dotted attribute `attr` set."""
+    head, _, rest = attr.partition(".")
+    if rest:
+        value = _set(getattr(obj, head), rest, value)
+    return replace(obj, **{head: value})
 
 
-def _as_tuple_of_float(value) -> tuple[float, ...]:
-    if isinstance(value, (int, float)):
-        return (float(value),)
-    return tuple(float(v) for v in value)
-
-
-def config_from_tree(tree: dict) -> RunConfig:
-    """Build a validated RunConfig from the parsed tree."""
-    tree = dict(tree)  # consumed destructively to detect unknown keys
-
-    ta_tree = dict(_take(tree, "ta", {}))
-    fta_tree = dict(_take(tree, "fta", {}))
-    defaults = LayoutConfig()
-    ta = ApertureConfig(
-        size_mm=float(_take(ta_tree, "size_mm", defaults.ta.size_mm)),
-        period_mm=float(_take(ta_tree, "period_mm", defaults.ta.period_mm)),
-    )
-    fta = ApertureConfig(
-        size_mm=float(_take(fta_tree, "size_mm", defaults.fta.size_mm)),
-        period_mm=float(_take(fta_tree, "period_mm", defaults.fta.period_mm)),
-    )
-    for leftover, name in ((ta_tree, "ta"), (fta_tree, "fta")):
-        if leftover:
-            raise ConfigError(f"unknown {name}.* keys: {sorted(leftover)}")
-
-    feeds_raw = _take(tree, "feeds", None)
-    if feeds_raw is None:
-        feeds = DEFAULT_FEEDS
-    else:
-        feeds = []
-        for k, entry in enumerate(feeds_raw):
-            if "id" not in entry or "x_mm" not in entry:
-                raise ConfigError(f"feeds[{k}] needs `id` and `x_mm`")
-            feeds.append(
-                FeedConfig(
-                    id=str(entry.pop("id")),
-                    x_mm=float(entry.pop("x_mm")),
-                    y_mm=float(entry.pop("y_mm", 0.0)),
-                )
-            )
-            if entry:
-                raise ConfigError(f"unknown feeds[{k}].* keys: {sorted(entry)}")
-        feeds = tuple(feeds)
-
-    h_mm = _take(tree, "h_mm", None)
-    f_given = "F_mm" in tree
-    F_mm = _take(tree, "F_mm", None)
-    if h_mm is None and not f_given:
-        F_mm = defaults.F_mm
-    layout = LayoutConfig(
-        f_mm=float(_take(tree, "f_mm", defaults.f_mm)),
-        h_mm=None if h_mm is None else float(h_mm),
-        F_mm=None if F_mm is None else float(F_mm),
-        d_mm=float(_take(tree, "d_mm", defaults.d_mm)),
-        ta=ta,
-        fta=fta,
-        feeds=feeds,
-    )
-
-    feed_tree = dict(_take(tree, "feed", {}))
-    sampling = dict(_take(tree, "sampling", {}))
-    curves = dict(_take(tree, "curves", {}))
-    blockage = dict(_take(tree, "blockage", {}))
-    crosspol = dict(_take(tree, "crosspol", {}))
-    oblique = dict(_take(tree, "oblique", {}))
-
-    feed_q = _take(feed_tree, "q", None)
-    active = _take(feed_tree, "active_ids", None)
-    cfg = RunConfig(
-        layout=layout,
-        frequencies_ghz=_as_tuple_of_float(_take(tree, "frequencies", (9.0, 9.75, 10.5))),
-        feed_q=None if feed_q is None else float(feed_q),
-        feed_gain_dbi=float(_take(feed_tree, "gain_dbi", 10.5)),
-        feed_state=str(_take(feed_tree, "state", "x")).lower(),
-        feed_active_ids=None if active is None else _as_tuple_of_str(active),
-        ta_feed_ids=_as_tuple_of_str(_take(tree, "ta_feed_ids", DEFAULT_TA_FEED_IDS)),
-        theta_step_deg=float(_take(sampling, "theta_step_deg", 0.5)),
-        phi_step_deg=float(_take(sampling, "phi_step_deg", 2.0)),
-        cut_theta_step_deg=float(_take(sampling, "cut_theta_step_deg", 0.25)),
-        cut_phi_step_deg=float(_take(sampling, "cut_phi_step_deg", 1.0)),
-        crosspol_leakage=float(_take(crosspol, "leakage", 0.0)),
-        blockage_enabled=bool(_take(blockage, "enabled", False)),
-        blockage_width_mm=float(_take(blockage, "width_mm", 360.0)),
-        blockage_depth_mm=float(_take(blockage, "depth_mm", 40.0)),
-        oblique_phase_deg_per_deg=float(_take(oblique, "phase_deg_per_deg", 0.0)),
-        gain_offset_db=float(_take(tree, "gain_offset_db", 0.0)),
-        reference_aperture_mm2=(
-            float(tree.pop("reference_aperture_mm2"))
-            if "reference_aperture_mm2" in tree
-            else None
-        ),
-        curves_source=str(_take(curves, "source", "builtin")),
-        uc1_curve_csv=_take(curves, "uc1_csv", None),
-        uc2_curve_csv=_take(curves, "uc2_csv", None),
-        output_dir=str(_take(tree, "output_dir", "out")),
-    )
-    for leftover, name in (
-        (feed_tree, "feed"),
-        (sampling, "sampling"),
-        (curves, "curves"),
-        (blockage, "blockage"),
-        (crosspol, "crosspol"),
-        (oblique, "oblique"),
-        (tree, "top-level"),
-    ):
-        if leftover:
-            raise ConfigError(f"unknown {name} keys: {sorted(leftover)}")
-
+def with_overrides(cfg: RunConfig, values: dict) -> RunConfig:
+    """`cfg` with the dotted config keys in `values` set, each parsed and
+    checked by its row of KEYS, then validated as a whole."""
+    unknown = sorted(set(values) - set(KEYS))
+    if unknown:
+        raise ConfigError(f"unknown keys: {unknown}")
+    for key, raw in values.items():
+        spec = KEYS[key]
+        try:
+            value = spec.parse(raw)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+        if not spec.ok(value):
+            raise ConfigError(f"{key} = {raw} {spec.rule}")
+        cfg = _set(cfg, spec.attr, value)
+    if "h_mm" in values and "F_mm" not in values:
+        cfg = _set(cfg, "layout.F_mm", None)  # F derives from h
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: RunConfig):
-    if any(f <= 0 for f in cfg.frequencies_ghz):
-        raise ConfigError(f"frequencies must be positive: {cfg.frequencies_ghz}")
-    for name, step, full in (
-        ("sampling.theta_step_deg", cfg.theta_step_deg, 90.0),
-        ("sampling.phi_step_deg", cfg.phi_step_deg, 360.0),
-        ("sampling.cut_theta_step_deg", cfg.cut_theta_step_deg, 90.0),
-        ("sampling.cut_phi_step_deg", cfg.cut_phi_step_deg, 360.0),
+    """Rules that tie several keys together."""
+    configured = {fc.id for fc in cfg.layout.feeds}
+    for key, ids in (
+        ("feed.active_ids", cfg.feed_active_ids or ()),
+        ("ta_feed_ids", cfg.sim.ta_feed_ids),
     ):
-        if step <= 0 or abs(full / step - round(full / step)) > 1e-9:
-            raise ConfigError(f"{name} = {step} does not divide {full} evenly")
-    if cfg.gain_offset_db > 0:
-        raise ConfigError("gain_offset_db is a loss budget and must be <= 0")
-    if not 0.0 <= cfg.crosspol_leakage < 1.0:
-        raise ConfigError("crosspol.leakage must lie in [0, 1)")
-    if cfg.curves_source not in ("builtin", "csv"):
-        raise ConfigError(f"curves.source must be builtin or csv, not {cfg.curves_source}")
-    if cfg.curves_source == "csv" and not (cfg.uc1_curve_csv or cfg.uc2_curve_csv):
-        raise ConfigError("curves.source = csv needs curves.uc1_csv and/or curves.uc2_csv")
-    if cfg.feed_state not in ("x", "y", "slant45"):
-        raise ConfigError(f"feed.state must be x, y or slant45, not {cfg.feed_state}")
+        unknown = [i for i in ids if i not in configured]
+        if unknown:
+            raise ConfigError(f"{key} names feeds that are not configured: {unknown}")
+    # a CSV curve serves every frequency; a builtin family only its own
+    uncovered = [f for f in cfg.frequencies_ghz if round(f, 6) not in CURVE_FREQUENCIES_GHZ]
+    for kind, csv_path in (("uc1", cfg.uc1_curve_csv), ("uc2", cfg.uc2_curve_csv)):
+        if uncovered and csv_path is None:
+            raise ConfigError(
+                f"frequencies {uncovered} GHz have no builtin {kind} curve "
+                f"(library carries {list(CURVE_FREQUENCIES_GHZ)}); set curves.{kind}_csv"
+            )
+
+
+def config_from_tree(tree: dict) -> RunConfig:
+    """Build a validated RunConfig from the parsed tree."""
+    return with_overrides(RunConfig(), dict(_flatten(tree)))
 
 
 def load_config(path) -> RunConfig:
@@ -288,13 +272,11 @@ def load_config(path) -> RunConfig:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
-        tree = parse_config_text(p.read_text())
-        return config_from_tree(tree)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
+        text = p.read_text()
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"{p}: {exc}") from exc
+    return config_from_tree(parse_config_text(text))
 
 
 def default_config() -> RunConfig:
-    return config_from_tree({})
+    return RunConfig()

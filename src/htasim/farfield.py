@@ -30,7 +30,6 @@ from .feed import (
 )
 from .geometry import ApertureSpec, SystemLayout, mirror_point
 from .polarization import (
-    JonesVector,
     PolarizationState,
     backward_path_jones,
     forward_path_jones,
@@ -50,11 +49,6 @@ SIDE_TA = "ta"
 SIDE_FTA = "fta"
 HEMISPHERE_FORWARD = "+z"
 HEMISPHERE_BACKWARD = "-z"
-
-#: Feeds the transmit-only state may use (the outermost pair would steer
-#: beyond the transmit side's scan range).
-DEFAULT_TA_FEED_IDS = ("A2", "A3", "A4", "A5", "A6")
-
 
 @dataclass(frozen=True)
 class BlockageMask:
@@ -289,21 +283,21 @@ def _nearest_phi_index(phi_deg: np.ndarray, target_deg: float) -> int:
     return int(np.argmin(circ))
 
 
-def _principal_cut(pattern: PatternGrid, phi_peak_deg: float):
+def principal_cut(pattern: PatternGrid, phi_peak_deg: float):
     """Signed-theta great-circle cut through phi_peak and its antipode.
 
-    Returns (theta_signed_deg, co_power) with the positive branch along
-    phi_peak and the negative branch along phi_peak + 180.
+    Returns (theta_signed_deg, phi_deg, e_co, e_cross) along the cut: the
+    negative branch runs along phi_peak + 180 from the horizon inward, the
+    positive branch along phi_peak from the axis outward.
     """
     phi = pattern.phi_deg
     i_pos = _nearest_phi_index(phi, phi_peak_deg)
     i_neg = _nearest_phi_index(phi, phi_peak_deg + 180.0)
-    co = np.abs(pattern.e_co) ** 2
-    pos = co[:, i_pos]
-    neg = co[:, i_neg]
+    n = pattern.theta_deg.size
+    rows = np.concatenate([np.arange(n - 1, 0, -1), np.arange(n)])
+    cols = np.concatenate([np.full(n - 1, i_neg), np.full(n, i_pos)])
     theta = np.concatenate([-pattern.theta_deg[:0:-1], pattern.theta_deg])
-    values = np.concatenate([neg[:0:-1], pos])
-    return theta, values
+    return theta, phi[cols], pattern.e_co[rows, cols], pattern.e_cross[rows, cols]
 
 
 def _main_lobe_bounds(power: np.ndarray, peak_idx: int, peak_power: float):
@@ -369,7 +363,8 @@ def extract_metrics(
     peak_theta = float(pattern.theta_deg[it])
     peak_phi = float(pattern.phi_deg[ip])
 
-    theta_cut, power_cut = _principal_cut(pattern, peak_phi)
+    theta_cut, _, co_cut, _ = principal_cut(pattern, peak_phi)
+    power_cut = np.abs(co_cut) ** 2
     peak_idx = int(np.argmax(power_cut))
     if power_cut[peak_idx] <= 0.0:
         raise ValueError("pattern has no resolvable main lobe")
@@ -410,24 +405,21 @@ class SimulationSettings:
     theta_step_deg: float = 0.5
     phi_step_deg: float = 2.0
     feed_q: float | None = None  # None -> derived from the layout geometry
-    feed_gain_dbi: float = 10.5
     crosspol_leakage: float = 0.0
     blockage: BlockageMask | None = None
     oblique_phase_deg_per_deg: float = 0.0
     gain_offset_db: float = 0.0
     reference_aperture_mm2: float | None = None
-    ta_feed_ids: tuple[str, ...] = DEFAULT_TA_FEED_IDS
+    # feeds the transmit-only state may use (the outermost pair would steer
+    # beyond the transmit side's scan range)
+    ta_feed_ids: tuple[str, ...] = ("A2", "A3", "A4", "A5", "A6")
 
 
 def feed_pattern_for(layout: SystemLayout, settings: SimulationSettings) -> FeedPattern:
     q = settings.feed_q
     if q is None:
         q = default_taper_exponent(layout.ta.size_x, layout.f)
-    return FeedPattern(
-        q=q,
-        boresight_gain_dbi=settings.feed_gain_dbi,
-        frequency_ghz=settings.frequency_ghz,
-    )
+    return FeedPattern(q=q)
 
 
 def allowed_feed_ids(
@@ -524,20 +516,3 @@ def run_scenario(
         backward=backward,
     )
 
-
-def write_pattern_csv(pattern: PatternGrid, path):
-    """Export `theta_deg,phi_deg,e_co_db,e_cross_db` normalized to the
-    co-polarized peak."""
-    co = np.abs(pattern.e_co)
-    cross = np.abs(pattern.e_cross)
-    peak = co.max()
-    if peak <= 0.0:
-        raise ValueError("pattern carries no co-polarized power")
-    with np.errstate(divide="ignore"):
-        co_db = 20.0 * np.log10(co / peak)
-        cross_db = 20.0 * np.log10(cross / peak)
-    with open(path, "w", newline="") as fh:
-        fh.write("theta_deg,phi_deg,e_co_db,e_cross_db\n")
-        for i, th in enumerate(pattern.theta_deg):
-            for j, ph in enumerate(pattern.phi_deg):
-                fh.write(f"{th:.4f},{ph:.4f},{co_db[i, j]:.4f},{cross_db[i, j]:.4f}\n")

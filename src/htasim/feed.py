@@ -3,8 +3,7 @@
 The radiator is a cosine-q source: field amplitude cos(theta)^q off
 boresight, zero behind the element.  The default exponent is calibrated so
 the -10 dB taper angle matches the focal-sizing geometry (f = 171 mm
-aperture rim at 240 mm), which is what the focal-length rule keys on; the
-feed's measured boresight gain is carried as metadata only.
+aperture rim at 240 mm), which is what the focal-length rule keys on.
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ class FeedPattern:
     """Cosine-q radiator description."""
 
     q: float
-    boresight_gain_dbi: float = 10.5
-    frequency_ghz: float = 9.75
 
     def __post_init__(self):
         if self.q <= 0:

@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polarization import PolarizationState
-
 
 @dataclass(frozen=True)
 class Point3:
@@ -34,9 +32,6 @@ class Point3:
         for v in (self.x, self.y, self.z):
             if not math.isfinite(v):
                 raise ValueError(f"non-finite coordinate in {self!r}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
 
 
 def path_length(a: Point3, b: Point3) -> float:
@@ -106,16 +101,10 @@ class ApertureSpec:
 
 @dataclass(frozen=True)
 class FeedPlacement:
-    """One switchable radiator of the feed line on the feed plane.
-
-    `polarization` records the state the feed is currently driven in; it is
-    None for a feed that has not been assigned a drive state yet (the
-    scenario runner sets it per run).
-    """
+    """One switchable radiator of the feed line on the feed plane."""
 
     id: str
     position: Point3
-    polarization: PolarizationState | None = None
 
 
 @dataclass(frozen=True)

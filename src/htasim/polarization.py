@@ -81,19 +81,14 @@ def grid_transmit(v: JonesVector, g: GridOrientation) -> JonesVector:
     return JonesVector(v.ex, 0.0)
 
 
-def grid_reflect(
-    v: JonesVector, g: GridOrientation, reflection_phase_deg: float = 180.0
-) -> JonesVector:
+def grid_reflect(v: JonesVector, g: GridOrientation) -> JonesVector:
     """Field reflected by an ideal grid: the component parallel to the wires,
-    carrying the grid's reflection phase (180 deg for a perfect conductor).
+    carrying the perfect conductor's exact -1 reflection coefficient.
 
-    The phase is configurable because it only shifts the folded path by a
-    global constant, which the phase synthesis absorbs.
+    Any other reflection phase would only shift the folded path by a global
+    constant, which the phase synthesis absorbs.
     """
-    if reflection_phase_deg % 360.0 == 180.0:
-        r = -1.0  # exact perfect-conductor coefficient
-    else:
-        r = cmath.exp(1j * math.radians(reflection_phase_deg))
+    r = -1.0  # exact perfect-conductor coefficient
     if g is GridOrientation.WIRES_ALONG_X:
         return JonesVector(v.ex * r, 0.0)
     return JonesVector(0.0, v.ey * r)
@@ -154,12 +149,10 @@ def forward_path_jones(v: JonesVector) -> JonesVector:
     return rotate_pol_90(grid_transmit(v, GridOrientation.WIRES_ALONG_Y))
 
 
-def backward_path_jones(
-    v: JonesVector, reflection_phase_deg: float = 180.0
-) -> JonesVector:
+def backward_path_jones(v: JonesVector) -> JonesVector:
     """Composed backward-path operator: reflection off the upper grid
     (wires along y), transmission through the lower grid (wires along x),
     then two rotations in the lower double-conversion stack."""
-    reflected = grid_reflect(v, GridOrientation.WIRES_ALONG_Y, reflection_phase_deg)
+    reflected = grid_reflect(v, GridOrientation.WIRES_ALONG_Y)
     passed = grid_transmit(reflected, GridOrientation.WIRES_ALONG_X)
     return rotate_pol_90(rotate_pol_90(passed))

@@ -19,11 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ApertureSpec, Point3, SystemLayout, mirror_point
-from .unitcell import (
-    RESIDUAL_WARN_DEG,
-    PhaseCurve,
-    UnitCellGeometry,
-)
+from .unitcell import PhaseCurve, UnitCellGeometry
 
 C_MM_PER_NS = 299.792458  # free-space light speed, mm/ns (mm * GHz)
 
@@ -185,14 +181,14 @@ def bifocal_phase(
     )
 
 
-def synthesize_ta(layout: SystemLayout, k0: float, theta_deg: float = 0.0) -> PhaseMap:
+def synthesize_ta(layout: SystemLayout, k0: float) -> PhaseMap:
     """Bifocal compensation for the transmit aperture (virtual feeds on the
     feed plane at focal distance f)."""
     vf1, vf2 = layout.virtual_feeds
-    return bifocal_phase(layout.ta, vf1, vf2, theta_deg, k0)
+    return bifocal_phase(layout.ta, vf1, vf2, 0.0, k0)
 
 
-def synthesize_fta(layout: SystemLayout, k0: float, theta_deg: float = 0.0) -> PhaseMap:
+def synthesize_fta(layout: SystemLayout, k0: float) -> PhaseMap:
     """Bifocal compensation for the folded aperture.
 
     The folded path is unfolded by mirroring the virtual feeds about the TA
@@ -202,14 +198,15 @@ def synthesize_fta(layout: SystemLayout, k0: float, theta_deg: float = 0.0) -> P
     vf1, vf2 = layout.virtual_feeds
     mvf1 = mirror_point(vf1, layout.f)
     mvf2 = mirror_point(vf2, layout.f)
-    return bifocal_phase(layout.fta, mvf1, mvf2, theta_deg, k0)
+    return bifocal_phase(layout.fta, mvf1, mvf2, 0.0, k0)
 
 
 def quantize(phase_map: PhaseMap, curve: PhaseCurve) -> CellMap:
     """Realize a phase map on a cell family via inverse curve lookup.
 
-    The realized-phase residual is tracked; it exceeds RESIDUAL_WARN_DEG
-    only for coarse curves whose span falls short of the half circle.
+    The realized-phase residual is tracked; it exceeds
+    unitcell.RESIDUAL_WARN_DEG only for coarse curves whose span falls
+    short of the half circle.
     """
     params, rotated = curve.invert(phase_map.phases_deg)
     realized = curve.phase_at(params, rotated)
@@ -220,10 +217,6 @@ def quantize(phase_map: PhaseMap, curve: PhaseCurve) -> CellMap:
         rotated=rotated,
         max_residual_deg=float(residual.max()),
     )
-
-
-def quantization_is_coarse(cell_map: CellMap) -> bool:
-    return cell_map.max_residual_deg > RESIDUAL_WARN_DEG
 
 
 # --- exports ------------------------------------------------------------

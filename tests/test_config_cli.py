@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import htasim
 from htasim.cli import load_reference_targets, main
 from htasim.config import (
     ConfigError,
@@ -57,7 +61,7 @@ def test_defaults_match_design():
     assert cfg.layout.F_mm == 384.0
     assert cfg.layout.d_mm == 220.0
     assert cfg.frequencies_ghz == (9.0, 9.75, 10.5)
-    assert cfg.ta_feed_ids == ("A2", "A3", "A4", "A5", "A6")
+    assert cfg.sim.ta_feed_ids == ("A2", "A3", "A4", "A5", "A6")
     assert len(cfg.layout.feeds) == 7
 
 
@@ -66,6 +70,15 @@ def test_unknown_keys_rejected():
         config_from_tree({"nonsense_key": 1})
     with pytest.raises(ConfigError, match="unknown"):
         config_from_tree({"ta": {"size_mm": 240, "bogus": 1}})
+
+
+@pytest.mark.parametrize("line", ["feed.state = y", "feed.gain_dbi = 99", "curves.source = csv"])
+def test_removed_keys_rejected(tmp_path, capsys, line):
+    # keys that once parsed but changed nothing are unknown now
+    cfg = tmp_path / "dead.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert "unknown keys" in capsys.readouterr().err
 
 
 def test_validation_rules():
@@ -77,8 +90,8 @@ def test_validation_rules():
         config_from_tree({"frequencies": [0.0]})
     with pytest.raises(ConfigError, match="leakage"):
         config_from_tree({"crosspol": {"leakage": 1.5}})
-    with pytest.raises(ConfigError, match="csv"):
-        config_from_tree({"curves": {"source": "csv"}})
+    with pytest.raises(ConfigError, match="true or false"):
+        config_from_tree({"blockage": {"enabled": "yes"}})
 
 
 def test_load_config_missing_file(tmp_path):
@@ -91,9 +104,7 @@ def test_shipped_default_config_parses():
 
     path = resources.files("htasim.data").joinpath("default.cfg")
     cfg = config_from_tree(parse_config_text(path.read_text()))
-    ref = default_config()
-    assert cfg.layout == ref.layout
-    assert cfg.frequencies_ghz == ref.frequencies_ghz
+    assert cfg == default_config()
 
 
 def test_settings_projection():
@@ -131,13 +142,40 @@ def test_validate_config_parse_failure(tmp_path, capsys):
 
 def test_missing_curve_file_exits_usage(tmp_path, capsys):
     cfg = tmp_path / "curves.cfg"
-    cfg.write_text(
-        "curves.source = csv\ncurves.uc1_csv = /nonexistent/curve.csv\n"
-    )
+    cfg.write_text("curves.uc1_csv = /nonexistent/curve.csv\n")
     code = main(["synthesize", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     err = capsys.readouterr().err
     assert "/nonexistent/curve.csv" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "synthesize", "sweep"])
+def test_uncovered_frequency_is_a_config_error(tmp_path, command):
+    # the builtin curves carry 9.0, 9.75 and 10.5 GHz only; run as a child
+    # process so that a traceback would show on its stderr
+    cfg = tmp_path / "band.cfg"
+    cfg.write_text(FAST_SAMPLING.replace("frequencies = 9.75", "frequencies = 9.75, 11.0"))
+    argv = [command, "--config", str(cfg)]
+    if command != "validate":
+        argv += ["--out", str(tmp_path / "o")]
+    src = str(Path(htasim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "htasim.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error:") and "11.0" in proc.stderr
+
+
+@pytest.mark.parametrize("line", ["feed.active_ids = A9", "ta_feed_ids = Z1"])
+def test_feed_id_lists_name_configured_feeds(tmp_path, capsys, line):
+    cfg = tmp_path / "ids.cfg"
+    cfg.write_text(FAST_SAMPLING + line + "\n")
+    out = tmp_path / "swp"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert line.split()[0] in capsys.readouterr().err
+    assert not (out / "beam_table.csv").exists()
 
 
 # --- CLI: synthesize ---------------------------------------------------------
@@ -241,6 +279,37 @@ def test_simulate_flag_overrides(tmp_path, fast_cfg):
          "--freq", "9.75", "--out", str(out), "--gain-offset-db", "1.0"]
     )
     assert code == 2
+
+
+def test_simulate_flags_pass_config_validation(tmp_path, fast_cfg, capsys):
+    # a flag is an override of its config key and fails the same way
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(FAST_SAMPLING + "sampling.cut_theta_step_deg = 0.7\n")
+    scenario = ["--state", "y", "--feed", "A4", "--freq", "9.75", "--out", str(tmp_path / "o")]
+    assert main(["simulate", "--config", str(fast_cfg), "--theta-step", "0.7", *scenario]) == 2
+    assert main(["simulate", "--config", str(bad), *scenario]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: sampling.cut_theta_step_deg = 0.7 must divide 90 evenly"] * 2
+
+
+def test_simulate_blockage_flag_keeps_configured_mask(tmp_path, fast_cfg):
+    narrow = tmp_path / "narrow.cfg"
+    narrow.write_text(FAST_SAMPLING + "blockage.width_mm = 120\n")
+    enabled = tmp_path / "enabled.cfg"
+    enabled.write_text(FAST_SAMPLING + "blockage.width_mm = 120\nblockage.enabled = true\n")
+
+    def directivity(cfg, *flags):
+        out = tmp_path / f"d{len(list(tmp_path.iterdir()))}"
+        code = main(["simulate", "--config", str(cfg), "--state", "y", "--feed", "A4",
+                     "--freq", "9.75", "--out", str(out), *flags])
+        assert code == 0
+        payload = json.loads((out / "y_A4_9.75GHz_back_metrics.json").read_text())
+        return payload["directivity_dbi"]
+
+    flagged = directivity(narrow, "--blockage")
+    assert flagged == directivity(enabled)
+    assert flagged == pytest.approx(32.770, abs=1e-3)  # 120 mm shadow
+    assert directivity(fast_cfg, "--blockage") == pytest.approx(32.372, abs=1e-3)  # 360 mm
 
 
 # --- CLI: sweep and report ---------------------------------------------------

@@ -571,20 +571,6 @@ def test_principal_cut_with_offgrid_antipode(layout):
     assert m.peak_theta_deg == 0.0
 
 
-def test_write_pattern_csv(tmp_path):
-    from htasim.farfield import write_pattern_csv
-
-    fld = _uniform_field(6)
-    pat = radiate(fld, 15.0, 45.0, K0)
-    path = tmp_path / "grid.csv"
-    write_pattern_csv(pat, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "theta_deg,phi_deg,e_co_db,e_cross_db"
-    assert len(lines) == 1 + 7 * 8
-    co_db = [float(l.split(",")[2]) for l in lines[1:]]
-    assert max(co_db) == 0.0  # normalized to the co-polar peak
-
-
 def test_directivity_rejects_dark_pattern():
     th = np.arange(0.0, 91.0, 1.0)
     ph = np.arange(0.0, 360.0, 10.0)

@@ -49,12 +49,6 @@ def test_grid_reflect():
     assert v.norm_sq == pytest.approx(0.5)
 
 
-def test_grid_reflect_custom_phase():
-    v = grid_reflect(JonesVector(0.0, 1.0), GridOrientation.WIRES_ALONG_Y, 90.0)
-    assert v.ey == pytest.approx(1j)
-    assert abs(v.ey) == pytest.approx(1.0)
-
-
 def test_energy_split_property():
     rng = np.random.default_rng(5)
     for _ in range(100):
