@@ -36,6 +36,7 @@ from . import __version__
 from .config import KEYS, ConfigError, RunConfig, default_config, load_config, with_overrides
 from .farfield import (
     BeamMetrics,
+    HEMISPHERE_BACKWARD,
     HEMISPHERE_FORWARD,
     allowed_feed_ids,
     principal_cut,
@@ -57,9 +58,6 @@ from .synthesis import (
     bifocal_phase_unwrapped,
     single_focus_phase_unwrapped,
     ScanTarget,
-    synthesize_fta,
-    synthesize_ta,
-    quantize,
     wavenumber,
     wrap_deg,
     write_cell_map_csv,
@@ -251,11 +249,13 @@ def _run_checks(cfg: RunConfig, curves: CurveLibrary):
         (PolarizationState.SLANT45, math.sqrt(0.5), math.sqrt(0.5)),
     ):
         plan = route(state)
-        if (plan.forward_amplitude, plan.backward_amplitude) != (fwd, back):
+        amplitudes = (plan.forward.norm, plan.backward.norm)
+        if not all(math.isclose(a, b, abs_tol=1e-12) for a, b in zip(amplitudes, (fwd, back))):
             ok = False
-        if plan.output_polarization is not PolarizationState.Y:
+        # every lit path leaves the stack y-polarized
+        if plan.forward.ex != 0 or plan.backward.ex != 0:
             ok = False
-        detail.append(f"{state.value}:{plan.forward_amplitude:.3f}/{plan.backward_amplitude:.3f}")
+        detail.append(f"{state.value}:{amplitudes[0]:.3f}/{amplitudes[1]:.3f}")
     yield "routing_table", ok, " ".join(detail)
 
     worst = 0.0
@@ -284,15 +284,10 @@ def cmd_validate(args) -> int:
 def cmd_synthesize(args) -> int:
     cfg, curves, layout = _prepare(args)
     freq = _design_frequency(cfg)
-    k0 = wavenumber(freq)
     out = _out_dir(cfg)
-    jobs = (
-        ("ta", synthesize_ta(layout, k0), curves.curve("uc1", freq)),
-        ("fta", synthesize_fta(layout, k0), curves.curve("uc2", freq)),
-    )
+    maps = synthesize_cell_maps(layout, curves, freq)
     try:
-        for side, pm, curve in jobs:
-            cm = quantize(pm, curve)
+        for side, (cm, _, pm) in maps.items():
             write_phase_map_csv(pm, out / f"{side}_phase.csv")
             write_cell_map_csv(pm, cm, out / f"{side}_cells.csv")
             print(
@@ -308,7 +303,8 @@ def cmd_synthesize(args) -> int:
 # --- simulate ---------------------------------------------------------------
 
 
-def _emit_beam(out_dir: Path, state, feed_id, freq, hemisphere, pattern, metrics):
+def _emit_beam(out_dir: Path, state, feed_id, freq, pattern, metrics):
+    hemisphere = pattern.hemisphere
     stem = f"{state.value}_{feed_id}_{freq:g}GHz_{'fwd' if hemisphere == HEMISPHERE_FORWARD else 'back'}"
     _write_cut_csv(pattern, metrics.peak_phi_deg, out_dir / f"{stem}_cut.csv")
     payload = _metrics_dict(state, feed_id, freq, hemisphere, metrics)
@@ -346,14 +342,11 @@ def cmd_simulate(args) -> int:
     except (KeyError, ValueError) as exc:
         raise CommandError(EXIT_DOMAIN, f"scenario error: {exc}") from exc
     out = _out_dir(cfg)
-    for hemisphere, item in (
-        (HEMISPHERE_FORWARD, result.forward),
-        ("-z", result.backward),
-    ):
+    for item in (result.forward, result.backward):
         if item is None:
             continue
         pattern, metrics = item
-        stem = _emit_beam(out, state, args.feed, freq, hemisphere, pattern, metrics)
+        stem = _emit_beam(out, state, args.feed, freq, pattern, metrics)
         print(
             f"{stem}: peak ({metrics.peak_theta_deg:.2f}, {metrics.peak_phi_deg:.1f}) deg, "
             f"D {metrics.directivity_dbi:.2f} dBi, SLL {_fmt(metrics.sll_db, 2) or 'n/a'} dB"
@@ -401,21 +394,16 @@ def sweep_rows(cfg: RunConfig, curves: CurveLibrary, layout, out_dir: Path | Non
                     result = run_scenario(
                         layout, state, feed_id, settings, curves, cache[freq]
                     )
-                    for hemisphere, item in (
-                        ("+z", result.forward),
-                        ("-z", result.backward),
-                    ):
+                    for item in (result.forward, result.backward):
                         if item is None:
                             continue
                         pattern, metrics = item
+                        hemisphere = pattern.hemisphere
                         rows.append(
                             {**beam, "hemisphere": hemisphere, "metrics": metrics, "status": "ok"}
                         )
                         if out_dir is not None:
-                            _emit_beam(
-                                out_dir, state, feed_id, freq, hemisphere,
-                                pattern, metrics,
-                            )
+                            _emit_beam(out_dir, state, feed_id, freq, pattern, metrics)
                 except Exception as exc:  # partial-failure policy: keep going
                     rows.append({**beam, "hemisphere": "", "status": f"failed: {exc}"})
     _fill_scan_loss(rows, layout)
@@ -477,7 +465,7 @@ def cmd_sweep(args) -> int:
     failed = sum(1 for r in rows if r["status"] != "ok")
     print(f"{len(rows)} beams -> {table_path} ({failed} failed)")
     for state in PolarizationState:
-        for hemi in ("+z", "-z"):
+        for hemi in (HEMISPHERE_FORWARD, HEMISPHERE_BACKWARD):
             losses = [
                 r["scan_loss_db"]
                 for r in rows
@@ -524,7 +512,7 @@ def cmd_report(args) -> int:
                       f"{row['hemisphere']:4s} {'':>8s} {'':>6s} {'':>6s} {'':>6s} {'':>6s}  {row['status']}")
                 continue
             feed = layout.feed(row["feed_id"])
-            focal = layout.f if row["hemisphere"] == "+z" else layout.F
+            focal = layout.f if row["hemisphere"] == HEMISPHERE_FORWARD else layout.F
             geo = math.degrees(math.atan(abs(feed.position.x) / focal))
             ach = float(row["peak_theta_deg"])
             d_geo = abs(ach - geo)

@@ -107,6 +107,7 @@ class Key(NamedTuple):
     rule: str = ""
 
 
+_POSITIVE = (lambda v: v > 0.0, "must be > 0")
 _THETA_STEP = (_divides(90.0), "must divide 90 evenly")
 _PHI_STEP = (_divides(360.0), "must divide 360 evenly")
 
@@ -124,7 +125,7 @@ KEYS = {
         "frequencies_ghz", _tuple_of(float), lambda fs: all(f > 0 for f in fs), "must be positive"
     ),
     "ta_feed_ids": Key("sim.ta_feed_ids", _tuple_of(str)),
-    "feed.q": Key("sim.feed_q", float),
+    "feed.q": Key("sim.feed_q", float, *_POSITIVE),
     "feed.active_ids": Key("feed_active_ids", _tuple_of(str)),
     "sampling.theta_step_deg": Key("sim.theta_step_deg", float, *_THETA_STEP),
     "sampling.phi_step_deg": Key("sim.phi_step_deg", float, *_PHI_STEP),
@@ -140,7 +141,7 @@ KEYS = {
     "gain_offset_db": Key(
         "sim.gain_offset_db", float, lambda v: v <= 0.0, "is a loss budget and must be <= 0"
     ),
-    "reference_aperture_mm2": Key("sim.reference_aperture_mm2", float),
+    "reference_aperture_mm2": Key("sim.reference_aperture_mm2", float, *_POSITIVE),
     "curves.uc1_csv": Key("uc1_curve_csv", str),
     "curves.uc2_csv": Key("uc2_curve_csv", str),
     "output_dir": Key("output_dir", str),

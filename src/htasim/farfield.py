@@ -29,12 +29,7 @@ from .feed import (
     illumination_grid,
 )
 from .geometry import ApertureSpec, SystemLayout, mirror_point
-from .polarization import (
-    PolarizationState,
-    backward_path_jones,
-    forward_path_jones,
-    route,
-)
+from .polarization import PolarizationState, route
 from .synthesis import (
     CellMap,
     PhaseMap,
@@ -106,9 +101,6 @@ class BeamMetrics:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    state: PolarizationState
-    feed_id: str
-    frequency_ghz: float
     forward: tuple[PatternGrid, BeamMetrics] | None
     backward: tuple[PatternGrid, BeamMetrics] | None
 
@@ -143,13 +135,13 @@ def illuminate(
             raise ValueError(f"state {excitation.state.value} does not drive the TA side")
         aperture = layout.ta
         feed_pos = excitation.placement.position
-        path_jones = forward_path_jones(excitation.state.jones)
+        path_jones = plan.forward
     elif side == SIDE_FTA:
         if not plan.backward_active:
             raise ValueError(f"state {excitation.state.value} does not drive the FTA side")
         aperture = layout.fta
         feed_pos = mirror_point(excitation.placement.position, layout.f)
-        path_jones = backward_path_jones(excitation.state.jones)
+        path_jones = plan.backward
     else:
         raise ValueError(f"unknown aperture side {side!r}")
     hemisphere = (
@@ -508,11 +500,5 @@ def run_scenario(
 
     forward = _run_side(SIDE_TA) if plan.forward_active else None
     backward = _run_side(SIDE_FTA) if plan.backward_active else None
-    return ScenarioResult(
-        state=state,
-        feed_id=feed_id,
-        frequency_ghz=settings.frequency_ghz,
-        forward=forward,
-        backward=backward,
-    )
+    return ScenarioResult(forward=forward, backward=backward)
 

@@ -29,8 +29,9 @@ def taper_exponent_for_angle(alpha_10db_deg: float) -> float:
     return -0.5 / math.log10(math.cos(math.radians(alpha_10db_deg)))
 
 
-def default_taper_exponent(aperture_size_mm: float = 240.0, f_mm: float = 171.0) -> float:
-    """Exponent matched to the rim angle of the design geometry (~5.75)."""
+def default_taper_exponent(aperture_size_mm: float, f_mm: float) -> float:
+    """Exponent matched to the aperture rim angle seen from the focal
+    distance (~5.75 for the default 240 mm aperture at f = 171 mm)."""
     return taper_exponent_for_angle(taper_angle_from_focal(aperture_size_mm, f_mm))
 
 

@@ -84,16 +84,6 @@ class ApertureSpec:
         j = np.arange(self.ny, dtype=float)
         return (j - (self.ny - 1) / 2.0) * self.period
 
-    def element_center(self, i: int, j: int) -> Point3:
-        """Center of cell (i, j) in the global frame."""
-        if not (0 <= i < self.nx and 0 <= j < self.ny):
-            raise IndexError(f"cell index ({i}, {j}) outside {self.nx}x{self.ny} grid")
-        return Point3(
-            (i - (self.nx - 1) / 2.0) * self.period,
-            (j - (self.ny - 1) / 2.0) * self.period,
-            self.plane_z,
-        )
-
     @property
     def area_mm2(self) -> float:
         return self.size_x * self.size_y

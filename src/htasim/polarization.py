@@ -9,9 +9,11 @@ the feed line select which paths light up:
 * y-polarized drive -> the backward (folded) path only,
 * 45-degree slant drive -> both paths at 1/sqrt(2) amplitude each.
 
-Every path ends in a y-polarized output: the forward path rotates once,
-the backward path reflects off the upper grid and rotates twice in the
-lower double-rotator stack.
+`route` derives this table by pushing the drive's Jones vector through
+the grid/rotator chain of each path; it is stated nowhere else.  Every
+path ends in a y-polarized output: the forward path rotates
+once, the backward path reflects off the upper grid and rotates twice in
+the lower double-rotator stack.
 """
 
 from __future__ import annotations
@@ -42,9 +44,6 @@ class JonesVector:
     @property
     def norm(self) -> float:
         return math.sqrt(self.norm_sq)
-
-    def scaled(self, c: complex) -> "JonesVector":
-        return JonesVector(self.ex * c, self.ey * c)
 
 
 class PolarizationState(Enum):
@@ -105,41 +104,25 @@ def rotate_pol_90(v: JonesVector) -> JonesVector:
 
 @dataclass(frozen=True)
 class RoutingPlan:
-    """Which hemispheres a drive state lights up, and at what amplitude."""
+    """The field a drive state delivers to each hemisphere's aperture."""
 
-    state: PolarizationState
-    forward_active: bool
-    backward_active: bool
-    forward_amplitude: float
-    backward_amplitude: float
-    output_polarization: PolarizationState
+    forward: JonesVector
+    backward: JonesVector
 
-    def __post_init__(self):
-        total = self.forward_amplitude**2 + self.backward_amplitude**2
-        if total > 1.0 + 1e-12:
-            raise ValueError(f"routing plan is not passive: power {total}")
+    @property
+    def forward_active(self) -> bool:
+        return self.forward.norm_sq > 0.0
+
+    @property
+    def backward_active(self) -> bool:
+        return self.backward.norm_sq > 0.0
 
 
 def route(state: PolarizationState) -> RoutingPlan:
-    """Routing outcome for a drive state.
-
-    X drives the forward path at full amplitude, Y the backward path,
-    and the 45-degree slant splits equally (1/sqrt(2) field each way).
-    The output is y-polarized in every state.
-    """
-    if state is PolarizationState.X:
-        fwd, back = 1.0, 0.0
-    elif state is PolarizationState.Y:
-        fwd, back = 0.0, 1.0
-    else:
-        fwd, back = SQRT_HALF, SQRT_HALF
+    """Routing outcome for a drive state, derived from the path operators."""
     return RoutingPlan(
-        state=state,
-        forward_active=fwd > 0.0,
-        backward_active=back > 0.0,
-        forward_amplitude=fwd,
-        backward_amplitude=back,
-        output_polarization=PolarizationState.Y,
+        forward=forward_path_jones(state.jones),
+        backward=backward_path_jones(state.jones),
     )
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ApertureSpec, Point3, SystemLayout, mirror_point
-from .unitcell import PhaseCurve, UnitCellGeometry
+from .unitcell import PhaseCurve
 
 C_MM_PER_NS = 299.792458  # free-space light speed, mm/ns (mm * GHz)
 
@@ -29,12 +29,6 @@ def wavenumber(frequency_ghz: float) -> float:
     if frequency_ghz <= 0:
         raise ValueError(f"frequency must be positive, got {frequency_ghz}")
     return 2.0 * math.pi * frequency_ghz / C_MM_PER_NS
-
-
-def wavelength_mm(frequency_ghz: float) -> float:
-    if frequency_ghz <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency_ghz}")
-    return C_MM_PER_NS / frequency_ghz
 
 
 @dataclass(frozen=True)
@@ -57,8 +51,6 @@ class PhaseMap:
 
     aperture: ApertureSpec
     phases_deg: np.ndarray  # (nx, ny), wrapped to [0, 360)
-    k0: float
-    frequency_ghz: float
 
     def __post_init__(self):
         p = self.phases_deg
@@ -79,11 +71,6 @@ class CellMap:
     params_mm: np.ndarray  # (nx, ny)
     rotated: np.ndarray  # (nx, ny) bool
     max_residual_deg: float
-
-    def cell(self, i: int, j: int) -> UnitCellGeometry:
-        return UnitCellGeometry(
-            parameter=float(self.params_mm[i, j]), rotated=bool(self.rotated[i, j])
-        )
 
 
 def wrap_deg(phase_deg) -> np.ndarray:
@@ -124,12 +111,7 @@ def single_focus_phase(
 ) -> PhaseMap:
     """Wrapped single-focus compensation map."""
     unwrapped = single_focus_phase_unwrapped(aperture, feed, target, k0)
-    return PhaseMap(
-        aperture=aperture,
-        phases_deg=wrap_deg(unwrapped),
-        k0=k0,
-        frequency_ghz=k0 * C_MM_PER_NS / (2.0 * math.pi),
-    )
+    return PhaseMap(aperture=aperture, phases_deg=wrap_deg(unwrapped))
 
 
 def _require_symmetric(vf1: Point3, vf2: Point3):
@@ -173,12 +155,7 @@ def bifocal_phase(
     """
     del theta_deg  # cancels in the symmetric average
     unwrapped = bifocal_phase_unwrapped(aperture, vf1, vf2, k0)
-    return PhaseMap(
-        aperture=aperture,
-        phases_deg=wrap_deg(unwrapped),
-        k0=k0,
-        frequency_ghz=k0 * C_MM_PER_NS / (2.0 * math.pi),
-    )
+    return PhaseMap(aperture=aperture, phases_deg=wrap_deg(unwrapped))
 
 
 def synthesize_ta(layout: SystemLayout, k0: float) -> PhaseMap:

@@ -80,25 +80,10 @@ def uc1_scatter_model(frequency_ghz: float) -> ScatterCoeffs:
     return ScatterCoeffs(t_co=math.sqrt(p), t_xx=rest, r_yx=rest, r_xx=rest)
 
 
-@dataclass(frozen=True)
-class UnitCellGeometry:
-    """One realizable cell: sweep parameter plus the 90-degree rotation flag."""
-
-    parameter: float
-    rotated: bool = False
-
-
 class PhaseCurve:
     """Monotone parameter -> (phase, magnitude) model of one cell family."""
 
-    def __init__(
-        self,
-        param_name: str,
-        params_mm,
-        phases_deg,
-        mags_db,
-        frequency_ghz: float | None = None,
-    ):
+    def __init__(self, param_name: str, params_mm, phases_deg, mags_db):
         params = np.asarray(params_mm, dtype=float)
         phases = np.asarray(phases_deg, dtype=float)
         mags = np.asarray(mags_db, dtype=float)
@@ -121,7 +106,6 @@ class PhaseCurve:
         self.params = params
         self.phases = phases
         self.mags = mags
-        self.frequency_ghz = frequency_ghz
         # ascending-phase view for inverse interpolation
         if phases[0] <= phases[-1]:
             self._phase_lo = float(phases[0])
@@ -131,15 +115,10 @@ class PhaseCurve:
             self._phase_lo = float(phases[-1])
             self._asc_phases = phases[::-1]
             self._asc_params = params[::-1]
-        self._span = span
 
     @property
     def param_range(self) -> tuple[float, float]:
         return float(self.params[0]), float(self.params[-1])
-
-    @property
-    def span_deg(self) -> float:
-        return float(self._span)
 
     def _check_param(self, parameter) -> np.ndarray:
         p = np.asarray(parameter, dtype=float)
@@ -178,27 +157,6 @@ class PhaseCurve:
         return params, rotated
 
 
-def phase_of(curve: PhaseCurve, cell: UnitCellGeometry) -> float:
-    """Realized transmission phase of a cell, degrees in [0, 360)."""
-    return float(curve.phase_at(cell.parameter, cell.rotated))
-
-
-def magnitude_of(curve: PhaseCurve, cell: UnitCellGeometry) -> float:
-    """Realized transmission magnitude of a cell, dB."""
-    return float(curve.magnitude_at(cell.parameter))
-
-
-def lookup_geometry(curve: PhaseCurve, desired_phase_deg: float) -> UnitCellGeometry:
-    """Cell geometry whose realized phase matches the target.
-
-    Exact (up to interpolation) for curves spanning a full 180 degrees;
-    uses the rotated branch for the half circle the base sweep cannot
-    reach.
-    """
-    params, rotated = curve.invert(desired_phase_deg)
-    return UnitCellGeometry(parameter=float(params), rotated=bool(rotated))
-
-
 # --- built-in curve library -------------------------------------------------
 
 #: Synthetic knots for the transmit cell: L sweep 0.5..4.6 mm, 180 deg span,
@@ -233,7 +191,7 @@ def _build_curve(param_name, knots, frequency_ghz):
     shift = _PARALLEL_SHIFT_DEG_PER_GHZ * (frequency_ghz - DESIGN_FREQUENCY_GHZ)
     phases = [k[1] + shift for k in knots]
     mags = [k[2] for k in knots]
-    return PhaseCurve(param_name, params, phases, mags, frequency_ghz=frequency_ghz)
+    return PhaseCurve(param_name, params, phases, mags)
 
 
 class CurveLibrary:
@@ -267,7 +225,7 @@ def builtin_curve_library() -> CurveLibrary:
     return CurveLibrary(curves)
 
 
-def load_curve_csv(path, param_name: str, frequency_ghz: float | None = None) -> PhaseCurve:
+def load_curve_csv(path, param_name: str) -> PhaseCurve:
     """Load a digitized curve from `param_mm,phase_deg,mag_db` CSV."""
     params, phases, mags = [], [], []
     with open(path, newline="") as fh:
@@ -281,7 +239,7 @@ def load_curve_csv(path, param_name: str, frequency_ghz: float | None = None) ->
             params.append(float(row["param_mm"]))
             phases.append(float(row["phase_deg"]))
             mags.append(float(row["mag_db"]))
-    return PhaseCurve(param_name, params, phases, mags, frequency_ghz=frequency_ghz)
+    return PhaseCurve(param_name, params, phases, mags)
 
 
 def library_with_csv_overrides(

@@ -92,6 +92,13 @@ def test_validation_rules():
         config_from_tree({"crosspol": {"leakage": 1.5}})
     with pytest.raises(ConfigError, match="true or false"):
         config_from_tree({"blockage": {"enabled": "yes"}})
+    for tree in (
+        {"reference_aperture_mm2": 0.0},
+        {"reference_aperture_mm2": -5.0},
+        {"feed": {"q": 0.0}},
+    ):
+        with pytest.raises(ConfigError, match="must be > 0"):
+            config_from_tree(tree)
 
 
 def test_load_config_missing_file(tmp_path):
@@ -149,23 +156,49 @@ def test_missing_curve_file_exits_usage(tmp_path, capsys):
     assert "/nonexistent/curve.csv" in err
 
 
+def _cli_child(argv):
+    """Run the CLI as a child process, so that a traceback shows on its
+    stderr."""
+    src = str(Path(htasim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "htasim.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
 @pytest.mark.parametrize("command", ["validate", "synthesize", "sweep"])
 def test_uncovered_frequency_is_a_config_error(tmp_path, command):
-    # the builtin curves carry 9.0, 9.75 and 10.5 GHz only; run as a child
-    # process so that a traceback would show on its stderr
+    # the builtin curves carry 9.0, 9.75 and 10.5 GHz only
     cfg = tmp_path / "band.cfg"
     cfg.write_text(FAST_SAMPLING.replace("frequencies = 9.75", "frequencies = 9.75, 11.0"))
     argv = [command, "--config", str(cfg)]
     if command != "validate":
         argv += ["--out", str(tmp_path / "o")]
-    src = str(Path(htasim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "htasim.cli", *argv], capture_output=True, text=True, env=env
-    )
+    proc = _cli_child(argv)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error:") and "11.0" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("simulate", "reference_aperture_mm2 = 0"),
+        ("simulate", "reference_aperture_mm2 = -5"),
+        ("simulate", "feed.q = 0"),
+        ("validate", "feed.q = 0"),
+    ],
+)
+def test_nonpositive_key_is_a_config_error(tmp_path, command, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(FAST_SAMPLING + line + "\n")
+    argv = [command, "--config", str(cfg)]
+    if command == "simulate":
+        argv += ["--state", "slant45", "--feed", "A4", "--freq", "9.75", "--out", str(tmp_path / "o")]
+    proc = _cli_child(argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"config error: {line} must be > 0\n"
 
 
 @pytest.mark.parametrize("line", ["feed.active_ids = A9", "ta_feed_ids = Z1"])

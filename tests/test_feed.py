@@ -14,7 +14,7 @@ from htasim.feed import (
     pattern_amplitude,
     taper_exponent_for_angle,
 )
-from htasim.geometry import FeedPlacement, Point3
+from htasim.geometry import FeedPlacement, LayoutConfig, Point3
 from htasim.polarization import PolarizationState
 from htasim.synthesis import wavenumber
 
@@ -47,7 +47,9 @@ def test_taper_exponent_solves_minus10db():
 
 
 def test_default_taper_exponent():
-    assert default_taper_exponent() == pytest.approx(5.750349515268054, rel=1e-12)
+    cfg = LayoutConfig()
+    q = default_taper_exponent(cfg.ta.size_mm, cfg.f_mm)
+    assert q == pytest.approx(5.750349515268054, rel=1e-12)
 
 
 def test_minus10db_angle_closed_form():

@@ -194,13 +194,6 @@ def test_aperture_fit_invariant():
     ApertureSpec(plane_z=0, size_x=95.0, size_y=95.0, period=10.0, nx=10, ny=10)
 
 
-def test_element_center_accessor(layout):
-    p = layout.ta.element_center(0, 39)
-    assert (p.x, p.y, p.z) == (-117.0, 117.0, 171.0)
-    with pytest.raises(IndexError):
-        layout.ta.element_center(40, 0)
-
-
 def test_duplicate_feed_ids_rejected():
     cfg = LayoutConfig(
         feeds=(FeedConfig("A1", -50.0), FeedConfig("A1", 50.0))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htasim.polarization import (
     GridOrientation,
@@ -78,16 +80,31 @@ def test_rotation():
 def test_route_table():
     x = route(PolarizationState.X)
     assert (x.forward_active, x.backward_active) == (True, False)
-    assert (x.forward_amplitude, x.backward_amplitude) == (1.0, 0.0)
+    assert (x.forward.norm, x.backward.norm) == (1.0, 0.0)
     y = route(PolarizationState.Y)
     assert (y.forward_active, y.backward_active) == (False, True)
-    assert (y.forward_amplitude, y.backward_amplitude) == (0.0, 1.0)
+    assert (y.forward.norm, y.backward.norm) == (0.0, 1.0)
     s = route(PolarizationState.SLANT45)
     assert s.forward_active and s.backward_active
-    assert s.forward_amplitude == s.backward_amplitude == SQ
-    assert s.forward_amplitude**2 + s.backward_amplitude**2 == pytest.approx(1.0)
+    assert s.forward.norm == s.backward.norm == SQ
+    assert s.forward.norm**2 + s.backward.norm**2 == pytest.approx(1.0)
     for state in PolarizationState:
-        assert route(state).output_polarization is PolarizationState.Y
+        plan = route(state)
+        assert plan.forward.ex == 0.0 and plan.backward.ex == 0.0  # y-polarized
+
+
+_COMPONENT = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(database=None)
+@given(_COMPONENT, _COMPONENT)
+def test_routing_chain_is_lossless_and_y_polarized(ex, ey):
+    # route composes these operators; any drive, not only the three states,
+    # leaves the stack y-polarized with its power split between the paths
+    drive = JonesVector(ex, ey)
+    forward, backward = forward_path_jones(drive), backward_path_jones(drive)
+    assert forward.ex == 0 and backward.ex == 0
+    assert forward.norm_sq + backward.norm_sq == pytest.approx(drive.norm_sq, rel=1e-12)
 
 
 def test_forward_path_is_pure_y():

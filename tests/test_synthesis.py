@@ -14,7 +14,6 @@ from htasim.synthesis import (
     single_focus_phase_unwrapped,
     synthesize_fta,
     synthesize_ta,
-    wavelength_mm,
     wavenumber,
     wrap_deg,
     write_cell_map_csv,
@@ -28,7 +27,6 @@ K0_10GHZ = wavenumber(10.0)
 def test_wavenumber():
     assert K0_10GHZ == pytest.approx(2.0 * math.pi * 10.0 / 299.792458, rel=1e-15)
     assert K0_10GHZ == pytest.approx(0.20958450219516817)
-    assert wavelength_mm(10.0) == pytest.approx(29.9792458)
     with pytest.raises(ValueError):
         wavenumber(0.0)
 
@@ -264,8 +262,7 @@ def test_quantize_continuous_exact(layout, curves):
     cm = quantize(pm, curves.curve("uc1", 9.75))
     assert cm.max_residual_deg <= 1e-6
     assert cm.params_mm.shape == (40, 40)
-    cell = cm.cell(0, 0)
-    assert 0.5 <= cell.parameter <= 4.6
+    assert 0.5 <= cm.params_mm[0, 0] <= 4.6
 
 
 def test_quantize_coarse_two_sample_curve(layout):
@@ -280,9 +277,7 @@ def test_quantize_coarse_two_sample_curve(layout):
 
 def test_quantize_all_zero_map(curves):
     ap = _aperture(n=4)
-    pm = PhaseMap(
-        aperture=ap, phases_deg=np.zeros((4, 4)), k0=K0_10GHZ, frequency_ghz=10.0
-    )
+    pm = PhaseMap(aperture=ap, phases_deg=np.zeros((4, 4)))
     cm = quantize(pm, curves.curve("uc1", 9.75))
     assert np.all(cm.params_mm == cm.params_mm[0, 0])
     assert not cm.rotated.any()
@@ -291,9 +286,9 @@ def test_quantize_all_zero_map(curves):
 def test_phase_map_validation():
     ap = _aperture(n=4)
     with pytest.raises(ValueError, match="wrapped"):
-        PhaseMap(aperture=ap, phases_deg=np.full((4, 4), 361.0), k0=1.0, frequency_ghz=10.0)
+        PhaseMap(aperture=ap, phases_deg=np.full((4, 4), 361.0))
     with pytest.raises(ValueError, match="match"):
-        PhaseMap(aperture=ap, phases_deg=np.zeros((3, 4)), k0=1.0, frequency_ghz=10.0)
+        PhaseMap(aperture=ap, phases_deg=np.zeros((3, 4)))
 
 
 # --- exports ------------------------------------------------------------------

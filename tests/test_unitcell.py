@@ -7,14 +7,10 @@ from htasim.unitcell import (
     CURVE_FREQUENCIES_GHZ,
     PhaseCurve,
     ScatterCoeffs,
-    UnitCellGeometry,
     builtin_curve_library,
     library_with_csv_overrides,
     load_curve_csv,
-    lookup_geometry,
-    magnitude_of,
     pcr,
-    phase_of,
     uc1_scatter_model,
 )
 
@@ -88,7 +84,7 @@ def test_curve_endpoint_span_180(curves):
     for kind in ("uc1", "uc2"):
         for f in CURVE_FREQUENCIES_GHZ:
             c = curves.curve(kind, f)
-            assert c.span_deg == pytest.approx(180.0, abs=1e-12)
+            assert abs(c.phases[-1] - c.phases[0]) == pytest.approx(180.0, abs=1e-12)
 
 
 def test_parallel_frequency_shift(curves):
@@ -102,47 +98,47 @@ def test_parallel_frequency_shift(curves):
 
 def test_rotation_adds_half_turn(curves):
     c = curves.curve("uc1", 9.75)
-    for p in np.linspace(0.5, 4.6, 13):
-        base = phase_of(c, UnitCellGeometry(p, rotated=False))
-        rot = phase_of(c, UnitCellGeometry(p, rotated=True))
-        assert (rot - base) % 360.0 == pytest.approx(180.0, abs=1e-9)
+    p = np.linspace(0.5, 4.6, 13)
+    base = c.phase_at(p, rotated=False)
+    rot = c.phase_at(p, rotated=True)
+    np.testing.assert_allclose((rot - base) % 360.0, 180.0, rtol=0.0, atol=1e-9)
 
 
 def test_endpoint_phases(curves):
     c = curves.curve("uc1", 9.75)
-    assert phase_of(c, UnitCellGeometry(0.5)) == 0.0
-    assert phase_of(c, UnitCellGeometry(4.6)) == 180.0
+    assert c.phase_at(0.5) == 0.0
+    assert c.phase_at(4.6) == 180.0
 
 
 def test_linear_interpolation_midpoint():
     c = PhaseCurve("L", [1.0, 3.0], [0.0, 180.0], [0.0, 0.0])
-    assert phase_of(c, UnitCellGeometry(2.0)) == pytest.approx(90.0)
+    assert float(c.phase_at(2.0)) == pytest.approx(90.0)
 
 
 def test_parameter_out_of_range(curves):
     c = curves.curve("uc1", 9.75)
     with pytest.raises(ValueError):
-        phase_of(c, UnitCellGeometry(5.0))
+        c.phase_at(5.0)
     with pytest.raises(ValueError):
-        magnitude_of(c, UnitCellGeometry(0.4))
+        c.magnitude_at(0.4)
 
 
 def test_lookup_endpoints(curves):
     c = curves.curve("uc1", 9.75)
-    got = lookup_geometry(c, phase_of(c, UnitCellGeometry(0.5)))
-    assert (got.parameter, got.rotated) == (0.5, False)
-    got = lookup_geometry(c, (phase_of(c, UnitCellGeometry(0.5)) + 180.0) % 360.0)
-    assert (got.parameter, got.rotated) == (0.5, True)
+    param, rotated = c.invert(c.phase_at(0.5))
+    assert (float(param), bool(rotated)) == (0.5, False)
+    param, rotated = c.invert((c.phase_at(0.5) + 180.0) % 360.0)
+    assert (float(param), bool(rotated)) == (0.5, True)
 
 
 def test_lookup_round_trip_64(curves):
     for kind in ("uc1", "uc2"):
         c = curves.curve(kind, 9.75)
-        for target in np.linspace(0.0, 360.0, 64, endpoint=False):
-            cell = lookup_geometry(c, target)
-            realized = phase_of(c, cell)
-            err = abs((realized - target + 180.0) % 360.0 - 180.0)
-            assert err <= 1e-6
+        targets = np.linspace(0.0, 360.0, 64, endpoint=False)
+        params, rotated = c.invert(targets)
+        realized = c.phase_at(params, rotated)
+        err = np.abs((realized - targets + 180.0) % 360.0 - 180.0)
+        assert err.max() <= 1e-6
 
 
 def test_lookup_rotation_branch_is_half_circle(curves):
@@ -153,30 +149,26 @@ def test_lookup_rotation_branch_is_half_circle(curves):
 
 
 def test_lookup_identity_mod_rotation(curves):
-    # lookup(phase_of(cell)) returns the cell or its 180-degree twin
+    # invert(phase_at(cell)) returns the cell or its 180-degree twin
     c = curves.curve("uc2", 9.75)
     rng = np.random.default_rng(21)
     for _ in range(50):
-        cell = UnitCellGeometry(rng.uniform(1.5, 4.0), rng.choice([True, False]))
-        back = lookup_geometry(c, phase_of(c, cell))
-        assert back.parameter == pytest.approx(cell.parameter, abs=1e-9)
-        if back.rotated != cell.rotated:
-            diff = (phase_of(c, back) - phase_of(c, cell)) % 360.0
-            assert diff == pytest.approx(0.0, abs=1e-9)
+        param, rot = rng.uniform(1.5, 4.0), rng.choice([True, False])
+        back_param, back_rot = c.invert(c.phase_at(param, rot))
+        assert float(back_param) == pytest.approx(param, abs=1e-9)
+        if back_rot != rot:
+            diff = (c.phase_at(back_param, back_rot) - c.phase_at(param, rot)) % 360.0
+            assert float(diff) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_magnitudes(curves):
     uc1 = curves.curve("uc1", 9.75)
     uc2 = curves.curve("uc2", 9.75)
-    for p in np.linspace(0.5, 4.6, 9):
-        assert magnitude_of(uc1, UnitCellGeometry(p)) == 0.0
-    mags = [magnitude_of(uc2, UnitCellGeometry(p)) for p in np.linspace(1.5, 4.0, 101)]
-    assert min(mags) >= -1.1
-    assert magnitude_of(uc2, UnitCellGeometry(1.5)) == -1.1  # worst case
-    # rotation is phase-only
-    assert magnitude_of(uc2, UnitCellGeometry(2.5, True)) == magnitude_of(
-        uc2, UnitCellGeometry(2.5, False)
-    )
+    assert np.all(uc1.magnitude_at(np.linspace(0.5, 4.6, 9)) == 0.0)
+    mags = uc2.magnitude_at(np.linspace(1.5, 4.0, 101))
+    assert mags.min() >= -1.1
+    assert uc2.magnitude_at(1.5) == -1.1  # worst case
+    # rotation is phase-only: magnitude_at takes no rotation flag
 
 
 def test_monotonicity_validated():
@@ -193,10 +185,9 @@ def test_span_validated():
 
 def test_decreasing_curve_supported():
     c = PhaseCurve("W", [1.0, 2.0, 3.0], [180.0, 70.0, 0.0], [0.0, -0.5, 0.0])
-    cell = lookup_geometry(c, 35.0)
-    assert phase_of(c, cell) == pytest.approx(35.0, abs=1e-9)
-    cell = lookup_geometry(c, 300.0)
-    assert phase_of(c, cell) == pytest.approx(300.0, abs=1e-9)
+    for target in (35.0, 300.0):
+        param, rotated = c.invert(target)
+        assert float(c.phase_at(param, rotated)) == pytest.approx(target, abs=1e-9)
 
 
 # --- CSV loading --------------------------------------------------------------
