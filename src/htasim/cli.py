@@ -4,7 +4,7 @@ Subcommands:
 
 * ``validate``   — run the self-consistency checks on the configured system
                    (focal relations, phase-law identities, lookup round
-                   trips, polarization energy split); exit 0 iff all pass.
+                   trips, routing, quantization); exit 0 iff all pass.
 * ``synthesize`` — write the compensation phase maps and quantized cell
                    maps for both apertures at the design frequency.
 * ``simulate``   — one state/feed/frequency scenario: pattern cut CSV plus
@@ -26,6 +26,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -43,18 +44,9 @@ from .farfield import (
     run_scenario,
     synthesize_cell_maps,
 )
-from .geometry import Point3, build_layout, mirror_feed, mirror_point, path_length
-from .polarization import (
-    GridOrientation,
-    JonesVector,
-    PolarizationState,
-    grid_reflect,
-    grid_transmit,
-    rotate_pol_90,
-    route,
-)
+from .geometry import Point3, build_layout, mirror_point, path_length
+from .polarization import PolarizationState, route
 from .synthesis import (
-    bifocal_phase,
     bifocal_phase_unwrapped,
     single_focus_phase_unwrapped,
     ScanTarget,
@@ -88,11 +80,7 @@ def _curves(cfg: RunConfig) -> CurveLibrary:
     if cfg.uc1_curve_csv is None and cfg.uc2_curve_csv is None:
         return builtin_curve_library()
     try:
-        return library_with_csv_overrides(
-            uc1_csv=cfg.uc1_curve_csv,
-            uc2_csv=cfg.uc2_curve_csv,
-            frequencies_ghz=cfg.frequencies_ghz,
-        )
+        return library_with_csv_overrides(uc1_csv=cfg.uc1_curve_csv, uc2_csv=cfg.uc2_curve_csv)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"curve file unusable: {exc}") from exc
 
@@ -171,17 +159,6 @@ def _run_checks(cfg: RunConfig, curves: CurveLibrary):
         f"F = {layout.F}, 2f + h = {2 * layout.f + layout.h}"
     )
 
-    x = layout.ta.x_centers()
-    y = layout.ta.y_centers()
-    sym = np.array_equal(x, -x[::-1]) and np.array_equal(y, -y[::-1])
-    yield "aperture_grid_symmetry", sym, "element centers negate under index reflection"
-
-    ok = all(
-        mirror_point(mirror_feed(layout, feed), layout.f) == feed.position
-        for feed in layout.feeds
-    )
-    yield "mirror_involution", ok, "mirroring twice returns the feed"
-
     worst = 0.0
     for _ in range(64):
         fx, fy = rng.uniform(-180, 180, 2)
@@ -205,12 +182,6 @@ def _run_checks(cfg: RunConfig, curves: CurveLibrary):
     rel = np.max(np.abs((m1 + m2) / 2.0 - closed) / np.abs(closed))
     yield "bifocal_mean_equivalence", rel < 1e-9, f"max rel dev {rel:.2e}"
 
-    a = bifocal_phase(layout.ta, vf1, vf2, +theta, k0)
-    b = bifocal_phase(layout.ta, vf1, vf2, -theta, k0)
-    yield "bifocal_theta_independence", np.array_equal(a.phases_deg, b.phases_deg), (
-        "deflection angle drops out of the symmetric average"
-    )
-
     for kind, label in (("uc1", "curve_roundtrip_ta"), ("uc2", "curve_roundtrip_fta")):
         worst = 0.0
         for f in cfg.frequencies_ghz:
@@ -221,25 +192,6 @@ def _run_checks(cfg: RunConfig, curves: CurveLibrary):
             err = np.abs(wrap_deg(realized - targets + 180.0) - 180.0)
             worst = max(worst, float(err.max()))
         yield label, worst <= 1e-6, f"max round-trip error {worst:.2e} deg"
-
-    worst = 0.0
-    for _ in range(32):
-        v = JonesVector(
-            complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
-        )
-        for g in GridOrientation:
-            t = grid_transmit(v, g)
-            r = grid_reflect(v, g)
-            worst = max(worst, abs(t.norm_sq + r.norm_sq - v.norm_sq) / v.norm_sq)
-    yield "grid_energy_split", worst < 1e-12, f"max rel energy defect {worst:.2e}"
-
-    v = JonesVector(0.3 + 0.1j, -0.7 + 0.2j)
-    w = v
-    for _ in range(4):
-        w = rotate_pol_90(w)
-    yield "rotation_identity", (w.ex, w.ey) == (v.ex, v.ey), (
-        "four rotations are the identity"
-    )
 
     ok = True
     detail = []
@@ -404,7 +356,7 @@ def sweep_rows(cfg: RunConfig, curves: CurveLibrary, layout, out_dir: Path | Non
                         )
                         if out_dir is not None:
                             _emit_beam(out_dir, state, feed_id, freq, pattern, metrics)
-                except Exception as exc:  # partial-failure policy: keep going
+                except (KeyError, ValueError) as exc:  # partial-failure policy: keep going
                     rows.append({**beam, "hemisphere": "", "status": f"failed: {exc}"})
     _fill_scan_loss(rows, layout)
     return rows
@@ -588,10 +540,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except CommandError as exc:
         print(exc, file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull so that
+        # the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

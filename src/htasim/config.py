@@ -9,6 +9,8 @@ The grammar is dependency-free on purpose:
 * comma-separated values make a list (`frequencies = 9.0, 9.75, 10.5`),
 * booleans are `true` / `false`.
 
+The parser yields the dotted keys as they are written, with the entries
+of an indexed key gathered into one list under its name (`feeds`).
 Every accepted key is one row of `KEYS`: the `RunConfig` attribute it
 sets (dotted into `layout`, `sim` and `blockage`), its parser and, where
 one applies, the rule its value must satisfy.  Defaults live only in the
@@ -25,10 +27,10 @@ from typing import Callable, NamedTuple
 
 from .farfield import BlockageMask, SimulationSettings
 from .geometry import FeedConfig, LayoutConfig
-from .unitcell import CURVE_FREQUENCIES_GHZ
+from .unitcell import CURVE_FREQUENCIES_GHZ, builtin_covered
 
 _ASSIGN_RE = re.compile(r"^([A-Za-z0-9_.\[\]]+)\s*=\s*(.*)$")
-_INDEX_RE = re.compile(r"^([A-Za-z0-9_]+)\[(\d+)\]$")
+_INDEX_RE = re.compile(r"^([A-Za-z0-9_]+)\[(\d+)\]\.(.+)$")
 
 
 class ConfigError(Exception):
@@ -164,8 +166,9 @@ def _parse_scalar(raw: str):
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse the flat grammar into a nested dict (lists for indexed keys)."""
-    root: dict = {}
+    """Parse the flat grammar into {dotted key: value}; the `name[k].field`
+    lines of an indexed key gather into a list of dicts under `name`."""
+    values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -178,40 +181,18 @@ def parse_config_text(text: str) -> dict:
             value = [_parse_scalar(v) for v in raw_value.split(",") if v.strip()]
         else:
             value = _parse_scalar(raw_value)
-        node = root
-        parts = key.split(".")
-        for k, part in enumerate(parts):
-            last = k == len(parts) - 1
-            idx_match = _INDEX_RE.match(part)
-            if idx_match:
-                name, idx = idx_match.group(1), int(idx_match.group(2))
-                lst = node.setdefault(name, [])
-                if not isinstance(lst, list):
-                    raise ConfigError(f"line {lineno}: {name} used both ways")
-                while len(lst) <= idx:
-                    lst.append({})
-                if last:
-                    raise ConfigError(
-                        f"line {lineno}: indexed key {part} needs a field suffix"
-                    )
-                node = lst[idx]
-            elif last:
-                node[part] = value
-            else:
-                nxt = node.setdefault(part, {})
-                if not isinstance(nxt, dict):
-                    raise ConfigError(f"line {lineno}: {part} used both ways")
-                node = nxt
-    return root
-
-
-def _flatten(tree: dict, prefix: str = ""):
-    """(dotted key, value) pairs of a parsed tree; indexed lists stay whole."""
-    for name, value in tree.items():
-        if isinstance(value, dict):
-            yield from _flatten(value, f"{prefix}{name}.")
-        else:
-            yield prefix + name, value
+        idx_match = _INDEX_RE.match(key)
+        if idx_match is None:
+            values[key] = value
+            continue
+        name, idx, field = idx_match.group(1), int(idx_match.group(2)), idx_match.group(3)
+        entries = values.setdefault(name, [])
+        if not isinstance(entries, list):
+            raise ConfigError(f"line {lineno}: {name} used both ways")
+        while len(entries) <= idx:
+            entries.append({})
+        entries[idx][field] = value
+    return values
 
 
 def _set(obj, attr: str, value):
@@ -254,18 +235,13 @@ def _validate(cfg: RunConfig):
         if unknown:
             raise ConfigError(f"{key} names feeds that are not configured: {unknown}")
     # a CSV curve serves every frequency; a builtin family only its own
-    uncovered = [f for f in cfg.frequencies_ghz if round(f, 6) not in CURVE_FREQUENCIES_GHZ]
+    uncovered = [f for f in cfg.frequencies_ghz if builtin_covered(f) is None]
     for kind, csv_path in (("uc1", cfg.uc1_curve_csv), ("uc2", cfg.uc2_curve_csv)):
         if uncovered and csv_path is None:
             raise ConfigError(
                 f"frequencies {uncovered} GHz have no builtin {kind} curve "
                 f"(library carries {list(CURVE_FREQUENCIES_GHZ)}); set curves.{kind}_csv"
             )
-
-
-def config_from_tree(tree: dict) -> RunConfig:
-    """Build a validated RunConfig from the parsed tree."""
-    return with_overrides(RunConfig(), dict(_flatten(tree)))
 
 
 def load_config(path) -> RunConfig:
@@ -276,7 +252,7 @@ def load_config(path) -> RunConfig:
         text = p.read_text()
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{p}: {exc}") from exc
-    return config_from_tree(parse_config_text(text))
+    return with_overrides(RunConfig(), parse_config_text(text))
 
 
 def default_config() -> RunConfig:

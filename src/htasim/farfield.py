@@ -31,6 +31,7 @@ from .feed import (
 from .geometry import ApertureSpec, SystemLayout, mirror_point
 from .polarization import PolarizationState, route
 from .synthesis import (
+    C_MM_PER_NS,
     CellMap,
     PhaseMap,
     quantize,
@@ -38,7 +39,7 @@ from .synthesis import (
     synthesize_ta,
     wavenumber,
 )
-from .unitcell import CurveLibrary, PhaseCurve, builtin_curve_library
+from .unitcell import CurveLibrary, PhaseCurve
 
 SIDE_TA = "ta"
 SIDE_FTA = "fta"
@@ -154,10 +155,9 @@ def illuminate(
     x = aperture.x_centers()
     y = aperture.y_centers()
     # The mirrored feed radiates along -z (its boresight flips with the
-    # fold); both signs reduce to "toward the aperture plane".
-    boresight_sign = 1 if aperture.plane_z > feed_pos.z else -1
+    # fold): each side's feed looks along that aperture's normal.
     incident = illumination_grid(
-        excitation.pattern, feed_pos, boresight_sign, x, y, aperture.plane_z, k0
+        excitation.pattern, feed_pos, aperture.normal_sign, x, y, aperture.plane_z, k0
     )
 
     comp_phase = curve.phase_at(cell_map.params_mm, cell_map.rotated)
@@ -228,7 +228,7 @@ def radiate(
         e_co=_sum(field.ey),
         e_cross=_sum(field.ex),
         hemisphere=field.hemisphere,
-        frequency_ghz=k0 * 299.792458 / (2.0 * math.pi),
+        frequency_ghz=k0 * C_MM_PER_NS / (2.0 * math.pi),
     )
 
 
@@ -373,7 +373,7 @@ def extract_metrics(
     if reference_aperture_mm2 is None:
         ap = layout.ta if side == SIDE_TA else layout.fta
         reference_aperture_mm2 = ap.area_mm2
-    lam = 299.792458 / pattern.frequency_ghz
+    lam = C_MM_PER_NS / pattern.frequency_ghz
     d_max = 4.0 * math.pi * reference_aperture_mm2 / lam**2
     efficiency = 10.0 ** (peak_dbi / 10.0) / d_max
 
@@ -447,7 +447,7 @@ def run_scenario(
     state: PolarizationState,
     feed_id: str,
     settings: SimulationSettings,
-    curves: CurveLibrary | None = None,
+    curves: CurveLibrary,
     cell_maps: dict | None = None,
 ) -> ScenarioResult:
     """Full illuminate -> radiate -> metrics pipeline for one state/feed.
@@ -462,8 +462,6 @@ def run_scenario(
             f"feed {feed_id} is not allowed in state {state.value}; "
             f"allowed feeds: {', '.join(legal)}"
         )
-    if curves is None:
-        curves = builtin_curve_library()
     if cell_maps is None:
         cell_maps = synthesize_cell_maps(layout, curves, settings.frequency_ghz)
 
@@ -472,7 +470,6 @@ def run_scenario(
         placement=feed,
         pattern=feed_pattern_for(layout, settings),
         state=state,
-        boresight_sign=+1,
     )
     plan = route(state)
 

@@ -108,7 +108,6 @@ class SystemLayout:
     ta: ApertureSpec
     fta: ApertureSpec
     feeds: tuple[FeedPlacement, ...]
-    feed_plane_z: float = 0.0
     virtual_feeds: tuple[Point3, Point3] = field(init=False)
 
     def __post_init__(self):
@@ -116,15 +115,9 @@ class SystemLayout:
             raise ValueError(
                 f"focal relation violated: F = {self.F}, 2f + h = {2 * self.f + self.h}"
             )
-        vf1 = Point3(self.d / 2.0, 0.0, self.feed_plane_z)
-        vf2 = Point3(-self.d / 2.0, 0.0, self.feed_plane_z)
+        vf1 = Point3(self.d / 2.0, 0.0, 0.0)
+        vf2 = Point3(-self.d / 2.0, 0.0, 0.0)
         object.__setattr__(self, "virtual_feeds", (vf1, vf2))
-        for feed in self.feeds:
-            if feed.position.z != self.feed_plane_z:
-                raise ValueError(
-                    f"feed {feed.id} lies at z = {feed.position.z}, "
-                    f"not on the feed plane z = {self.feed_plane_z}"
-                )
 
     @property
     def offset_angle_deg(self) -> float:
@@ -188,6 +181,14 @@ def _grid_count(size_mm: float, period_mm: float) -> int:
     return max(n, 1)
 
 
+def _square_aperture(config: ApertureConfig, plane_z: float, normal_sign: int) -> ApertureSpec:
+    n = _grid_count(config.size_mm, config.period_mm)
+    return ApertureSpec(
+        plane_z=plane_z, size_x=config.size_mm, size_y=config.size_mm,
+        period=config.period_mm, nx=n, ny=n, normal_sign=normal_sign,
+    )
+
+
 def build_layout(config: LayoutConfig) -> SystemLayout:
     """Resolve a LayoutConfig into a validated SystemLayout.
 
@@ -218,24 +219,8 @@ def build_layout(config: LayoutConfig) -> SystemLayout:
     if d < 0:
         raise ValueError(f"virtual feed spacing d must be nonnegative, got {d}")
 
-    ta = ApertureSpec(
-        plane_z=+f,
-        size_x=config.ta.size_mm,
-        size_y=config.ta.size_mm,
-        period=config.ta.period_mm,
-        nx=_grid_count(config.ta.size_mm, config.ta.period_mm),
-        ny=_grid_count(config.ta.size_mm, config.ta.period_mm),
-        normal_sign=+1,
-    )
-    fta = ApertureSpec(
-        plane_z=-h,
-        size_x=config.fta.size_mm,
-        size_y=config.fta.size_mm,
-        period=config.fta.period_mm,
-        nx=_grid_count(config.fta.size_mm, config.fta.period_mm),
-        ny=_grid_count(config.fta.size_mm, config.fta.period_mm),
-        normal_sign=-1,
-    )
+    ta = _square_aperture(config.ta, plane_z=+f, normal_sign=+1)
+    fta = _square_aperture(config.fta, plane_z=-h, normal_sign=-1)
     feeds = tuple(
         FeedPlacement(id=fc.id, position=Point3(fc.x_mm, fc.y_mm, 0.0))
         for fc in config.feeds
@@ -248,23 +233,13 @@ def build_layout(config: LayoutConfig) -> SystemLayout:
     return SystemLayout(f=f, h=h, F=F, d=d, ta=ta, fta=fta, feeds=feeds)
 
 
-def mirror_feed(layout: SystemLayout, feed: FeedPlacement) -> Point3:
-    """Mirror image of a feed about the TA plane.
-
-    The distance from the mirrored point to any point on the FTA plane
-    equals the length of the folded ray path feed -> TA grid -> FTA.
-    """
-    pos = feed.position
-    if pos.z != layout.feed_plane_z:
-        raise ValueError(
-            f"feed {feed.id} is not on the feed plane "
-            f"(z = {pos.z}, expected {layout.feed_plane_z})"
-        )
-    return mirror_point(pos, layout.f)
-
-
 def mirror_point(p: Point3, plane_z: float) -> Point3:
-    """Mirror an arbitrary point about the horizontal plane z = plane_z."""
+    """Mirror an arbitrary point about the horizontal plane z = plane_z.
+
+    Mirrored about the TA plane (plane_z = f), a feed's image lies at a
+    distance from any point on the FTA plane equal to the length of the
+    folded ray path feed -> TA grid -> FTA.
+    """
     return Point3(p.x, p.y, 2.0 * plane_z - p.z)
 
 

@@ -194,35 +194,40 @@ def _build_curve(param_name, knots, frequency_ghz):
     return PhaseCurve(param_name, params, phases, mags)
 
 
-class CurveLibrary:
-    """Per-frequency phase curves for both cell families."""
+_BUILTIN_FAMILIES = {"uc1": ("L", _UC1_KNOTS), "uc2": ("W", _UC2_KNOTS)}
 
-    def __init__(self, curves: dict[tuple[str, float], PhaseCurve]):
-        self._curves = dict(curves)
+
+def builtin_covered(frequency_ghz: float) -> float | None:
+    """The library frequency within 1e-6 GHz of `frequency_ghz`, or None."""
+    f = round(float(frequency_ghz), 6)
+    return f if f in CURVE_FREQUENCIES_GHZ else None
+
+
+class CurveLibrary:
+    """Phase curves of both cell families, looked up by frequency.
+
+    A loaded CSV curve serves every frequency: the sweeps are parallel
+    across the band, so the per-frequency constant offset is a global
+    phase the synthesis ignores.  A builtin family serves only
+    CURVE_FREQUENCIES_GHZ and is built on demand.
+    """
+
+    def __init__(self, loaded: dict[str, PhaseCurve] | None = None):
+        self.loaded = dict(loaded or {})
 
     def curve(self, cell_kind: str, frequency_ghz: float) -> PhaseCurve:
-        key = (cell_kind, round(float(frequency_ghz), 6))
-        try:
-            return self._curves[key]
-        except KeyError:
-            known = sorted({k[1] for k in self._curves if k[0] == cell_kind})
-            raise KeyError(
-                f"no {cell_kind} curve at {frequency_ghz} GHz; "
-                f"library carries {known}"
-            ) from None
-
-    @property
-    def frequencies_ghz(self) -> tuple[float, ...]:
-        return tuple(sorted({k[1] for k in self._curves}))
+        if cell_kind in self.loaded:
+            return self.loaded[cell_kind]
+        covered = builtin_covered(frequency_ghz)
+        if cell_kind not in _BUILTIN_FAMILIES or covered is None:
+            known = list(CURVE_FREQUENCIES_GHZ) if cell_kind in _BUILTIN_FAMILIES else []
+            raise KeyError(f"no {cell_kind} curve at {frequency_ghz} GHz; library carries {known}")
+        return _build_curve(*_BUILTIN_FAMILIES[cell_kind], covered)
 
 
 def builtin_curve_library() -> CurveLibrary:
     """Default library: both cell families at 9.0, 9.75 and 10.5 GHz."""
-    curves = {}
-    for f in CURVE_FREQUENCIES_GHZ:
-        curves[("uc1", round(f, 6))] = _build_curve("L", _UC1_KNOTS, f)
-        curves[("uc2", round(f, 6))] = _build_curve("W", _UC2_KNOTS, f)
-    return CurveLibrary(curves)
+    return CurveLibrary()
 
 
 def load_curve_csv(path, param_name: str) -> PhaseCurve:
@@ -242,23 +247,11 @@ def load_curve_csv(path, param_name: str) -> PhaseCurve:
     return PhaseCurve(param_name, params, phases, mags)
 
 
-def library_with_csv_overrides(
-    uc1_csv=None, uc2_csv=None, frequencies_ghz=CURVE_FREQUENCIES_GHZ
-) -> CurveLibrary:
-    """Built-in library with one or both families replaced by CSV curves.
-
-    A loaded curve is reused at every requested frequency: the sweeps are
-    parallel across the band, so the per-frequency constant offset is a
-    global phase the synthesis ignores.
-    """
-    lib = builtin_curve_library()
-    curves = dict(lib._curves)
-    if uc1_csv is not None:
-        c = load_curve_csv(uc1_csv, "L")
-        for f in frequencies_ghz:
-            curves[("uc1", round(float(f), 6))] = c
-    if uc2_csv is not None:
-        c = load_curve_csv(uc2_csv, "W")
-        for f in frequencies_ghz:
-            curves[("uc2", round(float(f), 6))] = c
-    return CurveLibrary(curves)
+def library_with_csv_overrides(uc1_csv=None, uc2_csv=None) -> CurveLibrary:
+    """Built-in library with one or both families replaced by CSV curves,
+    each serving every frequency."""
+    paths = {"uc1": uc1_csv, "uc2": uc2_csv}
+    return CurveLibrary(
+        {kind: load_curve_csv(path, _BUILTIN_FAMILIES[kind][0])
+         for kind, path in paths.items() if path is not None}
+    )

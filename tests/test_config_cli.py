@@ -8,13 +8,15 @@ from pathlib import Path
 import pytest
 
 import htasim
+import htasim.cli
 from htasim.cli import load_reference_targets, main
 from htasim.config import (
     ConfigError,
-    config_from_tree,
+    RunConfig,
     default_config,
     load_config,
     parse_config_text,
+    with_overrides,
 )
 
 FAST_SAMPLING = """
@@ -30,7 +32,7 @@ sampling.cut_phi_step_deg = 10
 
 
 def test_parse_grammar():
-    tree = parse_config_text(
+    values = parse_config_text(
         """
         # comment line
         f_mm = 171          # trailing comment
@@ -43,11 +45,11 @@ def test_parse_grammar():
         blockage.enabled = true
         """
     )
-    assert tree["f_mm"] == 171
-    assert tree["ta"]["size_mm"] == 240
-    assert tree["feeds"][0] == {"id": "A1", "x_mm": -160}
-    assert tree["frequencies"] == [9.0, 9.75, 10.5]
-    assert tree["blockage"]["enabled"] is True
+    assert values["f_mm"] == 171
+    assert values["ta.size_mm"] == 240
+    assert values["feeds"][0] == {"id": "A1", "x_mm": -160}
+    assert values["frequencies"] == [9.0, 9.75, 10.5]
+    assert values["blockage.enabled"] is True
 
 
 def test_parse_rejects_garbage():
@@ -67,9 +69,9 @@ def test_defaults_match_design():
 
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigError, match="unknown"):
-        config_from_tree({"nonsense_key": 1})
+        with_overrides(RunConfig(), {"nonsense_key": 1})
     with pytest.raises(ConfigError, match="unknown"):
-        config_from_tree({"ta": {"size_mm": 240, "bogus": 1}})
+        with_overrides(RunConfig(), {"ta.size_mm": 240, "ta.bogus": 1})
 
 
 @pytest.mark.parametrize("line", ["feed.state = y", "feed.gain_dbi = 99", "curves.source = csv"])
@@ -83,22 +85,22 @@ def test_removed_keys_rejected(tmp_path, capsys, line):
 
 def test_validation_rules():
     with pytest.raises(ConfigError, match="divide"):
-        config_from_tree({"sampling": {"theta_step_deg": 0.7}})
+        with_overrides(RunConfig(), {"sampling.theta_step_deg": 0.7})
     with pytest.raises(ConfigError, match="loss budget"):
-        config_from_tree({"gain_offset_db": 1.0})
+        with_overrides(RunConfig(), {"gain_offset_db": 1.0})
     with pytest.raises(ConfigError, match="frequencies"):
-        config_from_tree({"frequencies": [0.0]})
+        with_overrides(RunConfig(), {"frequencies": [0.0]})
     with pytest.raises(ConfigError, match="leakage"):
-        config_from_tree({"crosspol": {"leakage": 1.5}})
+        with_overrides(RunConfig(), {"crosspol.leakage": 1.5})
     with pytest.raises(ConfigError, match="true or false"):
-        config_from_tree({"blockage": {"enabled": "yes"}})
-    for tree in (
+        with_overrides(RunConfig(), {"blockage.enabled": "yes"})
+    for values in (
         {"reference_aperture_mm2": 0.0},
         {"reference_aperture_mm2": -5.0},
-        {"feed": {"q": 0.0}},
+        {"feed.q": 0.0},
     ):
         with pytest.raises(ConfigError, match="must be > 0"):
-            config_from_tree(tree)
+            with_overrides(RunConfig(), values)
 
 
 def test_load_config_missing_file(tmp_path):
@@ -110,7 +112,7 @@ def test_shipped_default_config_parses():
     from importlib import resources
 
     path = resources.files("htasim.data").joinpath("default.cfg")
-    cfg = config_from_tree(parse_config_text(path.read_text()))
+    cfg = with_overrides(RunConfig(), parse_config_text(path.read_text()))
     assert cfg == default_config()
 
 
@@ -126,11 +128,48 @@ def test_settings_projection():
 # --- CLI: validate -----------------------------------------------------------
 
 
+VALIDATE_CHECKS = [
+    "focal_relation",
+    "folded_path_image",
+    "bifocal_mean_equivalence",
+    "curve_roundtrip_ta",
+    "curve_roundtrip_fta",
+    "routing_table",
+    "quantization_residual",
+]
+
+
+def _check_lines(out):
+    """(tag, check name) of each check line of validate's stdout."""
+    return [tuple(l.split(":")[0].split(" ")) for l in out.splitlines()[:-1]]
+
+
 def test_validate_default_passes(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out
     assert "PASS focal_relation" in out
     assert "FAIL" not in out
+    assert _check_lines(out) == [("PASS", name) for name in VALIDATE_CHECKS]
+    assert out.splitlines()[-1] == "all checks passed"
+
+
+def test_validate_flags_short_csv_curve(tmp_path, capsys):
+    # the builtin UC1 knots with the top end at 172 deg: an 8 deg gap in
+    # the phase circle, within the loader's 10 deg span tolerance
+    curve = tmp_path / "uc1.csv"
+    curve.write_text(
+        "param_mm,phase_deg,mag_db\n0.5,0,0\n1.5,34,0\n2.4,82,0\n3.5,139,0\n4.6,172,0\n"
+    )
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(f"curves.uc1_csv = {curve}\n")
+    assert main(["validate", "--config", str(cfg)]) == 1
+    out = capsys.readouterr().out
+    failed = {"curve_roundtrip_ta", "quantization_residual"}
+    assert _check_lines(out) == [
+        ("FAIL" if name in failed else "PASS", name) for name in VALIDATE_CHECKS
+    ]
+    assert "FAIL quantization_residual: max realized-phase residual 7.86e+00 deg" in out
+    assert out.splitlines()[-1] == "2 check(s) failed"
 
 
 def test_validate_flags_focal_relation(tmp_path, capsys):
@@ -394,8 +433,36 @@ def test_sweep_all_frequencies_row_count(tmp_path):
     assert len(lines) - 1 == 26 * 3  # 26 beams per frequency, three frequencies
 
 
+def test_sweep_failed_rows(tmp_path):
+    # a shadow wider than the 360 mm FTA darkens the folded side entirely
+    cfg = tmp_path / "blocked.cfg"
+    cfg.write_text(
+        FAST_SAMPLING
+        + "blockage.enabled = true\nblockage.width_mm = 400\nblockage.depth_mm = 400\n"
+        + "feed.active_ids = A4\n"
+    )
+    out = tmp_path / "swp"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    lines = (out / "beam_table.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = {r["state"]: r for r in (dict(zip(header, l.split(","))) for l in lines[1:])}
+    assert rows["x"]["hemisphere"] == "+z" and rows["x"]["status"] == "ok"
+    assert rows["y"]["hemisphere"] == ""
+    assert rows["y"]["status"] == "failed: aperture field is identically zero"
+
+
+def test_sweep_propagates_programming_errors(tmp_path, fast_cfg, monkeypatch):
+    # only domain errors become failed rows
+    def broken(*args, **kwargs):
+        raise TypeError("not a domain failure")
+
+    monkeypatch.setattr(htasim.cli, "run_scenario", broken)
+    with pytest.raises(TypeError, match="not a domain failure"):
+        main(["sweep", "--config", str(fast_cfg), "--out", str(tmp_path / "swp")])
+
+
 def test_oblique_hook_config(tmp_path):
-    cfg = config_from_tree({"oblique": {"phase_deg_per_deg": 0.25}})
+    cfg = with_overrides(RunConfig(), {"oblique.phase_deg_per_deg": 0.25})
     assert cfg.settings(9.75).oblique_phase_deg_per_deg == 0.25
 
 
@@ -417,6 +484,27 @@ def test_report(tmp_path, fast_cfg, capsys):
     a1 = next(l for l in text.splitlines() if l.startswith("y") and " A1 " in l)
     assert "22.6" in a1
     assert "measured reference offset" in a1
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("command", ["validate", "report"])
+def test_closed_stdout_exits_quietly(command, unbuffered):
+    # a reader that goes away early, as `htasim validate | head -0` does;
+    # unbuffered, a print meets the closed pipe, buffered, the final flush
+    argv = [command]
+    if command == "report":
+        argv += ["--beam-table", str(Path(__file__).parents[1] / "bench/golden/sweep_default.csv")]
+    src = str(Path(htasim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "htasim.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) in (0, 1, 2)
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def test_report_missing_table(tmp_path, capsys):

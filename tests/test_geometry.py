@@ -7,12 +7,10 @@ from htasim.geometry import (
     ApertureConfig,
     ApertureSpec,
     FeedConfig,
-    FeedPlacement,
     LayoutConfig,
     Point3,
     build_layout,
     focal_from_taper,
-    mirror_feed,
     mirror_point,
     path_length,
     taper_angle_from_focal,
@@ -71,34 +69,28 @@ def test_default_feed_line(layout):
 
 
 def test_mirror_feed_center(layout):
-    m = mirror_feed(layout, layout.feed("A4"))
+    m = mirror_point(layout.feed("A4").position, layout.f)
     assert (m.x, m.y, m.z) == (0.0, 0.0, 342.0)
 
 
 def test_mirror_feed_edge_path_to_fta_center(layout):
-    m = mirror_feed(layout, layout.feed("A7"))  # x = +160
+    m = mirror_point(layout.feed("A7").position, layout.f)  # x = +160
     d = path_length(m, Point3(0.0, 0.0, -layout.h))
     assert d == pytest.approx(math.sqrt(160.0**2 + 384.0**2), abs=1e-12)
     assert d == pytest.approx(416.0)
 
 
 def test_mirror_feed_axial_distance_is_folded_focal(layout):
-    m = mirror_feed(layout, layout.feed("A4"))
+    m = mirror_point(layout.feed("A4").position, layout.f)
     assert path_length(m, Point3(0.0, 0.0, -layout.h)) == pytest.approx(layout.F)
 
 
 def test_mirror_is_involution(layout):
     for feed in layout.feeds:
-        m = mirror_point(mirror_feed(layout, feed), layout.f)
+        m = mirror_point(mirror_point(feed.position, layout.f), layout.f)
         assert (m.x, m.y, m.z) == (
             feed.position.x, feed.position.y, feed.position.z,
         )
-
-
-def test_mirror_feed_requires_feed_plane(layout):
-    off = FeedPlacement(id="bad", position=Point3(0.0, 0.0, 5.0))
-    with pytest.raises(ValueError):
-        mirror_feed(layout, off)
 
 
 def test_image_construction_matches_explicit_reflection(layout):

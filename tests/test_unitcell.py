@@ -69,7 +69,6 @@ def test_uc1_model_band_conversion_rate():
 
 
 def test_builtin_curves_cover_both_families(curves):
-    assert curves.frequencies_ghz == CURVE_FREQUENCIES_GHZ
     uc1 = curves.curve("uc1", 9.75)
     uc2 = curves.curve("uc2", 9.75)
     assert uc1.param_name == "L"
