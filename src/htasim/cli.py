@@ -39,9 +39,14 @@ from .farfield import (
     BeamMetrics,
     HEMISPHERE_BACKWARD,
     HEMISPHERE_FORWARD,
+    HEMISPHERES,
+    SIDE_FTA,
+    SIDE_TA,
+    active_sides,
     allowed_feed_ids,
     principal_cut,
     run_scenario,
+    steering,
     synthesize_cell_maps,
 )
 from .geometry import Point3, build_layout, mirror_point, path_length
@@ -327,38 +332,62 @@ BEAM_TABLE_COLUMNS = (
 def sweep_rows(cfg: RunConfig, curves: CurveLibrary, layout, out_dir: Path | None):
     """All legal (state, feed, frequency) beams, scan loss filled in.
 
-    Rows are produced in deterministic (state, feed, frequency) order; a
-    failed scenario yields a row with empty metrics and status=failed.
+    Each frequency's sides run one after the other, every beam of a side
+    on one steering operator, so one operator is live at a time.  Rows
+    come out in deterministic (state, feed, frequency, +z before -z)
+    order; a hemisphere that fails yields a row with empty metrics and
+    status=failed, and the scenario's other hemisphere still runs.
     """
     rows = []
-    cache: dict[float, dict] = {}
     feed_ids = cfg.feed_active_ids or layout.feed_ids
-    for state in PolarizationState:
-        for feed_id in feed_ids:
-            for freq in sorted(cfg.frequencies_ghz):
-                settings = cfg.settings(freq)
-                if feed_id not in allowed_feed_ids(layout, state, settings):
-                    continue
-                if freq not in cache:
-                    cache[freq] = synthesize_cell_maps(layout, curves, freq)
-                beam = {"state": state.value, "feed_id": feed_id, "frequency_ghz": freq}
-                try:
-                    result = run_scenario(
-                        layout, state, feed_id, settings, curves, cache[freq]
-                    )
-                    for item in (result.forward, result.backward):
-                        if item is None:
-                            continue
-                        pattern, metrics = item
-                        hemisphere = pattern.hemisphere
-                        rows.append(
-                            {**beam, "hemisphere": hemisphere, "metrics": metrics, "status": "ok"}
-                        )
-                        if out_dir is not None:
-                            _emit_beam(out_dir, state, feed_id, freq, pattern, metrics)
-                except (KeyError, ValueError) as exc:  # partial-failure policy: keep going
-                    rows.append({**beam, "hemisphere": "", "status": f"failed: {exc}"})
+    for freq in sorted(cfg.frequencies_ghz):
+        settings = cfg.settings(freq)
+        cell_maps = synthesize_cell_maps(layout, curves, freq)
+        for side in (SIDE_TA, SIDE_FTA):
+            beams = [
+                (state, feed_id)
+                for state in PolarizationState
+                if side in active_sides(state)
+                for feed_id in feed_ids
+                if feed_id in allowed_feed_ids(layout, state, settings)
+            ]
+            rows.extend(_sweep_side(layout, curves, settings, cell_maps, side, beams, out_dir))
+    states = [state.value for state in PolarizationState]
+    # stable: a scenario's +z row was appended before its -z row
+    rows.sort(key=lambda r: (states.index(r["state"]), feed_ids.index(r["feed_id"]), r["frequency_ghz"]))
     _fill_scan_loss(rows, layout)
+    return rows
+
+
+def _sweep_side(layout, curves, settings, cell_maps, side, beams, out_dir):
+    """Rows of the (state, feed) beams on one side at one frequency, all
+    radiated through one steering operator."""
+    if not beams:
+        return []
+    freq = settings.frequency_ghz
+    aperture = layout.ta if side == SIDE_TA else layout.fta
+    operator = steering(
+        aperture, wavenumber(freq), settings.theta_step_deg, settings.phi_step_deg
+    )
+    rows = []
+    for state, feed_id in beams:
+        beam = {
+            "state": state.value,
+            "feed_id": feed_id,
+            "frequency_ghz": freq,
+            "hemisphere": HEMISPHERES[side],
+        }
+        try:
+            result = run_scenario(
+                layout, state, feed_id, settings, curves, cell_maps, side=side, steering=operator
+            )
+        except (KeyError, ValueError) as exc:  # partial-failure policy: keep going
+            rows.append({**beam, "status": f"failed: {exc}"})
+            continue
+        pattern, metrics = result.forward if side == SIDE_TA else result.backward
+        rows.append({**beam, "metrics": metrics, "status": "ok"})
+        if out_dir is not None:
+            _emit_beam(out_dir, state, feed_id, freq, pattern, metrics)
     return rows
 
 
@@ -386,7 +415,8 @@ def _fill_scan_loss(rows, layout):
 
 def write_beam_table(rows, path):
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(BEAM_TABLE_COLUMNS) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(BEAM_TABLE_COLUMNS)
         for row in rows:
             m = row.get("metrics")
             cells = [
@@ -403,7 +433,7 @@ def write_beam_table(rows, path):
                 _fmt(row.get("scan_loss_db")) if row.get("scan_loss_db") is not None else "",
                 row["status"],
             ]
-            fh.write(",".join(cells) + "\n")
+            writer.writerow(cells)
 
 
 def cmd_sweep(args) -> int:

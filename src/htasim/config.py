@@ -119,9 +119,9 @@ KEYS = {
     "F_mm": Key("layout.F_mm", float),
     "d_mm": Key("layout.d_mm", float),
     "ta.size_mm": Key("layout.ta.size_mm", float),
-    "ta.period_mm": Key("layout.ta.period_mm", float),
+    "ta.period_mm": Key("layout.ta.period_mm", float, *_POSITIVE),
     "fta.size_mm": Key("layout.fta.size_mm", float),
-    "fta.period_mm": Key("layout.fta.period_mm", float),
+    "fta.period_mm": Key("layout.fta.period_mm", float, *_POSITIVE),
     "feeds": Key("layout.feeds", _feeds),
     "frequencies": Key(
         "frequencies_ghz", _tuple_of(float), lambda fs: all(f > 0 for f in fs), "must be positive"

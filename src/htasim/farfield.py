@@ -10,9 +10,18 @@ contributions onto a hemisphere grid:
                     + y_j sin(phi))) * cos(theta)
 
 accumulated separately for the co-polarized (y) and cross-polarized (x)
-components.  Directions are evaluated data-parallel over the (theta, phi)
-grid; the element reduction is a fixed-shape row-major contraction, so
-results are reproducible run to run.
+components.  The sum separates into two steering factors,
+exp(+j k0 x_i u) and exp(+j k0 y_j v), one row per direction.  They
+depend only on the key (aperture, k0, theta step, phi step), so a
+`Steering` value built once per key serves every beam that radiates from
+that aperture at that frequency on that grid.  The factors are held and
+contracted in blocks of `THETA_BLOCK` theta rows; without a prebuilt
+value, `radiate` builds each block when it needs it and drops it after,
+so the live steering memory is one key, or one block.  Each direction's
+element reduction has a fixed shape whatever its block, so results are
+bit-identical run to run and with or without a prebuilt value.  A
+component that is zero over the whole aperture is not contracted; its
+pattern is exactly zero.
 """
 
 from __future__ import annotations
@@ -45,6 +54,11 @@ SIDE_TA = "ta"
 SIDE_FTA = "fta"
 HEMISPHERE_FORWARD = "+z"
 HEMISPHERE_BACKWARD = "-z"
+#: the transmit side radiates into +z, the folded side into -z
+HEMISPHERES = {SIDE_TA: HEMISPHERE_FORWARD, SIDE_FTA: HEMISPHERE_BACKWARD}
+
+#: theta rows per steering block
+THETA_BLOCK = 16
 
 @dataclass(frozen=True)
 class BlockageMask:
@@ -145,9 +159,6 @@ def illuminate(
         path_jones = plan.backward
     else:
         raise ValueError(f"unknown aperture side {side!r}")
-    hemisphere = (
-        HEMISPHERE_FORWARD if aperture.normal_sign > 0 else HEMISPHERE_BACKWARD
-    )
 
     if cell_map.aperture != aperture:
         raise ValueError("cell map does not belong to the requested side")
@@ -180,7 +191,7 @@ def illuminate(
 
     ex = amplitude * (path_jones.ex + crosspol_leakage * path_jones.ey)
     ey = amplitude * path_jones.ey
-    return ApertureField(aperture=aperture, ex=ex, ey=ey, hemisphere=hemisphere)
+    return ApertureField(aperture=aperture, ex=ex, ey=ey, hemisphere=HEMISPHERES[side])
 
 
 def _direction_cosines(theta_deg: np.ndarray, phi_deg: np.ndarray):
@@ -190,43 +201,91 @@ def _direction_cosines(theta_deg: np.ndarray, phi_deg: np.ndarray):
     return u, v
 
 
+def _grid(theta_step_deg: float, phi_step_deg: float):
+    """Hemisphere sample angles: theta includes both endpoints of [0, 90],
+    phi omits the periodic duplicate at 360."""
+    n_theta = _check_step(90.0, theta_step_deg, "theta")
+    n_phi = _check_step(360.0, phi_step_deg, "phi")
+    return np.arange(n_theta + 1) * theta_step_deg, np.arange(n_phi) * phi_step_deg
+
+
+def _steering_blocks(aperture: ApertureSpec, k0: float, theta: np.ndarray, phi: np.ndarray):
+    """Yield the (pu, pv) steering factors of each THETA_BLOCK rows of
+    theta: pu is (directions, nx), pv is (directions, ny)."""
+    x = aperture.x_centers()
+    y = aperture.y_centers()
+    for start in range(0, theta.size, THETA_BLOCK):
+        u, v = _direction_cosines(theta[start : start + THETA_BLOCK], phi)
+        pu = np.exp(1j * k0 * u.reshape(-1)[:, None] * x[None, :])
+        pv = np.exp(1j * k0 * v.reshape(-1)[:, None] * y[None, :])
+        yield pu, pv
+
+
+@dataclass(frozen=True, eq=False)
+class Steering:
+    """The far-field steering factors of one key: `key` is (aperture, k0,
+    theta_step_deg, phi_step_deg), `blocks` the (pu, pv) pair of every
+    THETA_BLOCK theta rows in order."""
+
+    key: tuple[ApertureSpec, float, float, float]
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def steering(
+    aperture: ApertureSpec, k0: float, theta_step_deg: float, phi_step_deg: float
+) -> Steering:
+    """Build the steering operator that `radiate` reuses for every field
+    over `aperture` at wavenumber `k0` on the given hemisphere grid."""
+    theta, phi = _grid(theta_step_deg, phi_step_deg)
+    return Steering(
+        key=(aperture, k0, theta_step_deg, phi_step_deg),
+        blocks=tuple(_steering_blocks(aperture, k0, theta, phi)),
+    )
+
+
 def radiate(
     field: ApertureField,
     theta_step_deg: float,
     phi_step_deg: float,
     k0: float,
+    steering: Steering | None = None,
 ) -> PatternGrid:
     """Superpose the aperture field onto a hemisphere grid.
 
     Steps must divide the 90-degree theta range and the 360-degree phi
     range evenly; theta includes both endpoints, phi omits the periodic
-    duplicate at 360.
+    duplicate at 360.  `steering`, if given, must have been built for
+    this field's aperture, `k0` and steps; without it each block of
+    steering factors is built here and dropped after use.
     """
-    n_theta = _check_step(90.0, theta_step_deg, "theta")
-    n_phi = _check_step(360.0, phi_step_deg, "phi")
-    theta = np.arange(n_theta + 1) * theta_step_deg
-    phi = np.arange(n_phi) * phi_step_deg
+    theta, phi = _grid(theta_step_deg, phi_step_deg)
     if not (np.any(field.ex) or np.any(field.ey)):
         raise ValueError("aperture field is identically zero")
+    if steering is None:
+        blocks = _steering_blocks(field.aperture, k0, theta, phi)
+    elif steering.key != (field.aperture, k0, theta_step_deg, phi_step_deg):
+        raise ValueError("steering operator was built for another aperture, k0 or grid")
+    else:
+        blocks = steering.blocks
 
-    u, v = _direction_cosines(theta, phi)
-    x = field.aperture.x_centers()
-    y = field.aperture.y_centers()
-    # Separable contraction: sum_i sum_j A_ij e^{jk0 x_i u} e^{jk0 y_j v}.
-    pu = np.exp(1j * k0 * u.reshape(-1)[:, None] * x[None, :])  # (ndir, nx)
-    pv = np.exp(1j * k0 * v.reshape(-1)[:, None] * y[None, :])  # (ndir, ny)
+    e_co = np.zeros((theta.size, phi.size), complex)
+    e_cross = np.zeros((theta.size, phi.size), complex)
+    # a component that is zero everywhere radiates exact zeros
+    lit = [(a, out) for a, out in ((field.ey, e_co), (field.ex, e_cross)) if np.any(a)]
     element_factor = np.cos(np.radians(theta))[:, None]
-
-    def _sum(a: np.ndarray) -> np.ndarray:
-        partial = pu @ a  # (ndir, ny)
-        total = np.sum(partial * pv, axis=1)
-        return total.reshape(u.shape) * element_factor
+    for start, (pu, pv) in zip(range(0, theta.size, THETA_BLOCK), blocks):
+        rows = slice(start, start + THETA_BLOCK)
+        for a, out in lit:
+            # Separable contraction: sum_i sum_j A_ij e^{jk0 x_i u} e^{jk0 y_j v}.
+            partial = pu @ a  # (directions, ny)
+            total = np.sum(partial * pv, axis=1)
+            out[rows] = total.reshape(-1, phi.size) * element_factor[rows]
 
     return PatternGrid(
         theta_deg=theta,
         phi_deg=phi,
-        e_co=_sum(field.ey),
-        e_cross=_sum(field.ex),
+        e_co=e_co,
+        e_cross=e_cross,
         hemisphere=field.hemisphere,
         frequency_ghz=k0 * C_MM_PER_NS / (2.0 * math.pi),
     )
@@ -442,6 +501,16 @@ def synthesize_cell_maps(
     return out
 
 
+def active_sides(state: PolarizationState) -> tuple[str, ...]:
+    """The aperture sides a polarization state drives, transmit side first."""
+    plan = route(state)
+    return tuple(
+        side
+        for side, active in ((SIDE_TA, plan.forward_active), (SIDE_FTA, plan.backward_active))
+        if active
+    )
+
+
 def run_scenario(
     layout: SystemLayout,
     state: PolarizationState,
@@ -449,11 +518,16 @@ def run_scenario(
     settings: SimulationSettings,
     curves: CurveLibrary,
     cell_maps: dict | None = None,
+    side: str | None = None,
+    steering: Steering | None = None,
 ) -> ScenarioResult:
     """Full illuminate -> radiate -> metrics pipeline for one state/feed.
 
     `cell_maps` may carry the output of synthesize_cell_maps to reuse the
-    quantized compensation maps across runs at the same frequency.
+    quantized compensation maps across runs at the same frequency.  With
+    `side` set, only that side runs (the state must drive it) and the
+    other hemisphere is None; `steering` is then that side's prebuilt
+    operator at the settings' frequency and grid.
     """
     feed = layout.feed(feed_id)
     legal = allowed_feed_ids(layout, state, settings)
@@ -471,14 +545,13 @@ def run_scenario(
         pattern=feed_pattern_for(layout, settings),
         state=state,
     )
-    plan = route(state)
 
-    def _run_side(side: str):
-        cm, curve, _ = cell_maps[side]
+    def _run_side(run_side: str):
+        cm, curve, _ = cell_maps[run_side]
         field = illuminate(
             layout,
             excitation,
-            side,
+            run_side,
             cm,
             curve,
             k0,
@@ -486,7 +559,9 @@ def run_scenario(
             blockage=settings.blockage,
             oblique_phase_deg_per_deg=settings.oblique_phase_deg_per_deg,
         )
-        pattern = radiate(field, settings.theta_step_deg, settings.phi_step_deg, k0)
+        pattern = radiate(
+            field, settings.theta_step_deg, settings.phi_step_deg, k0, steering
+        )
         metrics = extract_metrics(
             pattern,
             layout,
@@ -495,7 +570,5 @@ def run_scenario(
         )
         return pattern, metrics
 
-    forward = _run_side(SIDE_TA) if plan.forward_active else None
-    backward = _run_side(SIDE_FTA) if plan.backward_active else None
-    return ScenarioResult(forward=forward, backward=backward)
-
+    results = {s: _run_side(s) for s in ((side,) if side is not None else active_sides(state))}
+    return ScenarioResult(forward=results.get(SIDE_TA), backward=results.get(SIDE_FTA))

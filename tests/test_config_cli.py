@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import pytest
 
 import htasim
 import htasim.cli
-from htasim.cli import load_reference_targets, main
+from htasim.cli import load_reference_targets, main, write_beam_table
 from htasim.config import (
     ConfigError,
     RunConfig,
@@ -226,6 +227,8 @@ def test_uncovered_frequency_is_a_config_error(tmp_path, command):
         ("simulate", "reference_aperture_mm2 = -5"),
         ("simulate", "feed.q = 0"),
         ("validate", "feed.q = 0"),
+        ("validate", "ta.period_mm = 0"),
+        ("validate", "fta.period_mm = 0"),
     ],
 )
 def test_nonpositive_key_is_a_config_error(tmp_path, command, line):
@@ -445,10 +448,29 @@ def test_sweep_failed_rows(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
     lines = (out / "beam_table.csv").read_text().splitlines()
     header = lines[0].split(",")
-    rows = {r["state"]: r for r in (dict(zip(header, l.split(","))) for l in lines[1:])}
-    assert rows["x"]["hemisphere"] == "+z" and rows["x"]["status"] == "ok"
-    assert rows["y"]["hemisphere"] == ""
-    assert rows["y"]["status"] == "failed: aperture field is identically zero"
+    rows = {
+        (r["state"], r["hemisphere"]): r
+        for r in (dict(zip(header, l.split(","))) for l in lines[1:])
+    }
+    assert set(rows) == {("x", "+z"), ("y", "-z"), ("slant45", "+z"), ("slant45", "-z")}
+    assert rows["x", "+z"]["status"] == "ok"
+    assert rows["y", "-z"]["status"] == "failed: aperture field is identically zero"
+    # the hybrid state keeps its unblocked transmit-side beam
+    assert rows["slant45", "+z"]["status"] == "ok"
+    assert rows["slant45", "-z"]["status"] == "failed: aperture field is identically zero"
+
+
+def test_beam_table_quotes_failure_status(tmp_path):
+    # a failure message may hold the delimiter and the quote character;
+    # report reads the table back with csv.DictReader
+    status = 'failed: curve "uc2", row 3'
+    row = {"state": "y", "feed_id": "A4", "frequency_ghz": 9.75, "hemisphere": "-z", "status": status}
+    path = tmp_path / "beam_table.csv"
+    write_beam_table([row], path)
+    with open(path, newline="") as fh:
+        (back,) = list(csv.DictReader(fh))
+    assert back["status"] == status
+    assert (back["state"], back["hemisphere"], back["directivity_dbi"]) == ("y", "-z", "")
 
 
 def test_sweep_propagates_programming_errors(tmp_path, fast_cfg, monkeypatch):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htasim.farfield import (
     ApertureField,
@@ -16,6 +18,7 @@ from htasim.farfield import (
     radiate,
     radiated_power_integral,
     run_scenario,
+    steering,
     synthesize_cell_maps,
 )
 from htasim.feed import FeedExcitation, FeedPattern, illumination_grid
@@ -151,6 +154,98 @@ def test_radiate_deterministic():
     a = radiate(fld, 1.0, 4.0, K0)
     b = radiate(fld, 1.0, 4.0, K0)
     np.testing.assert_array_equal(a.e_co, b.e_co)
+
+
+def _one_shot(field, theta_step_deg, phi_step_deg, k0):
+    """The module docstring's formula over the whole grid in one
+    contraction: (e_co, e_cross)."""
+    theta = np.arange(round(90.0 / theta_step_deg) + 1) * theta_step_deg
+    phi = np.arange(round(360.0 / phi_step_deg)) * phi_step_deg
+    s = np.sin(np.radians(theta))[:, None]
+    u = s * np.cos(np.radians(phi))[None, :]
+    v = s * np.sin(np.radians(phi))[None, :]
+    x, y = field.aperture.x_centers(), field.aperture.y_centers()
+    pu = np.exp(1j * k0 * u.reshape(-1)[:, None] * x[None, :])
+    pv = np.exp(1j * k0 * v.reshape(-1)[:, None] * y[None, :])
+    cos_theta = np.cos(np.radians(theta))[:, None]
+    return tuple(
+        np.sum((pu @ a) * pv, axis=1).reshape(u.shape) * cos_theta
+        for a in (field.ey, field.ex)
+    )
+
+
+def _hybrid_fields(layout, curves, leakage=0.05):
+    """TA and FTA fields of the hybrid state, with a cross-polar residue."""
+    maps = synthesize_cell_maps(layout, curves, 9.75)
+    exc = FeedExcitation(
+        placement=layout.feed("A6"), pattern=FeedPattern(q=5.75), state=PolarizationState.SLANT45
+    )
+    return [
+        illuminate(layout, exc, side, maps[side][0], maps[side][1], K0, crosspol_leakage=leakage)
+        for side in ("ta", "fta")
+    ]
+
+
+@pytest.mark.parametrize("theta_step, phi_step", [(0.5, 2.0), (3.0, 10.0)])
+def test_blocked_radiate_equals_one_shot_formula(layout, curves, theta_step, phi_step):
+    # 181 and 31 theta rows: neither is a multiple of the block
+    for fld in _hybrid_fields(layout, curves):
+        op = steering(fld.aperture, K0, theta_step, phi_step)
+        prebuilt = radiate(fld, theta_step, phi_step, K0, op)
+        lazy = radiate(fld, theta_step, phi_step, K0)
+        e_co, e_cross = _one_shot(fld, theta_step, phi_step, K0)
+        for pat in (prebuilt, lazy):
+            assert np.array_equal(pat.e_co, e_co)
+            assert np.array_equal(pat.e_cross, e_cross)
+
+
+def test_steering_key_must_match(layout, curves):
+    ta, fta = _hybrid_fields(layout, curves)
+    op = steering(ta.aperture, K0, 3.0, 10.0)
+    radiate(ta, 3.0, 10.0, K0, op)
+    for args in (
+        (fta, 3.0, 10.0, K0),
+        (ta, 3.0, 10.0, wavenumber(9.0)),
+        (ta, 1.5, 10.0, K0),
+        (ta, 3.0, 5.0, K0),
+    ):
+        with pytest.raises(ValueError, match="another aperture"):
+            radiate(*args, op)
+
+
+def test_zero_component_radiates_exact_zeros(layout, curves):
+    ta, _ = _hybrid_fields(layout, curves)
+    dark_x = ApertureField(
+        aperture=ta.aperture, ex=np.zeros_like(ta.ex), ey=ta.ey, hemisphere=ta.hemisphere
+    )
+    lit = radiate(ta, 3.0, 10.0, K0)
+    pat = radiate(dark_x, 3.0, 10.0, K0)
+    assert np.array_equal(pat.e_cross, np.zeros_like(pat.e_cross))
+    assert np.array_equal(pat.e_co, lit.e_co)
+
+
+_SMALL_APERTURE = ApertureSpec(plane_z=0.0, size_x=30.0, size_y=24.0, period=6.0, nx=5, ny=4)
+_AMPLITUDE = st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(database=None, max_examples=25, deadline=None)
+@given(
+    st.lists(_AMPLITUDE, min_size=40, max_size=40),
+    st.floats(min_value=-math.pi, max_value=math.pi),
+)
+def test_pattern_magnitudes_invariant_under_global_phase(amplitudes, phase):
+    a = np.array(amplitudes).reshape(2, 5, 4)
+    fld = ApertureField(aperture=_SMALL_APERTURE, ex=a[0], ey=a[1], hemisphere="+z")
+    turned = ApertureField(
+        aperture=_SMALL_APERTURE,
+        ex=a[0] * cmath.exp(1j * phase),
+        ey=a[1] * cmath.exp(1j * phase),
+        hemisphere="+z",
+    )
+    pat, pat2 = radiate(fld, 6.0, 20.0, K0), radiate(turned, 6.0, 20.0, K0)
+    for got, ref in ((pat2.e_co, pat.e_co), (pat2.e_cross, pat.e_cross)):
+        scale = np.max(np.abs(ref))
+        np.testing.assert_allclose(np.abs(got), np.abs(ref), rtol=0, atol=1e-12 * scale)
 
 
 # --- directivity and metrics ----------------------------------------------
