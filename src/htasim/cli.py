@@ -227,10 +227,14 @@ def cmd_validate(args) -> int:
     # the layout is built by the checks, whose first one reports it
     cfg, curves, _ = _prepare(args, with_layout=False)
     failed = 0
-    for name, passed, detail in _run_checks(cfg, curves):
-        tag = "PASS" if passed else "FAIL"
-        print(f"{tag} {name}: {detail}")
-        failed += 0 if passed else 1
+    try:
+        for name, passed, detail in _run_checks(cfg, curves):
+            tag = "PASS" if passed else "FAIL"
+            print(f"{tag} {name}: {detail}")
+            failed += 0 if passed else 1
+    except (ValueError, ArithmeticError) as exc:
+        # a configuration whose numbers the checks cannot evaluate fails them
+        raise CommandError(EXIT_DOMAIN, f"validation failed: {exc}") from exc
     print(f"{'all checks passed' if failed == 0 else f'{failed} check(s) failed'}")
     return EXIT_OK if failed == 0 else EXIT_DOMAIN
 
@@ -277,10 +281,12 @@ def _write_cut_csv(pattern, peak_phi_deg, path):
     with np.errstate(divide="ignore"):
         co_db = 20.0 * np.log10(np.abs(co) / peak)
         cx_db = 20.0 * np.log10(np.abs(cross) / peak)
+    row = "{:.4f},{:.4f},{:.4f},{:.4f}\n".format
     with open(path, "w", newline="") as fh:
         fh.write("theta_deg,phi_deg,e_co_db,e_cross_db\n")
-        for row in zip(theta, phi, co_db, cx_db):
-            fh.write("{:.4f},{:.4f},{:.4f},{:.4f}\n".format(*row))
+        fh.writelines(
+            [row(*r) for r in zip(theta.tolist(), phi.tolist(), co_db.tolist(), cx_db.tolist())]
+        )
 
 
 def cmd_simulate(args) -> int:

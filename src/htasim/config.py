@@ -5,7 +5,8 @@ The grammar is dependency-free on purpose:
 * one `key = value` assignment per line,
 * `#` starts a comment (full line or trailing),
 * dotted keys group settings (`ta.size_mm`, `sampling.theta_step_deg`),
-* list entries are indexed (`feeds[0].id`, `feeds[0].x_mm`),
+* list entries are indexed from 0 without gaps (`feeds[0].id`,
+  `feeds[0].x_mm`),
 * comma-separated values make a list (`frequencies = 9.0, 9.75, 10.5`),
 * booleans are `true` / `false`.
 
@@ -20,6 +21,7 @@ typos fail loudly.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -69,6 +71,12 @@ class RunConfig:
         )
 
 
+def _real(value) -> float:
+    if isinstance(value, bool) or not math.isfinite(float(value)):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
 def _tuple_of(cast):
     """Parser of a one-or-more value list into a tuple."""
     return lambda value: tuple(cast(v) for v in (value if isinstance(value, list) else [value]))
@@ -80,7 +88,7 @@ def _flag(value) -> bool:
     return value
 
 
-_FEED_FIELDS = {"id": str, "x_mm": float, "y_mm": float}
+_FEED_FIELDS = {"id": str, "x_mm": _real, "y_mm": _real}
 
 
 def _feeds(entries) -> tuple[FeedConfig, ...]:
@@ -114,36 +122,36 @@ _THETA_STEP = (_divides(90.0), "must divide 90 evenly")
 _PHI_STEP = (_divides(360.0), "must divide 360 evenly")
 
 KEYS = {
-    "f_mm": Key("layout.f_mm", float),
-    "h_mm": Key("layout.h_mm", float),
-    "F_mm": Key("layout.F_mm", float),
-    "d_mm": Key("layout.d_mm", float),
-    "ta.size_mm": Key("layout.ta.size_mm", float),
-    "ta.period_mm": Key("layout.ta.period_mm", float, *_POSITIVE),
-    "fta.size_mm": Key("layout.fta.size_mm", float),
-    "fta.period_mm": Key("layout.fta.period_mm", float, *_POSITIVE),
+    "f_mm": Key("layout.f_mm", _real),
+    "h_mm": Key("layout.h_mm", _real),
+    "F_mm": Key("layout.F_mm", _real),
+    "d_mm": Key("layout.d_mm", _real),
+    "ta.size_mm": Key("layout.ta.size_mm", _real),
+    "ta.period_mm": Key("layout.ta.period_mm", _real, *_POSITIVE),
+    "fta.size_mm": Key("layout.fta.size_mm", _real),
+    "fta.period_mm": Key("layout.fta.period_mm", _real, *_POSITIVE),
     "feeds": Key("layout.feeds", _feeds),
     "frequencies": Key(
-        "frequencies_ghz", _tuple_of(float), lambda fs: all(f > 0 for f in fs), "must be positive"
+        "frequencies_ghz", _tuple_of(_real), lambda fs: all(f > 0 for f in fs), "must be positive"
     ),
     "ta_feed_ids": Key("sim.ta_feed_ids", _tuple_of(str)),
-    "feed.q": Key("sim.feed_q", float, *_POSITIVE),
+    "feed.q": Key("sim.feed_q", _real, *_POSITIVE),
     "feed.active_ids": Key("feed_active_ids", _tuple_of(str)),
-    "sampling.theta_step_deg": Key("sim.theta_step_deg", float, *_THETA_STEP),
-    "sampling.phi_step_deg": Key("sim.phi_step_deg", float, *_PHI_STEP),
-    "sampling.cut_theta_step_deg": Key("cut_theta_step_deg", float, *_THETA_STEP),
-    "sampling.cut_phi_step_deg": Key("cut_phi_step_deg", float, *_PHI_STEP),
+    "sampling.theta_step_deg": Key("sim.theta_step_deg", _real, *_THETA_STEP),
+    "sampling.phi_step_deg": Key("sim.phi_step_deg", _real, *_PHI_STEP),
+    "sampling.cut_theta_step_deg": Key("cut_theta_step_deg", _real, *_THETA_STEP),
+    "sampling.cut_phi_step_deg": Key("cut_phi_step_deg", _real, *_PHI_STEP),
     "crosspol.leakage": Key(
-        "sim.crosspol_leakage", float, lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"
+        "sim.crosspol_leakage", _real, lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"
     ),
     "blockage.enabled": Key("blockage_enabled", _flag),
-    "blockage.width_mm": Key("blockage.width_x_mm", float),
-    "blockage.depth_mm": Key("blockage.width_y_mm", float),
-    "oblique.phase_deg_per_deg": Key("sim.oblique_phase_deg_per_deg", float),
+    "blockage.width_mm": Key("blockage.width_x_mm", _real),
+    "blockage.depth_mm": Key("blockage.width_y_mm", _real),
+    "oblique.phase_deg_per_deg": Key("sim.oblique_phase_deg_per_deg", _real),
     "gain_offset_db": Key(
-        "sim.gain_offset_db", float, lambda v: v <= 0.0, "is a loss budget and must be <= 0"
+        "sim.gain_offset_db", _real, lambda v: v <= 0.0, "is a loss budget and must be <= 0"
     ),
-    "reference_aperture_mm2": Key("sim.reference_aperture_mm2", float, *_POSITIVE),
+    "reference_aperture_mm2": Key("sim.reference_aperture_mm2", _real, *_POSITIVE),
     "curves.uc1_csv": Key("uc1_curve_csv", str),
     "curves.uc2_csv": Key("uc2_curve_csv", str),
     "output_dir": Key("output_dir", str),
@@ -186,12 +194,16 @@ def parse_config_text(text: str) -> dict:
             values[key] = value
             continue
         name, idx, field = idx_match.group(1), int(idx_match.group(2)), idx_match.group(3)
-        entries = values.setdefault(name, [])
-        if not isinstance(entries, list):
+        entries = values.setdefault(name, {})
+        if not isinstance(entries, dict):
             raise ConfigError(f"line {lineno}: {name} used both ways")
-        while len(entries) <= idx:
-            entries.append({})
-        entries[idx][field] = value
+        entries.setdefault(idx, {})[field] = value
+    for name, entries in values.items():
+        if isinstance(entries, dict):
+            missing = min(set(range(len(entries) + 1)) - set(entries))
+            if missing < len(entries):
+                raise ConfigError(f"{name}[{missing}] is missing: indices must run from 0")
+            values[name] = [entries[k] for k in range(len(entries))]
     return values
 
 

@@ -17,7 +17,11 @@ depend only on the key (aperture, k0, theta step, phi step), so a
 that aperture at that frequency on that grid.  The factors are held and
 contracted in blocks of `THETA_BLOCK` theta rows; without a prebuilt
 value, `radiate` builds each block when it needs it and drops it after,
-so the live steering memory is one key, or one block.  Each direction's
+so the live steering memory is one key, or one block.  Each factor
+evaluates exp on the first half of the element columns and fills the
+other half with the mirrored conjugates: the element grid is
+antisymmetric bit for bit (x_{n-1-i} == -x_i), so this is exact, not an
+approximation.  Each direction's
 element reduction has a fixed shape whatever its block, so results are
 bit-identical run to run and with or without a prebuilt value.  A
 component that is zero over the whole aperture is not contracted; its
@@ -209,6 +213,24 @@ def _grid(theta_step_deg: float, phi_step_deg: float):
     return np.arange(n_theta + 1) * theta_step_deg, np.arange(n_phi) * phi_step_deg
 
 
+def _mirrored_factor(k0: float, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """exp(j k0 w_d x_i) as a (directions, elements) array, with exp
+    evaluated on the first ceil(n/2) element columns only.  The element
+    grid is antisymmetric bit for bit (x[n-1-i] == -x[i]) and
+    exp(-jt) == conj(exp(jt)) bit for bit, so the other n//2 columns are
+    the mirrored conjugates; an odd grid's middle column is evaluated."""
+    n = x.size
+    h = n - n // 2
+    # exp runs in place over a contiguous half: into the block's strided
+    # left half it would loop h elements at a time
+    half = 1j * k0 * w[:, None] * x[None, :h]
+    np.exp(half, out=half)
+    out = np.empty((w.size, n), complex)
+    out[:, :h] = half
+    np.conjugate(half[:, : n // 2][:, ::-1], out=out[:, h:])
+    return out
+
+
 def _steering_blocks(aperture: ApertureSpec, k0: float, theta: np.ndarray, phi: np.ndarray):
     """Yield the (pu, pv) steering factors of each THETA_BLOCK rows of
     theta: pu is (directions, nx), pv is (directions, ny)."""
@@ -216,9 +238,7 @@ def _steering_blocks(aperture: ApertureSpec, k0: float, theta: np.ndarray, phi: 
     y = aperture.y_centers()
     for start in range(0, theta.size, THETA_BLOCK):
         u, v = _direction_cosines(theta[start : start + THETA_BLOCK], phi)
-        pu = np.exp(1j * k0 * u.reshape(-1)[:, None] * x[None, :])
-        pv = np.exp(1j * k0 * v.reshape(-1)[:, None] * y[None, :])
-        yield pu, pv
+        yield _mirrored_factor(k0, u.reshape(-1), x), _mirrored_factor(k0, v.reshape(-1), y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,8 +298,8 @@ def radiate(
         for a, out in lit:
             # Separable contraction: sum_i sum_j A_ij e^{jk0 x_i u} e^{jk0 y_j v}.
             partial = pu @ a  # (directions, ny)
-            total = np.sum(partial * pv, axis=1)
-            out[rows] = total.reshape(-1, phi.size) * element_factor[rows]
+            partial *= pv
+            out[rows] = partial.sum(axis=1).reshape(-1, phi.size) * element_factor[rows]
 
     return PatternGrid(
         theta_deg=theta,

@@ -4,14 +4,18 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import htasim
 import htasim.cli
 from htasim.cli import load_reference_targets, main, write_beam_table
 from htasim.config import (
+    KEYS,
     ConfigError,
     RunConfig,
     default_config,
@@ -56,6 +60,27 @@ def test_parse_grammar():
 def test_parse_rejects_garbage():
     with pytest.raises(ConfigError, match="key = value"):
         parse_config_text("this is not an assignment\n")
+
+
+def test_parse_indexed_keys_run_from_zero():
+    # entries may come in any order, but an index past a gap is an error
+    # (rather than a list padded up to it)
+    assert parse_config_text("feeds[1].id = B\nfeeds[0].id = A\n") == {
+        "feeds": [{"id": "A"}, {"id": "B"}]
+    }
+    with pytest.raises(ConfigError, match=r"feeds\[1\] is missing"):
+        parse_config_text("feeds[0].id = A\nfeeds[2].id = C\n")
+    with pytest.raises(ConfigError, match="used both ways"):
+        parse_config_text("feeds = 1, 2\nfeeds[0].id = A\n")
+
+
+def test_numeric_keys_take_finite_numbers_only():
+    for key in ("f_mm", "ta.size_mm", "frequencies", "blockage.width_mm"):
+        for raw in (float("nan"), float("inf"), float("-inf"), True):
+            with pytest.raises(ConfigError, match="finite"):
+                with_overrides(RunConfig(), {key: raw})
+    with pytest.raises(ConfigError, match="finite"):
+        with_overrides(RunConfig(), {"feeds": [{"id": "A1", "x_mm": float("nan")}]})
 
 
 def test_defaults_match_design():
@@ -204,6 +229,61 @@ def _cli_child(argv):
     return subprocess.run(
         [sys.executable, "-m", "htasim.cli", *argv], capture_output=True, text=True, env=env
     )
+
+
+# Values stay small or absurd: a cell count between about 10^3 and 10^9
+# per axis would allocate gigabytes rather than fail.
+_FUZZ_VALUES = st.sampled_from(
+    ["", "0", "-0", "-1", "0.5", "1", "6", "9.75", "240", "1e300", "-1e300", "1e-300",
+     "nan", "inf", "-inf", "true", "false", "A1", "A4, A1", "9.0, 10.5", ",", "1,,2"]
+)
+_FUZZ_JUNK = st.text(alphabet="abxyz_.,-=[]#\t \x00\u00e9", max_size=8)
+_FUZZ_KEY_LINES = st.builds("{} = {}".format, st.sampled_from(sorted(KEYS)), _FUZZ_VALUES)
+# at most one line of these per config, so that most configs reach the checks
+_FUZZ_BAD_LINES = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(sorted(KEYS)), _FUZZ_JUNK),
+    st.builds(
+        "{} = {}".format, st.from_regex(r"[a-z_][a-z0-9_.\[\]]{0,12}", fullmatch=True), _FUZZ_VALUES
+    ),
+    st.builds(
+        "feeds[{}].{} = {}".format,
+        st.integers(0, 8),
+        st.sampled_from(["id", "x_mm", "y_mm", "z_mm"]),
+        _FUZZ_VALUES,
+    ),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=16),
+)
+
+
+@settings(database=None, max_examples=40, deadline=None)
+@given(st.lists(_FUZZ_KEY_LINES, max_size=3), st.lists(_FUZZ_BAD_LINES, max_size=1))
+def test_validate_survives_malformed_config(lines, bad_lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "fuzz.cfg"
+        cfg.write_text("\n".join(lines + bad_lines) + "\n", encoding="utf-8")
+        try:
+            code = main(["validate", "--config", str(cfg)])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        ("ta.size_mm = inf\n", 2),
+        ("f_mm = nan\n", 2),
+        ("F_mm = 1e300\n", 1),
+        ("feeds = 1, 2\nfeeds[0].id = A1\n", 2),
+        ("\x00 = \u00e9\n", 2),
+    ],
+)
+def test_malformed_config_exits_without_traceback(tmp_path, text, code):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    proc = _cli_child(["validate", "--config", str(cfg)])
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["validate", "synthesize", "sweep"])

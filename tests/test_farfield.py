@@ -248,6 +248,19 @@ def test_pattern_magnitudes_invariant_under_global_phase(amplitudes, phase):
         np.testing.assert_allclose(np.abs(got), np.abs(ref), rtol=0, atol=1e-12 * scale)
 
 
+@pytest.mark.parametrize("theta_step, phi_step", [(0.5, 2.0), (3.0, 10.0)])
+def test_odd_grid_radiate_equals_one_shot_formula(theta_step, phi_step):
+    # nx = 5 leaves an unpaired middle column in the halved steering build
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((2, 5, 4)) + 1j * rng.standard_normal((2, 5, 4))
+    fld = ApertureField(aperture=_SMALL_APERTURE, ex=a[0], ey=a[1], hemisphere="+z")
+    op = steering(_SMALL_APERTURE, K0, theta_step, phi_step)
+    e_co, e_cross = _one_shot(fld, theta_step, phi_step, K0)
+    for pat in (radiate(fld, theta_step, phi_step, K0, op), radiate(fld, theta_step, phi_step, K0)):
+        assert np.array_equal(pat.e_co, e_co)
+        assert np.array_equal(pat.e_cross, e_cross)
+
+
 # --- directivity and metrics ----------------------------------------------
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htasim.geometry import (
     ApertureConfig,
@@ -168,6 +170,22 @@ def test_element_centers_symmetric(layout):
         y = ap.y_centers()
         np.testing.assert_array_equal(x, -x[::-1])
         np.testing.assert_array_equal(y, -y[::-1])
+
+
+@settings(database=None, max_examples=50, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=1, max_value=60),
+    st.floats(min_value=0.1, max_value=50.0, allow_nan=False, allow_infinity=False),
+)
+def test_element_centers_antisymmetric_exactly(nx, ny, period):
+    # the far-field steering build mirrors exp across the grid center,
+    # which is exact only while x[n-1-i] == -x[i] holds to the bit
+    ap = ApertureSpec(
+        plane_z=0.0, size_x=nx * period, size_y=ny * period, period=period, nx=nx, ny=ny
+    )
+    for c in (ap.x_centers(), ap.y_centers()):
+        assert np.array_equal(c, -c[::-1])
 
 
 def test_default_grids(layout):

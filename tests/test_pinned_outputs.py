@@ -4,7 +4,8 @@ The per-beam sweep and simulate files are checked against the
 benchmark's golden digest list (``bench/golden/sha256.json``, read only);
 a two-feed subset of the default sweep keeps the test to a few seconds
 while still covering every state, both hemispheres and all three
-frequencies.
+frequencies.  The same subset of the leakage sweep covers the path where
+both polarization components are contracted.
 """
 
 import hashlib
@@ -46,6 +47,20 @@ def test_sweep_and_synthesize_outputs_are_byte_identical(tmp_path):
     syn = tmp_path / "synthesize"
     assert main(["synthesize", "--out", str(syn)]) == 0
     assert {p.name: _sha256(p) for p in syn.iterdir()} == SYNTHESIZE_SHA256
+
+
+def test_two_component_sweep_is_pinned(tmp_path):
+    # a cross-polar residue and the feed-board shadow: every beam has a
+    # nonzero cross-polar field, so both components are contracted
+    cfg = tmp_path / "two_feeds_leakage.cfg"
+    cfg.write_text("feed.active_ids = A1, A4\ncrosspol.leakage = 0.05\nblockage.enabled = true\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    pinned = json.loads(GOLDEN_SHA256.read_text())["sweep_leakage"]
+    beams = sorted((out / "beams").iterdir())
+    assert len(beams) == 42
+    for path in beams:
+        assert _sha256(path) == pinned[f"beams/{path.name}"], path.name
 
 
 #: Runs its arguments as a child and prints the child's exit code and
