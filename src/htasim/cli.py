@@ -4,7 +4,7 @@ Subcommands:
 
 * ``validate``   — run the self-consistency checks on the configured system
                    (focal relations, phase-law identities, lookup round
-                   trips, routing, quantization); exit 0 iff all pass.
+                   trips, quantization); exit 0 iff all pass.
 * ``synthesize`` — write the compensation phase maps and quantized cell
                    maps for both apertures at the design frequency.
 * ``simulate``   — one state/feed/frequency scenario: pattern cut CSV plus
@@ -37,11 +37,7 @@ from . import __version__
 from .config import KEYS, ConfigError, RunConfig, default_config, load_config, with_overrides
 from .farfield import (
     BeamMetrics,
-    HEMISPHERE_BACKWARD,
-    HEMISPHERE_FORWARD,
-    HEMISPHERES,
-    SIDE_FTA,
-    SIDE_TA,
+    Side,
     active_sides,
     allowed_feed_ids,
     principal_cut,
@@ -50,7 +46,7 @@ from .farfield import (
     synthesize_cell_maps,
 )
 from .geometry import Point3, build_layout, mirror_point, path_length
-from .polarization import PolarizationState, route
+from .polarization import PolarizationState
 from .synthesis import (
     bifocal_phase_unwrapped,
     single_focus_phase_unwrapped,
@@ -187,39 +183,22 @@ def _run_checks(cfg: RunConfig, curves: CurveLibrary):
     rel = np.max(np.abs((m1 + m2) / 2.0 - closed) / np.abs(closed))
     yield "bifocal_mean_equivalence", rel < 1e-9, f"max rel dev {rel:.2e}"
 
-    for kind, label in (("uc1", "curve_roundtrip_ta"), ("uc2", "curve_roundtrip_fta")):
+    for side in Side:
         worst = 0.0
         for f in cfg.frequencies_ghz:
-            curve = curves.curve(kind, f)
+            curve = curves.curve(side.cell_kind, f)
             targets = np.arange(64) * (360.0 / 64)
             params, rot = curve.invert(targets)
             realized = curve.phase_at(params, rot)
             err = np.abs(wrap_deg(realized - targets + 180.0) - 180.0)
             worst = max(worst, float(err.max()))
-        yield label, worst <= 1e-6, f"max round-trip error {worst:.2e} deg"
-
-    ok = True
-    detail = []
-    for state, fwd, back in (
-        (PolarizationState.X, 1.0, 0.0),
-        (PolarizationState.Y, 0.0, 1.0),
-        (PolarizationState.SLANT45, math.sqrt(0.5), math.sqrt(0.5)),
-    ):
-        plan = route(state)
-        amplitudes = (plan.forward.norm, plan.backward.norm)
-        if not all(math.isclose(a, b, abs_tol=1e-12) for a, b in zip(amplitudes, (fwd, back))):
-            ok = False
-        # every lit path leaves the stack y-polarized
-        if plan.forward.ex != 0 or plan.backward.ex != 0:
-            ok = False
-        detail.append(f"{state.value}:{amplitudes[0]:.3f}/{amplitudes[1]:.3f}")
-    yield "routing_table", ok, " ".join(detail)
+        yield f"curve_roundtrip_{side.value}", worst <= 1e-6, f"max round-trip error {worst:.2e} deg"
 
     worst = 0.0
     for f in cfg.frequencies_ghz:
         maps = synthesize_cell_maps(layout, curves, f)
-        for side in ("ta", "fta"):
-            worst = max(worst, maps[side][0].max_residual_deg)
+        for cm, _, _ in maps.values():
+            worst = max(worst, cm.max_residual_deg)
     yield "quantization_residual", worst <= RESIDUAL_WARN_DEG, f"max realized-phase residual {worst:.2e} deg"
 
 
@@ -249,12 +228,13 @@ def cmd_synthesize(args) -> int:
     maps = synthesize_cell_maps(layout, curves, freq)
     try:
         for side, (cm, _, pm) in maps.items():
-            write_phase_map_csv(pm, out / f"{side}_phase.csv")
-            write_cell_map_csv(pm, cm, out / f"{side}_cells.csv")
+            name = side.value
+            write_phase_map_csv(pm, out / f"{name}_phase.csv")
+            write_cell_map_csv(pm, cm, out / f"{name}_cells.csv")
             print(
-                f"{side}: {pm.aperture.nx}x{pm.aperture.ny} cells at {freq} GHz, "
+                f"{name}: {pm.aperture.nx}x{pm.aperture.ny} cells at {freq} GHz, "
                 f"max residual {cm.max_residual_deg:.2e} deg -> "
-                f"{side}_phase.csv, {side}_cells.csv"
+                f"{name}_phase.csv, {name}_cells.csv"
             )
     except OSError as exc:
         raise CommandError(EXIT_DOMAIN, f"write failed: {exc.filename}: {exc.strerror}") from exc
@@ -265,10 +245,10 @@ def cmd_synthesize(args) -> int:
 
 
 def _emit_beam(out_dir: Path, state, feed_id, freq, pattern, metrics):
-    hemisphere = pattern.hemisphere
-    stem = f"{state.value}_{feed_id}_{freq:g}GHz_{'fwd' if hemisphere == HEMISPHERE_FORWARD else 'back'}"
+    aperture = pattern.aperture
+    stem = f"{state.value}_{feed_id}_{freq:g}GHz_{'fwd' if aperture.normal_sign > 0 else 'back'}"
     _write_cut_csv(pattern, metrics.peak_phi_deg, out_dir / f"{stem}_cut.csv")
-    payload = _metrics_dict(state, feed_id, freq, hemisphere, metrics)
+    payload = _metrics_dict(state, feed_id, freq, aperture.hemisphere, metrics)
     (out_dir / f"{stem}_metrics.json").write_text(json.dumps(payload, indent=2) + "\n")
     return stem
 
@@ -305,10 +285,7 @@ def cmd_simulate(args) -> int:
     except (KeyError, ValueError) as exc:
         raise CommandError(EXIT_DOMAIN, f"scenario error: {exc}") from exc
     out = _out_dir(cfg)
-    for item in (result.forward, result.backward):
-        if item is None:
-            continue
-        pattern, metrics = item
+    for pattern, metrics in result.values():
         stem = _emit_beam(out, state, args.feed, freq, pattern, metrics)
         print(
             f"{stem}: peak ({metrics.peak_theta_deg:.2f}, {metrics.peak_phi_deg:.1f}) deg, "
@@ -349,7 +326,7 @@ def sweep_rows(cfg: RunConfig, curves: CurveLibrary, layout, out_dir: Path | Non
     for freq in sorted(cfg.frequencies_ghz):
         settings = cfg.settings(freq)
         cell_maps = synthesize_cell_maps(layout, curves, freq)
-        for side in (SIDE_TA, SIDE_FTA):
+        for side in Side:
             beams = [
                 (state, feed_id)
                 for state in PolarizationState
@@ -371,7 +348,7 @@ def _sweep_side(layout, curves, settings, cell_maps, side, beams, out_dir):
     if not beams:
         return []
     freq = settings.frequency_ghz
-    aperture = layout.ta if side == SIDE_TA else layout.fta
+    aperture = side.aperture(layout)
     operator = steering(
         aperture, wavenumber(freq), settings.theta_step_deg, settings.phi_step_deg
     )
@@ -381,7 +358,7 @@ def _sweep_side(layout, curves, settings, cell_maps, side, beams, out_dir):
             "state": state.value,
             "feed_id": feed_id,
             "frequency_ghz": freq,
-            "hemisphere": HEMISPHERES[side],
+            "hemisphere": aperture.hemisphere,
         }
         try:
             result = run_scenario(
@@ -390,7 +367,7 @@ def _sweep_side(layout, curves, settings, cell_maps, side, beams, out_dir):
         except (KeyError, ValueError) as exc:  # partial-failure policy: keep going
             rows.append({**beam, "status": f"failed: {exc}"})
             continue
-        pattern, metrics = result.forward if side == SIDE_TA else result.backward
+        pattern, metrics = result[side]
         rows.append({**beam, "metrics": metrics, "status": "ok"})
         if out_dir is not None:
             _emit_beam(out_dir, state, feed_id, freq, pattern, metrics)
@@ -436,7 +413,7 @@ def write_beam_table(rows, path):
                 _fmt(m.sll_db) if m else "",
                 _fmt(m.crosspol_peak_db) if m else "",
                 _fmt(m.beamwidth_3db_deg) if m else "",
-                _fmt(row.get("scan_loss_db")) if row.get("scan_loss_db") is not None else "",
+                _fmt(row.get("scan_loss_db")),
                 row["status"],
             ]
             writer.writerow(cells)
@@ -453,7 +430,7 @@ def cmd_sweep(args) -> int:
     failed = sum(1 for r in rows if r["status"] != "ok")
     print(f"{len(rows)} beams -> {table_path} ({failed} failed)")
     for state in PolarizationState:
-        for hemi in (HEMISPHERE_FORWARD, HEMISPHERE_BACKWARD):
+        for hemi in (side.aperture(layout).hemisphere for side in Side):
             losses = [
                 r["scan_loss_db"]
                 for r in rows
@@ -488,6 +465,7 @@ def cmd_report(args) -> int:
     if not table_path.is_file():
         raise CommandError(EXIT_USAGE, f"beam table not found: {table_path}")
     targets = load_reference_targets()
+    sides = {side.aperture(layout).hemisphere: side for side in Side}
     tol = max(2.0, cfg.sim.theta_step_deg)
     print(
         f"{'state':8s} {'feed':5s} {'freq':6s} {'hemi':4s} "
@@ -499,10 +477,13 @@ def cmd_report(args) -> int:
                 print(f"{row['state']:8s} {row['feed_id']:5s} {row['frequency_ghz']:6s} "
                       f"{row['hemisphere']:4s} {'':>8s} {'':>6s} {'':>6s} {'':>6s} {'':>6s}  {row['status']}")
                 continue
-            feed = layout.feed(row["feed_id"])
-            focal = layout.f if row["hemisphere"] == HEMISPHERE_FORWARD else layout.F
+            try:
+                feed = layout.feed(row["feed_id"])
+                focal = sides[row["hemisphere"]].focal_mm(layout)
+                ach = float(row["peak_theta_deg"])
+            except (KeyError, ValueError) as exc:
+                raise CommandError(EXIT_USAGE, f"beam table row unusable: {exc}") from exc
             geo = math.degrees(math.atan(abs(feed.position.x) / focal))
-            ach = float(row["peak_theta_deg"])
             d_geo = abs(ach - geo)
             key = (row["state"], row["feed_id"], row["hemisphere"])
             meas = targets.get(key)

@@ -1,10 +1,12 @@
 """Discrete-aperture far-field engine and beam metrics.
 
-The engine illuminates an aperture from a feed (directly for the transmit
-side, via the mirror image of the feed for the folded side), applies each
-cell's transmission magnitude and realized compensation phase, pushes the
-polarization through the routing stack, and superposes the element
-contributions onto a hemisphere grid:
+`Side` makes every per-side choice: the aperture, the feed image (the
+feed itself for the transmit side, its mirror image about the TA plane
+for the folded side), the routing output, the cell family and the
+compensation law.  The engine illuminates a side's aperture from that
+feed image, applies each cell's transmission magnitude and realized
+compensation phase, pushes the polarization through the routing stack,
+and superposes the element contributions onto a hemisphere grid:
 
     E(theta, phi) = sum_ij A_ij exp(+j k0 sin(theta) (x_i cos(phi)
                     + y_j sin(phi))) * cos(theta)
@@ -26,12 +28,17 @@ element reduction has a fixed shape whatever its block, so results are
 bit-identical run to run and with or without a prebuilt value.  A
 component that is zero over the whole aperture is not contracted; its
 pattern is exactly zero.
+
+A field and its pattern carry their aperture; the hemisphere a pattern
+covers is its aperture's (`ApertureSpec.hemisphere`, read off the
+normal).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -41,8 +48,8 @@ from .feed import (
     default_taper_exponent,
     illumination_grid,
 )
-from .geometry import ApertureSpec, SystemLayout, mirror_point
-from .polarization import PolarizationState, route
+from .geometry import ApertureSpec, Point3, SystemLayout, mirror_point
+from .polarization import JonesVector, PolarizationState, RoutingPlan, route
 from .synthesis import (
     C_MM_PER_NS,
     CellMap,
@@ -54,15 +61,45 @@ from .synthesis import (
 )
 from .unitcell import CurveLibrary, PhaseCurve
 
-SIDE_TA = "ta"
-SIDE_FTA = "fta"
-HEMISPHERE_FORWARD = "+z"
-HEMISPHERE_BACKWARD = "-z"
-#: the transmit side radiates into +z, the folded side into -z
-HEMISPHERES = {SIDE_TA: HEMISPHERE_FORWARD, SIDE_FTA: HEMISPHERE_BACKWARD}
-
 #: theta rows per steering block
 THETA_BLOCK = 16
+
+
+class Side(str, Enum):
+    """One aperture side of the stack, and the choices that differ by side.
+
+    The value names the side in file names; format it as `.value`, since
+    on Python 3.11 an f-string renders a str-valued member as `Side.TA`.
+    """
+
+    TA = "ta"
+    FTA = "fta"
+
+    def aperture(self, layout: SystemLayout) -> ApertureSpec:
+        return layout.ta if self is Side.TA else layout.fta
+
+    def feed_image(self, layout: SystemLayout, feed: Point3) -> Point3:
+        """Where the aperture sees the feed: the folded path is unfolded
+        by mirroring the feed about the TA plane, which reproduces the
+        reflected path length exactly."""
+        return feed if self is Side.TA else mirror_point(feed, layout.f)
+
+    def focal_mm(self, layout: SystemLayout) -> float:
+        """Distance from the feed plane (or its image) to the aperture."""
+        return layout.f if self is Side.TA else layout.F
+
+    def routed(self, plan: RoutingPlan) -> JonesVector:
+        """The field the routing stack delivers to this side."""
+        return plan.forward if self is Side.TA else plan.backward
+
+    @property
+    def cell_kind(self) -> str:
+        return "uc1" if self is Side.TA else "uc2"
+
+    def phase_map(self, layout: SystemLayout, k0: float) -> PhaseMap:
+        """The side's bifocal compensation law at wavenumber k0."""
+        return synthesize_ta(layout, k0) if self is Side.TA else synthesize_fta(layout, k0)
+
 
 @dataclass(frozen=True)
 class BlockageMask:
@@ -80,7 +117,6 @@ class ApertureField:
     aperture: ApertureSpec
     ex: np.ndarray
     ey: np.ndarray
-    hemisphere: str
 
     def __post_init__(self):
         shape = (self.aperture.nx, self.aperture.ny)
@@ -92,9 +128,9 @@ class ApertureField:
 
 @dataclass(frozen=True)
 class PatternGrid:
-    """Far-field samples over one hemisphere.
+    """Far-field samples over the hemisphere of the radiating aperture.
 
-    theta is measured from the hemisphere axis (+z or -z), so theta in
+    theta is measured from the aperture's normal (+z or -z), so theta in
     [0, 90] on either side; phi covers [0, 360) uniformly.
     """
 
@@ -102,7 +138,7 @@ class PatternGrid:
     phi_deg: np.ndarray
     e_co: np.ndarray  # (n_theta, n_phi) complex
     e_cross: np.ndarray
-    hemisphere: str
+    aperture: ApertureSpec
     frequency_ghz: float
 
 
@@ -118,16 +154,10 @@ class BeamMetrics:
     aperture_efficiency: float
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
-    forward: tuple[PatternGrid, BeamMetrics] | None
-    backward: tuple[PatternGrid, BeamMetrics] | None
-
-
 def illuminate(
     layout: SystemLayout,
     excitation: FeedExcitation,
-    side: str,
+    side: Side | str,
     cell_map: CellMap,
     curve: PhaseCurve,
     k0: float,
@@ -137,32 +167,23 @@ def illuminate(
 ) -> ApertureField:
     """Outgoing aperture field on one side of the stack.
 
-    The transmit side sees the feed directly; the folded side sees its
-    mirror image about the TA plane, which reproduces the reflected path
-    length exactly.  Each element multiplies the incident field by the
-    routed Jones operator, the cell's transmission magnitude and its
-    realized compensation phase.  `crosspol_leakage` adds that fraction of
-    the co-polarized output into the orthogonal component (an unconverted
-    transmission residue); `blockage` zeroes folded-side elements shadowed
-    by the feed board; `oblique_phase_deg_per_deg` is a sensitivity hook
-    adding a linear cell-phase deviation per degree of incidence (zero by
-    default: the cells are insensitive to oblique illumination).
+    The side's aperture sees the side's feed image (`Side.feed_image`);
+    an unknown side name is a ValueError.  Each element multiplies the
+    incident field by the routed Jones operator, the cell's transmission
+    magnitude and its realized compensation phase.  `crosspol_leakage`
+    adds that fraction of the co-polarized output into the orthogonal
+    component (an unconverted transmission residue); `blockage` zeroes
+    folded-side elements shadowed by the feed board;
+    `oblique_phase_deg_per_deg` is a sensitivity hook adding a linear
+    cell-phase deviation per degree of incidence (zero by default: the
+    cells are insensitive to oblique illumination).
     """
-    plan = route(excitation.state)
-    if side == SIDE_TA:
-        if not plan.forward_active:
-            raise ValueError(f"state {excitation.state.value} does not drive the TA side")
-        aperture = layout.ta
-        feed_pos = excitation.placement.position
-        path_jones = plan.forward
-    elif side == SIDE_FTA:
-        if not plan.backward_active:
-            raise ValueError(f"state {excitation.state.value} does not drive the FTA side")
-        aperture = layout.fta
-        feed_pos = mirror_point(excitation.placement.position, layout.f)
-        path_jones = plan.backward
-    else:
-        raise ValueError(f"unknown aperture side {side!r}")
+    side = Side(side)
+    path_jones = side.routed(route(excitation.state))
+    if path_jones.norm_sq == 0.0:
+        raise ValueError(f"state {excitation.state.value} does not drive the {side.name} side")
+    aperture = side.aperture(layout)
+    feed_pos = side.feed_image(layout, excitation.placement.position)
 
     if cell_map.aperture != aperture:
         raise ValueError("cell map does not belong to the requested side")
@@ -187,7 +208,7 @@ def illuminate(
     cell_factor = mag * np.exp(1j * np.radians(comp_phase))
     amplitude = incident * cell_factor
 
-    if blockage is not None and side == SIDE_FTA:
+    if blockage is not None and side is Side.FTA:
         shadow = (np.abs(x)[:, None] <= blockage.width_x_mm / 2.0) & (
             np.abs(y)[None, :] <= blockage.width_y_mm / 2.0
         )
@@ -195,7 +216,7 @@ def illuminate(
 
     ex = amplitude * (path_jones.ex + crosspol_leakage * path_jones.ey)
     ey = amplitude * path_jones.ey
-    return ApertureField(aperture=aperture, ex=ex, ey=ey, hemisphere=HEMISPHERES[side])
+    return ApertureField(aperture=aperture, ex=ex, ey=ey)
 
 
 def _direction_cosines(theta_deg: np.ndarray, phi_deg: np.ndarray):
@@ -306,7 +327,7 @@ def radiate(
         phi_deg=phi,
         e_co=e_co,
         e_cross=e_cross,
-        hemisphere=field.hemisphere,
+        aperture=field.aperture,
         frequency_ghz=k0 * C_MM_PER_NS / (2.0 * math.pi),
     )
 
@@ -415,7 +436,6 @@ def _beamwidth_3db_deg(theta, power, peak_idx) -> float:
 
 def extract_metrics(
     pattern: PatternGrid,
-    layout: SystemLayout,
     gain_offset_db: float = 0.0,
     reference_aperture_mm2: float | None = None,
 ) -> BeamMetrics:
@@ -424,8 +444,8 @@ def extract_metrics(
     The sidelobe level and 3 dB beamwidth are evaluated on the beam-plane
     cut (the great circle through the peak and its antipodal azimuth); the
     main lobe is excluded down to the first local minimum at least 3 dB
-    below the peak.  Aperture efficiency references the radiating side's
-    configured aperture area unless an explicit reference is passed.
+    below the peak.  Aperture efficiency references the pattern's aperture
+    area unless an explicit reference is passed.
     """
     d_dbi, peak_dbi = directivity(pattern)
     co = np.abs(pattern.e_co) ** 2
@@ -448,10 +468,8 @@ def extract_metrics(
         10.0 * math.log10(cross_max / co_max) if cross_max > 0.0 else -math.inf
     )
 
-    side = SIDE_TA if pattern.hemisphere == HEMISPHERE_FORWARD else SIDE_FTA
     if reference_aperture_mm2 is None:
-        ap = layout.ta if side == SIDE_TA else layout.fta
-        reference_aperture_mm2 = ap.area_mm2
+        reference_aperture_mm2 = pattern.aperture.area_mm2
     lam = C_MM_PER_NS / pattern.frequency_ghz
     d_max = 4.0 * math.pi * reference_aperture_mm2 / lam**2
     efficiency = 10.0 ** (peak_dbi / 10.0) / d_max
@@ -507,28 +525,21 @@ def synthesize_cell_maps(
     layout: SystemLayout,
     curves: CurveLibrary,
     frequency_ghz: float,
-) -> dict[str, tuple[CellMap, PhaseCurve, PhaseMap]]:
+) -> dict[Side, tuple[CellMap, PhaseCurve, PhaseMap]]:
     """Quantized compensation maps for both sides at one frequency."""
     k0 = wavenumber(frequency_ghz)
     out = {}
-    for side, synth, kind in (
-        (SIDE_TA, synthesize_ta, "uc1"),
-        (SIDE_FTA, synthesize_fta, "uc2"),
-    ):
-        curve = curves.curve(kind, frequency_ghz)
-        pm = synth(layout, k0)
+    for side in Side:
+        curve = curves.curve(side.cell_kind, frequency_ghz)
+        pm = side.phase_map(layout, k0)
         out[side] = (quantize(pm, curve), curve, pm)
     return out
 
 
-def active_sides(state: PolarizationState) -> tuple[str, ...]:
+def active_sides(state: PolarizationState) -> tuple[Side, ...]:
     """The aperture sides a polarization state drives, transmit side first."""
     plan = route(state)
-    return tuple(
-        side
-        for side, active in ((SIDE_TA, plan.forward_active), (SIDE_FTA, plan.backward_active))
-        if active
-    )
+    return tuple(side for side in Side if side.routed(plan).norm_sq > 0.0)
 
 
 def run_scenario(
@@ -538,16 +549,17 @@ def run_scenario(
     settings: SimulationSettings,
     curves: CurveLibrary,
     cell_maps: dict | None = None,
-    side: str | None = None,
+    side: Side | str | None = None,
     steering: Steering | None = None,
-) -> ScenarioResult:
+) -> dict[Side, tuple[PatternGrid, BeamMetrics]]:
     """Full illuminate -> radiate -> metrics pipeline for one state/feed.
 
-    `cell_maps` may carry the output of synthesize_cell_maps to reuse the
-    quantized compensation maps across runs at the same frequency.  With
-    `side` set, only that side runs (the state must drive it) and the
-    other hemisphere is None; `steering` is then that side's prebuilt
-    operator at the settings' frequency and grid.
+    Returns (pattern, metrics) by side for the sides that ran, transmit
+    side first.  `cell_maps` may carry the output of synthesize_cell_maps
+    to reuse the quantized compensation maps across runs at the same
+    frequency.  With `side` set, only that side runs (the state must
+    drive it); `steering` is then that side's prebuilt operator at the
+    settings' frequency and grid.
     """
     feed = layout.feed(feed_id)
     legal = allowed_feed_ids(layout, state, settings)
@@ -566,7 +578,7 @@ def run_scenario(
         state=state,
     )
 
-    def _run_side(run_side: str):
+    def _run_side(run_side: Side):
         cm, curve, _ = cell_maps[run_side]
         field = illuminate(
             layout,
@@ -584,11 +596,10 @@ def run_scenario(
         )
         metrics = extract_metrics(
             pattern,
-            layout,
             gain_offset_db=settings.gain_offset_db,
             reference_aperture_mm2=settings.reference_aperture_mm2,
         )
         return pattern, metrics
 
-    results = {s: _run_side(s) for s in ((side,) if side is not None else active_sides(state))}
-    return ScenarioResult(forward=results.get(SIDE_TA), backward=results.get(SIDE_FTA))
+    sides = (Side(side),) if side is not None else active_sides(state)
+    return {s: _run_side(s) for s in sides}

@@ -48,16 +48,11 @@ class FeedPattern:
 
 @dataclass(frozen=True)
 class FeedExcitation:
-    """A feed driven in one polarization state, radiating along +z or -z."""
+    """A feed driven in one polarization state."""
 
     placement: FeedPlacement
     pattern: FeedPattern
     state: PolarizationState
-    boresight_sign: int = +1
-
-    def __post_init__(self):
-        if self.boresight_sign not in (1, -1):
-            raise ValueError("boresight_sign must be +1 or -1")
 
 
 def pattern_amplitude(pattern: FeedPattern, off_axis_deg) -> np.ndarray:
@@ -80,19 +75,20 @@ def minus10db_angle(pattern: FeedPattern) -> float:
 
 
 def incident_field(
-    excitation: FeedExcitation, point: Point3, k0: float
+    excitation: FeedExcitation, boresight_sign: int, point: Point3, k0: float
 ) -> tuple[complex, JonesVector]:
     """Complex field amplitude and polarization at an observation point.
 
-    amplitude = cos^q(off-axis) * (R_ref / R) * exp(-j k0 R); the Jones
-    vector is the drive state's unit vector.
+    amplitude = cos^q(off-axis) * (R_ref / R) * exp(-j k0 R), with the
+    off-axis angle measured from +z (`boresight_sign` +1) or -z (-1); the
+    Jones vector is the drive state's unit vector.
     """
     pos = excitation.placement.position
     dx, dy, dz = point.x - pos.x, point.y - pos.y, point.z - pos.z
     r = math.sqrt(dx * dx + dy * dy + dz * dz)
     if r == 0.0:
         raise ValueError("observation point coincides with the feed")
-    cos_off = excitation.boresight_sign * dz / r
+    cos_off = boresight_sign * dz / r
     off_axis = math.degrees(math.acos(max(-1.0, min(1.0, cos_off))))
     amp = pattern_amplitude(excitation.pattern, off_axis)
     value = amp * (R_REF_MM / r) * complex(math.cos(k0 * r), -math.sin(k0 * r))

@@ -88,6 +88,11 @@ class ApertureSpec:
     def area_mm2(self) -> float:
         return self.size_x * self.size_y
 
+    @property
+    def hemisphere(self) -> str:
+        """The half space the aperture radiates into: "+z" or "-z"."""
+        return "+z" if self.normal_sign > 0 else "-z"
+
 
 @dataclass(frozen=True)
 class FeedPlacement:
@@ -192,8 +197,8 @@ def _square_aperture(config: ApertureConfig, plane_z: float, normal_sign: int) -
 def build_layout(config: LayoutConfig) -> SystemLayout:
     """Resolve a LayoutConfig into a validated SystemLayout.
 
-    Raises ValueError on nonpositive dimensions or an inconsistent
-    (f, h, F) triple.
+    Raises ValueError on nonpositive dimensions, an inconsistent
+    (f, h, F) triple or a stack whose extent F cannot be squared.
     """
     f = float(config.f_mm)
     if f <= 0:
@@ -215,6 +220,10 @@ def build_layout(config: LayoutConfig) -> SystemLayout:
         if F < 2 * f:
             raise ValueError(f"F = {F} must be at least 2f = {2 * f}")
         h = F - 2 * f
+    # F spans the folded aperture to the mirrored feed plane, and the
+    # path lengths square it
+    if not math.isfinite(F * F):
+        raise ValueError(f"stack extent F = {F} mm is too large")
     d = float(config.d_mm)
     if d < 0:
         raise ValueError(f"virtual feed spacing d must be nonnegative, got {d}")

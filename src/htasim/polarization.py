@@ -109,14 +109,6 @@ class RoutingPlan:
     forward: JonesVector
     backward: JonesVector
 
-    @property
-    def forward_active(self) -> bool:
-        return self.forward.norm_sq > 0.0
-
-    @property
-    def backward_active(self) -> bool:
-        return self.backward.norm_sq > 0.0
-
 
 def route(state: PolarizationState) -> RoutingPlan:
     """Routing outcome for a drive state, derived from the path operators."""

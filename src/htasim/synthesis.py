@@ -217,9 +217,8 @@ def write_phase_map_csv(phase_map: PhaseMap, path):
 
 
 def write_cell_map_csv(phase_map: PhaseMap, cell_map: CellMap, path):
-    if cell_map.aperture is not phase_map.aperture:
-        if cell_map.aperture != phase_map.aperture:
-            raise ValueError("cell map and phase map describe different apertures")
+    if cell_map.aperture != phase_map.aperture:
+        raise ValueError("cell map and phase map describe different apertures")
     with open(path, "w", newline="") as fh:
         fh.write("i,j,x_mm,y_mm,phase_deg,param_mm,rotated\n")
         for i, j, x, y, p in phase_map_rows(phase_map):

@@ -31,6 +31,7 @@ import pytest
 from htasim.config import default_config
 from htasim.farfield import (
     ApertureField,
+    Side,
     SimulationSettings,
     directivity,
     extract_metrics,
@@ -81,9 +82,8 @@ def sweep_975(layout, curves):
         )
         for fid in feed_ids:
             res = run_scenario(layout, state, fid, settings, curves, maps)
-            for hemi, item in (("+z", res.forward), ("-z", res.backward)):
-                if item is not None:
-                    rows.append((state, fid, hemi, item[0], item[1]))
+            for pattern, metrics in res.values():
+                rows.append((state, fid, pattern.aperture.hemisphere, pattern, metrics))
     return rows
 
 
@@ -173,7 +173,7 @@ def test_c05_brute_force_radiator():
         )
         ey = rng.normal(size=(nx, ny)) + 1j * rng.normal(size=(nx, ny))
         fld = ApertureField(
-            aperture=ap, ex=np.zeros((nx, ny), complex), ey=ey, hemisphere="+z"
+            aperture=ap, ex=np.zeros((nx, ny), complex), ey=ey
         )
         pat = radiate(fld, 15.0, 45.0, k0)
         x, yy = ap.x_centers(), ap.y_centers()
@@ -227,7 +227,6 @@ def test_c06_uniform_aperture_directivity():
         aperture=ap,
         ex=np.zeros((40, 40), complex),
         ey=np.ones((40, 40), complex),
-        hemisphere="+z",
     )
     pat = radiate(fld, 0.25, 1.0, k0)
     _, peak = directivity(pat)
@@ -353,7 +352,7 @@ def test_c08_hta_linearity_split(layout, curves):
     hta = run_scenario(layout, PolarizationState.SLANT45, "A4", settings, curves, maps)
     ta = run_scenario(layout, PolarizationState.X, "A4", settings, curves, maps)
     d_dev = abs(
-        hta.forward[1].directivity_dbi - ta.forward[1].directivity_dbi
+        hta[Side.TA][1].directivity_dbi - ta[Side.TA][1].directivity_dbi
     )
     ok = worst <= 1e-12 and d_dev <= 1e-9
     assert _verdict(
@@ -371,7 +370,7 @@ def test_c09_bifocal_benefit(layout, curves):
     )
     d_bif = {
         fid: run_scenario(layout, PolarizationState.X, fid, settings, curves, maps)
-        .forward[1].directivity_dbi
+        [Side.TA][1].directivity_dbi
         for fid in ("A4", "A6")
     }
     curve = curves.curve("uc1", DESIGN_FREQ)
@@ -385,7 +384,7 @@ def test_c09_bifocal_benefit(layout, curves):
         )
         fld = illuminate(layout, exc, "ta", cm, curve, k0)
         pat = radiate(fld, 0.25, 1.0, k0)
-        d_sf[fid] = extract_metrics(pat, layout).directivity_dbi
+        d_sf[fid] = extract_metrics(pat).directivity_dbi
     loss_bif = d_bif["A4"] - d_bif["A6"]
     loss_sf = d_sf["A4"] - d_sf["A6"]
     ok = loss_bif < loss_sf - 0.2
@@ -423,9 +422,8 @@ def test_c11_polarization_purity(layout, curves):
         (PolarizationState.SLANT45, "A7"),
     ):
         res = run_scenario(layout, state, fid, ideal, curves, maps)
-        for item in (res.forward, res.backward):
-            if item is not None:
-                purity.append(float(np.max(np.abs(item[0].e_cross))))
+        for pattern, _ in res.values():
+            purity.append(float(np.max(np.abs(pattern.e_cross))))
     all_dark = all(p == 0.0 for p in purity)
     leaky = SimulationSettings(
         frequency_ghz=DESIGN_FREQ,
@@ -434,7 +432,7 @@ def test_c11_polarization_purity(layout, curves):
         crosspol_leakage=0.05,
     )
     res = run_scenario(layout, PolarizationState.X, "A4", leaky, curves, maps)
-    cross = res.forward[1].crosspol_peak_db
+    cross = res[Side.TA][1].crosspol_peak_db
     leak_ok = -27.0 < cross < -25.0
     ok = all_dark and leak_ok
     assert _verdict(

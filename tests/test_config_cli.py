@@ -160,7 +160,6 @@ VALIDATE_CHECKS = [
     "bifocal_mean_equivalence",
     "curve_roundtrip_ta",
     "curve_roundtrip_fta",
-    "routing_table",
     "quantization_residual",
 ]
 
@@ -284,6 +283,22 @@ def test_malformed_config_exits_without_traceback(tmp_path, text, code):
     proc = _cli_child(["validate", "--config", str(cfg)])
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
+
+
+_SCENARIO = ["--state", "y", "--feed", "A4", "--freq", "9.75"]
+
+
+@pytest.mark.parametrize("line", ["F_mm = 1e300", "h_mm = 1e300"])
+@pytest.mark.parametrize("command", ["synthesize", "simulate", "sweep"])
+def test_unsquarable_stack_is_a_layout_error(tmp_path, command, line):
+    # the path lengths square the stack extent F, which overflows here
+    cfg = tmp_path / "tall.cfg"
+    cfg.write_text(FAST_SAMPLING + line + "\n")
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    proc = _cli_child(argv + (_SCENARIO if command == "simulate" else []))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("layout error: stack extent F = 1e+300 mm")
 
 
 @pytest.mark.parametrize("command", ["validate", "synthesize", "sweep"])
@@ -611,6 +626,19 @@ def test_closed_stdout_exits_quietly(command, unbuffered):
 
 def test_report_missing_table(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path / "empty")]) == 2
+
+
+@pytest.mark.parametrize("field, value", [("hemisphere", "+x"), ("feed_id", "A9"), ("peak_theta_deg", "")])
+def test_report_rejects_unusable_row(tmp_path, capsys, field, value):
+    row = {"state": "y", "feed_id": "A1", "frequency_ghz": "9.75", "hemisphere": "-z",
+           "peak_theta_deg": "22.0", "status": "ok", field: value}
+    table = tmp_path / "beam_table.csv"
+    with open(table, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(row))
+        writer.writeheader()
+        writer.writerow(row)
+    assert main(["report", "--beam-table", str(table)]) == 2
+    assert capsys.readouterr().err.startswith("beam table row unusable:")
 
 
 def test_reference_targets_cover_all_beams():

@@ -10,6 +10,7 @@ from htasim.farfield import (
     ApertureField,
     BlockageMask,
     PatternGrid,
+    Side,
     SimulationSettings,
     allowed_feed_ids,
     directivity,
@@ -37,7 +38,6 @@ def _uniform_field(n=16, period=6.0):
         aperture=ap,
         ex=np.zeros((n, n), complex),
         ey=np.ones((n, n), complex),
-        hemisphere="+z",
     )
 
 
@@ -71,7 +71,7 @@ def test_progressive_phase_steers_the_beam():
         ramp = np.exp(-1j * K0 * math.sin(math.radians(theta0)) * ap.x_centers())
         ey = np.repeat(ramp[:, None], n, axis=1)
         fld = ApertureField(
-            aperture=ap, ex=np.zeros((n, n), complex), ey=ey, hemisphere="+z"
+            aperture=ap, ex=np.zeros((n, n), complex), ey=ey
         )
         pat = radiate(fld, 0.25, 2.0, K0)
         it, ip = np.unravel_index(np.argmax(np.abs(pat.e_co)), pat.e_co.shape)
@@ -88,7 +88,6 @@ def test_single_element_is_cosine_weighted():
         aperture=ap,
         ex=np.zeros((1, 1), complex),
         ey=np.ones((1, 1), complex),
-        hemisphere="+z",
     )
     pat = radiate(fld, 4.5, 30.0, K0)
     expect = np.cos(np.radians(pat.theta_deg))[:, None]
@@ -111,7 +110,7 @@ def test_brute_force_oracle():
         )
         ex = rng.normal(size=(nx, ny)) + 1j * rng.normal(size=(nx, ny))
         ey = rng.normal(size=(nx, ny)) + 1j * rng.normal(size=(nx, ny))
-        fld = ApertureField(aperture=ap, ex=ex, ey=ey, hemisphere="+z")
+        fld = ApertureField(aperture=ap, ex=ex, ey=ey)
         pat = radiate(fld, 18.0, 60.0, K0)
         x, y = ap.x_centers(), ap.y_centers()
         for it, th in enumerate(pat.theta_deg):
@@ -143,7 +142,6 @@ def test_radiate_rejects_dark_aperture():
         aperture=ap,
         ex=np.zeros((2, 2), complex),
         ey=np.zeros((2, 2), complex),
-        hemisphere="+z",
     )
     with pytest.raises(ValueError, match="zero"):
         radiate(fld, 15.0, 60.0, K0)
@@ -216,7 +214,7 @@ def test_steering_key_must_match(layout, curves):
 def test_zero_component_radiates_exact_zeros(layout, curves):
     ta, _ = _hybrid_fields(layout, curves)
     dark_x = ApertureField(
-        aperture=ta.aperture, ex=np.zeros_like(ta.ex), ey=ta.ey, hemisphere=ta.hemisphere
+        aperture=ta.aperture, ex=np.zeros_like(ta.ex), ey=ta.ey
     )
     lit = radiate(ta, 3.0, 10.0, K0)
     pat = radiate(dark_x, 3.0, 10.0, K0)
@@ -235,12 +233,11 @@ _AMPLITUDE = st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0, allow_nan
 )
 def test_pattern_magnitudes_invariant_under_global_phase(amplitudes, phase):
     a = np.array(amplitudes).reshape(2, 5, 4)
-    fld = ApertureField(aperture=_SMALL_APERTURE, ex=a[0], ey=a[1], hemisphere="+z")
+    fld = ApertureField(aperture=_SMALL_APERTURE, ex=a[0], ey=a[1])
     turned = ApertureField(
         aperture=_SMALL_APERTURE,
         ex=a[0] * cmath.exp(1j * phase),
         ey=a[1] * cmath.exp(1j * phase),
-        hemisphere="+z",
     )
     pat, pat2 = radiate(fld, 6.0, 20.0, K0), radiate(turned, 6.0, 20.0, K0)
     for got, ref in ((pat2.e_co, pat.e_co), (pat2.e_cross, pat.e_cross)):
@@ -253,7 +250,7 @@ def test_odd_grid_radiate_equals_one_shot_formula(theta_step, phi_step):
     # nx = 5 leaves an unpaired middle column in the halved steering build
     rng = np.random.default_rng(7)
     a = rng.standard_normal((2, 5, 4)) + 1j * rng.standard_normal((2, 5, 4))
-    fld = ApertureField(aperture=_SMALL_APERTURE, ex=a[0], ey=a[1], hemisphere="+z")
+    fld = ApertureField(aperture=_SMALL_APERTURE, ex=a[0], ey=a[1])
     op = steering(_SMALL_APERTURE, K0, theta_step, phi_step)
     e_co, e_cross = _one_shot(fld, theta_step, phi_step, K0)
     for pat in (radiate(fld, theta_step, phi_step, K0, op), radiate(fld, theta_step, phi_step, K0)):
@@ -276,7 +273,6 @@ def test_uniform_aperture_directivity_near_aperture_formula(layout):
         aperture=ap,
         ex=np.zeros((40, 40), complex),
         ey=np.ones((40, 40), complex),
-        hemisphere="+z",
     )
     pat = radiate(fld, 0.5, 2.0, k0)
     _, peak = directivity(pat)
@@ -294,7 +290,7 @@ def test_directivity_scale_invariant():
         phi_deg=pat.phi_deg,
         e_co=0.5 * pat.e_co,
         e_cross=pat.e_cross,
-        hemisphere=pat.hemisphere,
+        aperture=pat.aperture,
         frequency_ghz=pat.frequency_ghz,
     )
     _, d1 = directivity(pat)
@@ -310,7 +306,7 @@ def test_isotropic_hemisphere_directivity():
         phi_deg=ph,
         e_co=np.ones((th.size, ph.size), complex),
         e_cross=np.zeros((th.size, ph.size), complex),
-        hemisphere="+z",
+        aperture=_SMALL_APERTURE,
         frequency_ghz=10.0,
     )
     _, peak = directivity(iso)
@@ -324,7 +320,6 @@ def test_power_integral_invariant_under_global_phase():
         aperture=fld.aperture,
         ex=fld.ex,
         ey=fld.ey * cmath.exp(0.7j),
-        hemisphere="+z",
     )
     pat2 = radiate(shifted, 1.0, 4.0, K0)
     p1 = radiated_power_integral(pat)
@@ -332,28 +327,28 @@ def test_power_integral_invariant_under_global_phase():
     assert p2 == pytest.approx(p1, rel=1e-12)
 
 
-def test_uniform_cut_sidelobe_level(layout):
+def test_uniform_cut_sidelobe_level():
     # first sidelobe of a uniform line source: about -13.26 dB; the engine
     # measures it on the principal cut through the peak
     k0 = wavenumber(10.0)
     fld = _uniform_field(40, 6.0)
     pat = radiate(fld, 0.25, 1.0, k0)
-    m = extract_metrics(pat, layout)
+    m = extract_metrics(pat)
     assert m.sll_db == pytest.approx(-13.26, abs=0.3)
     assert m.peak_theta_deg == 0.0
     assert m.aperture_efficiency == pytest.approx(1.0, abs=0.05)
     assert m.peak_gain_dbi == m.directivity_dbi  # default zero offset
 
 
-def test_metrics_scale_invariance(layout):
+def test_metrics_scale_invariance():
     fld = _uniform_field(20)
     pat = radiate(fld, 0.5, 2.0, K0)
     scaled = ApertureField(
-        aperture=fld.aperture, ex=fld.ex, ey=3.0 * fld.ey, hemisphere="+z"
+        aperture=fld.aperture, ex=fld.ex, ey=3.0 * fld.ey
     )
     pat2 = radiate(scaled, 0.5, 2.0, K0)
-    m1 = extract_metrics(pat, layout)
-    m2 = extract_metrics(pat2, layout)
+    m1 = extract_metrics(pat)
+    m2 = extract_metrics(pat2)
     assert m1.directivity_dbi == pytest.approx(m2.directivity_dbi, abs=1e-9)
     assert m1.sll_db == pytest.approx(m2.sll_db, abs=1e-9)
     # raw field power scales by |c|^2
@@ -362,10 +357,10 @@ def test_metrics_scale_invariance(layout):
     )
 
 
-def test_gain_offset(layout):
+def test_gain_offset():
     fld = _uniform_field(10)
     pat = radiate(fld, 0.5, 2.0, K0)
-    m = extract_metrics(pat, layout, gain_offset_db=-1.7)
+    m = extract_metrics(pat, gain_offset_db=-1.7)
     assert m.peak_gain_dbi == pytest.approx(m.directivity_dbi - 1.7)
 
 
@@ -389,7 +384,7 @@ def test_illuminate_ta_outgoing_is_pure_y(layout, curves):
     fld = illuminate(layout, exc, "ta", cm, curve, K0)
     assert np.all(fld.ex == 0.0)
     assert np.all(np.abs(fld.ey) > 0.0)
-    assert fld.hemisphere == "+z"
+    assert fld.aperture.hemisphere == "+z"
 
 
 def test_illuminate_fta_uses_mirrored_path(layout, curves):
@@ -402,7 +397,7 @@ def test_illuminate_fta_uses_mirrored_path(layout, curves):
         placement=feed, pattern=FeedPattern(q=5.75), state=PolarizationState.Y
     )
     fld = illuminate(layout, exc, "fta", cm, curve, K0)
-    assert fld.hemisphere == "-z"
+    assert fld.aperture.hemisphere == "-z"
     x = layout.fta.x_centers()
     y = layout.fta.y_centers()
     mirror = mirror_point(feed.position, layout.f)
@@ -454,6 +449,17 @@ def test_illuminate_rejects_inactive_side(layout, curves):
         illuminate(layout, exc, "fta", cm, curve, K0)
 
 
+def test_illuminate_rejects_unknown_side(layout, curves):
+    cm, curve, _ = synthesize_cell_maps(layout, curves, 9.75)["ta"]
+    exc = FeedExcitation(
+        placement=layout.feed("A4"),
+        pattern=FeedPattern(q=5.75),
+        state=PolarizationState.X,
+    )
+    with pytest.raises(ValueError, match="'side' is not a valid Side"):
+        illuminate(layout, exc, "side", cm, curve, K0)
+
+
 def test_illuminate_crosspol_leakage(layout, curves):
     maps = synthesize_cell_maps(layout, curves, 9.75)
     cm, curve, _ = maps["ta"]
@@ -498,11 +504,11 @@ def test_illuminate_blockage_shadows_fta(layout, curves):
 def test_run_scenario_population(layout, curves):
     s = _settings()
     res = run_scenario(layout, PolarizationState.X, "A4", s, curves)
-    assert res.forward is not None and res.backward is None
+    assert list(res) == [Side.TA]
     res = run_scenario(layout, PolarizationState.Y, "A1", s, curves)
-    assert res.forward is None and res.backward is not None
+    assert list(res) == [Side.FTA]
     res = run_scenario(layout, PolarizationState.SLANT45, "A7", s, curves)
-    assert res.forward is not None and res.backward is not None
+    assert list(res) == [Side.TA, Side.FTA]
 
 
 def test_run_scenario_feed_legality(layout, curves):
@@ -528,25 +534,25 @@ def test_hta_fields_are_exact_half_power_split(layout, curves):
     # pattern level: identical shapes up to the common scale (the field-level
     # identity is bit-exact, see test_illuminate_slant_is_scaled_unidirectional)
     for got, ref in (
-        (hta.forward[0].e_co, ta.forward[0].e_co),
-        (hta.backward[0].e_co, fta.backward[0].e_co),
+        (hta[Side.TA][0].e_co, ta[Side.TA][0].e_co),
+        (hta[Side.FTA][0].e_co, fta[Side.FTA][0].e_co),
     ):
         scale = np.max(np.abs(ref))
         np.testing.assert_allclose(got, sq * ref, rtol=1e-12, atol=1e-12 * scale)
     # per-hemisphere directivity is unchanged by the common 1/sqrt(2)
-    assert hta.forward[1].directivity_dbi == pytest.approx(
-        ta.forward[1].directivity_dbi, abs=1e-9
+    assert hta[Side.TA][1].directivity_dbi == pytest.approx(
+        ta[Side.TA][1].directivity_dbi, abs=1e-9
     )
-    assert hta.backward[1].directivity_dbi == pytest.approx(
-        fta.backward[1].directivity_dbi, abs=1e-9
+    assert hta[Side.FTA][1].directivity_dbi == pytest.approx(
+        fta[Side.FTA][1].directivity_dbi, abs=1e-9
     )
 
 
 def test_mirrored_feeds_mirror_the_pattern(layout, curves):
     maps = synthesize_cell_maps(layout, curves, 9.75)
     s = _settings(theta_step_deg=0.5, phi_step_deg=2.0)
-    plus = run_scenario(layout, PolarizationState.X, "A5", s, curves, maps).forward[0]
-    minus = run_scenario(layout, PolarizationState.X, "A3", s, curves, maps).forward[0]
+    plus = run_scenario(layout, PolarizationState.X, "A5", s, curves, maps)[Side.TA][0]
+    minus = run_scenario(layout, PolarizationState.X, "A3", s, curves, maps)[Side.TA][0]
     idx = (np.round((180.0 - plus.phi_deg) % 360.0 / 2.0)).astype(int)
     np.testing.assert_allclose(
         np.abs(plus.e_co),
@@ -566,7 +572,7 @@ def test_fta_beam_pointing_oracle(layout, curves):
     tol = max(2.0, 0.5)
     for fid in ("A1", "A2", "A3", "A4", "A5", "A6", "A7"):
         res = run_scenario(layout, PolarizationState.Y, fid, s, curves, maps)
-        m = res.backward[1]
+        m = res[Side.FTA][1]
         geo = math.degrees(math.atan(abs(layout.feed(fid).position.x) / layout.F))
         assert abs(m.peak_theta_deg - geo) <= tol
 
@@ -588,7 +594,7 @@ def test_exactly_compensated_feed_steers_to_design_angle(layout, curves):
     )
     fld = illuminate(layout, exc, "ta", cm, curve, K0)
     pat = radiate(fld, 0.25, 1.0, K0)
-    m = extract_metrics(pat, layout)
+    m = extract_metrics(pat)
     assert m.peak_phi_deg == 180.0
     assert abs(m.peak_theta_deg - geo) <= 1.0
 
@@ -603,7 +609,7 @@ def test_scan_loss_flattening_benefit(layout, curves):
     s = _settings(theta_step_deg=0.5, phi_step_deg=2.0)
     d_bif = {
         fid: run_scenario(layout, PolarizationState.X, fid, s, curves, maps)
-        .forward[1].directivity_dbi
+        [Side.TA][1].directivity_dbi
         for fid in ("A4", "A6")
     }
     curve = curves.curve("uc1", 9.75)
@@ -620,7 +626,7 @@ def test_scan_loss_flattening_benefit(layout, curves):
         )
         fld = illuminate(layout, exc, "ta", cm, curve, K0)
         pat = radiate(fld, 0.5, 2.0, K0)
-        d_sf[fid] = extract_metrics(pat, layout).directivity_dbi
+        d_sf[fid] = extract_metrics(pat).directivity_dbi
     loss_bif = d_bif["A4"] - d_bif["A6"]
     loss_sf = d_sf["A4"] - d_sf["A6"]
     assert loss_bif < loss_sf - 0.2
@@ -643,7 +649,7 @@ def test_blockage_costs_directivity(layout, curves):
         curves,
         maps,
     )
-    assert shadowed.backward[1].directivity_dbi < clear.backward[1].directivity_dbi
+    assert shadowed[Side.FTA][1].directivity_dbi < clear[Side.FTA][1].directivity_dbi
 
 
 def test_crosspol_metric_with_leakage(layout, curves):
@@ -652,19 +658,19 @@ def test_crosspol_metric_with_leakage(layout, curves):
         frequency_ghz=9.75, theta_step_deg=0.5, phi_step_deg=2.0, crosspol_leakage=0.05
     )
     res = run_scenario(layout, PolarizationState.X, "A4", s, curves, maps)
-    m = res.forward[1]
+    m = res[Side.TA][1]
     assert m.crosspol_peak_db == pytest.approx(20.0 * math.log10(0.05), abs=1e-6)
 
 
 def test_ideal_model_has_zero_crosspol(layout, curves):
     maps = synthesize_cell_maps(layout, curves, 9.75)
     res = run_scenario(layout, PolarizationState.X, "A4", _settings(), curves, maps)
-    pat, m = res.forward
+    pat, m = res[Side.TA]
     assert np.all(pat.e_cross == 0.0)
     assert m.crosspol_peak_db == -math.inf
 
 
-def test_principal_cut_with_offgrid_antipode(layout):
+def test_principal_cut_with_offgrid_antipode():
     # odd phi counts put the antipodal azimuth between grid lines; the cut
     # must pick the circularly nearest sample instead of a wrapped-distance
     # artifact
@@ -675,7 +681,7 @@ def test_principal_cut_with_offgrid_antipode(layout):
     assert _nearest_phi_index(phi, 356.5) == 0  # wraps across 360
     fld = _uniform_field(12)
     pat = radiate(fld, 2.0, 8.0, K0)
-    m = extract_metrics(pat, layout)
+    m = extract_metrics(pat)
     assert m.peak_theta_deg == 0.0
 
 
@@ -687,14 +693,14 @@ def test_directivity_rejects_dark_pattern():
         phi_deg=ph,
         e_co=np.zeros((th.size, ph.size), complex),
         e_cross=np.zeros((th.size, ph.size), complex),
-        hemisphere="+z",
+        aperture=_SMALL_APERTURE,
         frequency_ghz=10.0,
     )
     with pytest.raises(ValueError, match="no power"):
         directivity(dark)
 
 
-def test_metrics_need_a_main_lobe(layout):
+def test_metrics_need_a_main_lobe():
     # cross-polar power only: no resolvable co-polar lobe
     th = np.arange(0.0, 91.0, 1.0)
     ph = np.arange(0.0, 360.0, 10.0)
@@ -703,11 +709,11 @@ def test_metrics_need_a_main_lobe(layout):
         phi_deg=ph,
         e_co=np.zeros((th.size, ph.size), complex),
         e_cross=np.ones((th.size, ph.size), complex),
-        hemisphere="+z",
+        aperture=_SMALL_APERTURE,
         frequency_ghz=10.0,
     )
     with pytest.raises(ValueError, match="main lobe"):
-        extract_metrics(crossed, layout)
+        extract_metrics(crossed)
 
 
 def test_oblique_phase_hook(layout, curves):

@@ -79,18 +79,17 @@ def test_invalid_pattern():
         taper_exponent_for_angle(90.0)
 
 
-def _excitation(x=0.0, state=PolarizationState.X, sign=+1):
+def _excitation(x=0.0, state=PolarizationState.X):
     return FeedExcitation(
         placement=FeedPlacement(id="A4", position=Point3(x, 0.0, 0.0)),
         pattern=FeedPattern(q=5.75),
         state=state,
-        boresight_sign=sign,
     )
 
 
 def test_incident_field_on_axis():
     k0 = wavenumber(10.0)
-    amp, jones = incident_field(_excitation(), Point3(0.0, 0.0, 171.0), k0)
+    amp, jones = incident_field(_excitation(), +1, Point3(0.0, 0.0, 171.0), k0)
     assert abs(amp) == pytest.approx(1.0 / 171.0, rel=1e-12)
     # phase advances as -k0 R; -k0*171 = -35.8389... rad wrapped into (-pi, pi]
     expect = cmath.exp(-1j * k0 * 171.0)
@@ -101,9 +100,9 @@ def test_incident_field_on_axis():
 
 def test_incident_field_symmetry():
     k0 = wavenumber(9.75)
-    a1, _ = incident_field(_excitation(), Point3(40.0, 0.0, 171.0), k0)
-    a2, _ = incident_field(_excitation(), Point3(-40.0, 0.0, 171.0), k0)
-    a3, _ = incident_field(_excitation(), Point3(0.0, 40.0, 171.0), k0)
+    a1, _ = incident_field(_excitation(), +1, Point3(40.0, 0.0, 171.0), k0)
+    a2, _ = incident_field(_excitation(), +1, Point3(-40.0, 0.0, 171.0), k0)
+    a3, _ = incident_field(_excitation(), +1, Point3(0.0, 40.0, 171.0), k0)
     assert abs(a1) == pytest.approx(abs(a2), rel=1e-12)
     assert abs(a1) == pytest.approx(abs(a3), rel=1e-12)
 
@@ -112,8 +111,8 @@ def test_incident_field_phase_linear_in_distance():
     k0 = wavenumber(9.75)
     exc = _excitation()
     r1, r2 = 150.0, 210.0
-    a1, _ = incident_field(exc, Point3(0.0, 0.0, r1), k0)
-    a2, _ = incident_field(exc, Point3(0.0, 0.0, r2), k0)
+    a1, _ = incident_field(exc, +1, Point3(0.0, 0.0, r1), k0)
+    a2, _ = incident_field(exc, +1, Point3(0.0, 0.0, r2), k0)
     dphase = cmath.phase(a2 / a1)
     expect = (-k0 * (r2 - r1) + math.pi) % (2.0 * math.pi) - math.pi
     assert dphase == pytest.approx(expect, abs=1e-12)
@@ -122,21 +121,21 @@ def test_incident_field_phase_linear_in_distance():
 def test_incident_field_state_vector():
     k0 = wavenumber(9.75)
     _, jones = incident_field(
-        _excitation(state=PolarizationState.SLANT45), Point3(0.0, 0.0, 171.0), k0
+        _excitation(state=PolarizationState.SLANT45), +1, Point3(0.0, 0.0, 171.0), k0
     )
     assert jones.ex == jones.ey == pytest.approx(math.sqrt(0.5))
 
 
 def test_incident_field_zero_distance():
     with pytest.raises(ValueError):
-        incident_field(_excitation(), Point3(0.0, 0.0, 0.0), wavenumber(9.75))
+        incident_field(_excitation(), +1, Point3(0.0, 0.0, 0.0), wavenumber(9.75))
 
 
 def test_back_hemisphere_suppressed():
     k0 = wavenumber(9.75)
-    amp, _ = incident_field(_excitation(sign=+1), Point3(0.0, 0.0, -50.0), k0)
+    amp, _ = incident_field(_excitation(), +1, Point3(0.0, 0.0, -50.0), k0)
     assert amp == 0.0
-    amp, _ = incident_field(_excitation(sign=-1), Point3(0.0, 0.0, -50.0), k0)
+    amp, _ = incident_field(_excitation(), -1, Point3(0.0, 0.0, -50.0), k0)
     assert abs(amp) > 0.0
 
 
@@ -154,7 +153,7 @@ def test_illumination_grid_matches_scalar_model():
     )
     for i, xi in enumerate(x):
         for j, yj in enumerate(y):
-            amp, _ = incident_field(exc, Point3(xi, yj, 171.0), k0)
+            amp, _ = incident_field(exc, +1, Point3(xi, yj, 171.0), k0)
             assert grid[i, j] == pytest.approx(amp, rel=1e-12)
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htasim.unitcell import (
     CURVE_FREQUENCIES_GHZ,
@@ -187,6 +189,32 @@ def test_decreasing_curve_supported():
     for target in (35.0, 300.0):
         param, rotated = c.invert(target)
         assert float(c.phase_at(param, rotated)) == pytest.approx(target, abs=1e-9)
+
+
+@st.composite
+def _monotone_curves(draw):
+    """Curves PhaseCurve accepts: strictly increasing parameters, strictly
+    monotone phases in either direction, a span within 180 +- 10 deg."""
+    n = draw(st.integers(2, 8))
+    param_steps = draw(st.lists(st.floats(0.1, 2.0), min_size=n - 1, max_size=n - 1))
+    weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n - 1, max_size=n - 1)))
+    span = draw(st.floats(170.5, 189.5))
+    direction = draw(st.sampled_from([1.0, -1.0]))
+    start = draw(st.floats(-360.0, 360.0))
+    params = draw(st.floats(0.0, 5.0)) + np.concatenate([[0.0], np.cumsum(param_steps)])
+    phases = start + direction * span * np.concatenate([[0.0], np.cumsum(weights) / weights.sum()])
+    return PhaseCurve("p", params, phases, np.zeros(n))
+
+
+@settings(database=None, max_examples=100, deadline=None)
+@given(_monotone_curves(), st.lists(st.floats(0.0, 360.0, exclude_max=True), min_size=1, max_size=16))
+def test_invert_realizes_any_target(curve, targets):
+    # a span short of the half circle leaves a gap that invert clamps into
+    t = np.array(targets)
+    realized = curve.phase_at(*curve.invert(t))
+    err = np.abs((realized - t + 180.0) % 360.0 - 180.0)
+    span = abs(curve.phases[-1] - curve.phases[0])
+    assert err.max() <= max(0.0, 180.0 - span) + 1e-9
 
 
 # --- CSV loading --------------------------------------------------------------
