@@ -54,9 +54,8 @@ from .synthesis import (
     C_MM_PER_NS,
     CellMap,
     PhaseMap,
+    bifocal_phase,
     quantize,
-    synthesize_fta,
-    synthesize_ta,
     wavenumber,
 )
 from .unitcell import CurveLibrary, PhaseCurve
@@ -97,8 +96,11 @@ class Side(str, Enum):
         return "uc1" if self is Side.TA else "uc2"
 
     def phase_map(self, layout: SystemLayout, k0: float) -> PhaseMap:
-        """The side's bifocal compensation law at wavenumber k0."""
-        return synthesize_ta(layout, k0) if self is Side.TA else synthesize_fta(layout, k0)
+        """The side's bifocal compensation law at wavenumber k0: focused
+        on the side's images of the virtual feeds, which for the folded
+        side lie at the effective focal distance F = 2f + h."""
+        images = (self.feed_image(layout, vf) for vf in layout.virtual_feeds)
+        return bifocal_phase(self.aperture(layout), *images, 0.0, k0)
 
 
 @dataclass(frozen=True)
@@ -547,19 +549,16 @@ def run_scenario(
     state: PolarizationState,
     feed_id: str,
     settings: SimulationSettings,
-    curves: CurveLibrary,
-    cell_maps: dict | None = None,
-    side: Side | str | None = None,
+    cell_maps: dict[Side, tuple[CellMap, PhaseCurve, PhaseMap]],
+    side: Side,
     steering: Steering | None = None,
-) -> dict[Side, tuple[PatternGrid, BeamMetrics]]:
-    """Full illuminate -> radiate -> metrics pipeline for one state/feed.
+) -> tuple[PatternGrid, BeamMetrics]:
+    """Full illuminate -> radiate -> metrics pipeline for one state/feed
+    on one side, which the state must drive.
 
-    Returns (pattern, metrics) by side for the sides that ran, transmit
-    side first.  `cell_maps` may carry the output of synthesize_cell_maps
-    to reuse the quantized compensation maps across runs at the same
-    frequency.  With `side` set, only that side runs (the state must
-    drive it); `steering` is then that side's prebuilt operator at the
-    settings' frequency and grid.
+    `cell_maps` is the output of synthesize_cell_maps at the settings'
+    frequency; `steering`, if given, is the side's prebuilt operator at
+    that frequency and the settings' grid.
     """
     feed = layout.feed(feed_id)
     legal = allowed_feed_ids(layout, state, settings)
@@ -568,38 +567,28 @@ def run_scenario(
             f"feed {feed_id} is not allowed in state {state.value}; "
             f"allowed feeds: {', '.join(legal)}"
         )
-    if cell_maps is None:
-        cell_maps = synthesize_cell_maps(layout, curves, settings.frequency_ghz)
-
     k0 = wavenumber(settings.frequency_ghz)
     excitation = FeedExcitation(
         placement=feed,
         pattern=feed_pattern_for(layout, settings),
         state=state,
     )
-
-    def _run_side(run_side: Side):
-        cm, curve, _ = cell_maps[run_side]
-        field = illuminate(
-            layout,
-            excitation,
-            run_side,
-            cm,
-            curve,
-            k0,
-            crosspol_leakage=settings.crosspol_leakage,
-            blockage=settings.blockage,
-            oblique_phase_deg_per_deg=settings.oblique_phase_deg_per_deg,
-        )
-        pattern = radiate(
-            field, settings.theta_step_deg, settings.phi_step_deg, k0, steering
-        )
-        metrics = extract_metrics(
-            pattern,
-            gain_offset_db=settings.gain_offset_db,
-            reference_aperture_mm2=settings.reference_aperture_mm2,
-        )
-        return pattern, metrics
-
-    sides = (Side(side),) if side is not None else active_sides(state)
-    return {s: _run_side(s) for s in sides}
+    cm, curve, _ = cell_maps[side]
+    field = illuminate(
+        layout,
+        excitation,
+        side,
+        cm,
+        curve,
+        k0,
+        crosspol_leakage=settings.crosspol_leakage,
+        blockage=settings.blockage,
+        oblique_phase_deg_per_deg=settings.oblique_phase_deg_per_deg,
+    )
+    pattern = radiate(field, settings.theta_step_deg, settings.phi_step_deg, k0, steering)
+    metrics = extract_metrics(
+        pattern,
+        gain_offset_db=settings.gain_offset_db,
+        reference_aperture_mm2=settings.reference_aperture_mm2,
+    )
+    return pattern, metrics

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ApertureSpec, Point3, SystemLayout, mirror_point
+from .geometry import ApertureSpec, Point3
 from .unitcell import PhaseCurve
 
 C_MM_PER_NS = 299.792458  # free-space light speed, mm/ns (mm * GHz)
@@ -59,8 +59,9 @@ class PhaseMap:
                 f"phase grid {p.shape} does not match aperture "
                 f"{(self.aperture.nx, self.aperture.ny)}"
             )
-        if np.any(p < 0.0) or np.any(p >= 360.0):
-            raise ValueError("phase map entries must be wrapped to [0, 360)")
+        # NaN fails both comparisons, so test for the range, not against it
+        if not np.all((p >= 0.0) & (p < 360.0)):
+            raise ValueError("phase map entries must be finite and wrapped to [0, 360)")
 
 
 @dataclass(frozen=True)
@@ -156,26 +157,6 @@ def bifocal_phase(
     del theta_deg  # cancels in the symmetric average
     unwrapped = bifocal_phase_unwrapped(aperture, vf1, vf2, k0)
     return PhaseMap(aperture=aperture, phases_deg=wrap_deg(unwrapped))
-
-
-def synthesize_ta(layout: SystemLayout, k0: float) -> PhaseMap:
-    """Bifocal compensation for the transmit aperture (virtual feeds on the
-    feed plane at focal distance f)."""
-    vf1, vf2 = layout.virtual_feeds
-    return bifocal_phase(layout.ta, vf1, vf2, 0.0, k0)
-
-
-def synthesize_fta(layout: SystemLayout, k0: float) -> PhaseMap:
-    """Bifocal compensation for the folded aperture.
-
-    The folded path is unfolded by mirroring the virtual feeds about the TA
-    plane, which puts them at the effective focal distance F = 2f + h from
-    the folded aperture.
-    """
-    vf1, vf2 = layout.virtual_feeds
-    mvf1 = mirror_point(vf1, layout.f)
-    mvf2 = mirror_point(vf2, layout.f)
-    return bifocal_phase(layout.fta, mvf1, mvf2, 0.0, k0)
 
 
 def quantize(phase_map: PhaseMap, curve: PhaseCurve) -> CellMap:

@@ -33,6 +33,7 @@ from htasim.farfield import (
     ApertureField,
     Side,
     SimulationSettings,
+    active_sides,
     directivity,
     extract_metrics,
     illuminate,
@@ -81,8 +82,8 @@ def sweep_975(layout, curves):
             else layout.feed_ids
         )
         for fid in feed_ids:
-            res = run_scenario(layout, state, fid, settings, curves, maps)
-            for pattern, metrics in res.values():
+            for side in active_sides(state):
+                pattern, metrics = run_scenario(layout, state, fid, settings, maps, side)
                 rows.append((state, fid, pattern.aperture.hemisphere, pattern, metrics))
     return rows
 
@@ -349,10 +350,10 @@ def test_c08_hta_linearity_split(layout, curves):
         theta_step_deg=METRICS_STEPS[0],
         phi_step_deg=METRICS_STEPS[1],
     )
-    hta = run_scenario(layout, PolarizationState.SLANT45, "A4", settings, curves, maps)
-    ta = run_scenario(layout, PolarizationState.X, "A4", settings, curves, maps)
+    hta = run_scenario(layout, PolarizationState.SLANT45, "A4", settings, maps, Side.TA)
+    ta = run_scenario(layout, PolarizationState.X, "A4", settings, maps, Side.TA)
     d_dev = abs(
-        hta[Side.TA][1].directivity_dbi - ta[Side.TA][1].directivity_dbi
+        hta[1].directivity_dbi - ta[1].directivity_dbi
     )
     ok = worst <= 1e-12 and d_dev <= 1e-9
     assert _verdict(
@@ -369,8 +370,8 @@ def test_c09_bifocal_benefit(layout, curves):
         frequency_ghz=DESIGN_FREQ, theta_step_deg=0.25, phi_step_deg=1.0
     )
     d_bif = {
-        fid: run_scenario(layout, PolarizationState.X, fid, settings, curves, maps)
-        [Side.TA][1].directivity_dbi
+        fid: run_scenario(layout, PolarizationState.X, fid, settings, maps, Side.TA)
+        [1].directivity_dbi
         for fid in ("A4", "A6")
     }
     curve = curves.curve("uc1", DESIGN_FREQ)
@@ -421,8 +422,8 @@ def test_c11_polarization_purity(layout, curves):
         (PolarizationState.Y, "A1"),
         (PolarizationState.SLANT45, "A7"),
     ):
-        res = run_scenario(layout, state, fid, ideal, curves, maps)
-        for pattern, _ in res.values():
+        for side in active_sides(state):
+            pattern, _ = run_scenario(layout, state, fid, ideal, maps, side)
             purity.append(float(np.max(np.abs(pattern.e_cross))))
     all_dark = all(p == 0.0 for p in purity)
     leaky = SimulationSettings(
@@ -431,8 +432,8 @@ def test_c11_polarization_purity(layout, curves):
         phi_step_deg=METRICS_STEPS[1],
         crosspol_leakage=0.05,
     )
-    res = run_scenario(layout, PolarizationState.X, "A4", leaky, curves, maps)
-    cross = res[Side.TA][1].crosspol_peak_db
+    res = run_scenario(layout, PolarizationState.X, "A4", leaky, maps, Side.TA)
+    cross = res[1].crosspol_peak_db
     leak_ok = -27.0 < cross < -25.0
     ok = all_dark and leak_ok
     assert _verdict(

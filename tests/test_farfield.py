@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from htasim.farfield import (
@@ -12,6 +12,7 @@ from htasim.farfield import (
     PatternGrid,
     Side,
     SimulationSettings,
+    active_sides,
     allowed_feed_ids,
     directivity,
     extract_metrics,
@@ -23,7 +24,15 @@ from htasim.farfield import (
     synthesize_cell_maps,
 )
 from htasim.feed import FeedExcitation, FeedPattern, illumination_grid
-from htasim.geometry import ApertureSpec, Point3, mirror_point, path_length
+from htasim.geometry import (
+    ApertureSpec,
+    FeedConfig,
+    LayoutConfig,
+    Point3,
+    build_layout,
+    mirror_point,
+    path_length,
+)
 from htasim.polarization import PolarizationState
 from htasim.synthesis import wavenumber
 
@@ -501,14 +510,10 @@ def test_illuminate_blockage_shadows_fta(layout, curves):
 # --- scenarios ---------------------------------------------------------------
 
 
-def test_run_scenario_population(layout, curves):
-    s = _settings()
-    res = run_scenario(layout, PolarizationState.X, "A4", s, curves)
-    assert list(res) == [Side.TA]
-    res = run_scenario(layout, PolarizationState.Y, "A1", s, curves)
-    assert list(res) == [Side.FTA]
-    res = run_scenario(layout, PolarizationState.SLANT45, "A7", s, curves)
-    assert list(res) == [Side.TA, Side.FTA]
+def test_run_scenario_population():
+    assert active_sides(PolarizationState.X) == (Side.TA,)
+    assert active_sides(PolarizationState.Y) == (Side.FTA,)
+    assert active_sides(PolarizationState.SLANT45) == (Side.TA, Side.FTA)
 
 
 def test_run_scenario_feed_legality(layout, curves):
@@ -518,48 +523,67 @@ def test_run_scenario_feed_legality(layout, curves):
     )
     for state in (PolarizationState.Y, PolarizationState.SLANT45):
         assert allowed_feed_ids(layout, state, s) == layout.feed_ids
+    maps = synthesize_cell_maps(layout, curves, 9.75)
     with pytest.raises(ValueError, match="allowed feeds"):
-        run_scenario(layout, PolarizationState.X, "A1", s, curves)
+        run_scenario(layout, PolarizationState.X, "A1", s, maps, Side.TA)
     with pytest.raises(KeyError):
-        run_scenario(layout, PolarizationState.X, "Z9", s, curves)
+        run_scenario(layout, PolarizationState.X, "Z9", s, maps, Side.TA)
 
 
 def test_hta_fields_are_exact_half_power_split(layout, curves):
     maps = synthesize_cell_maps(layout, curves, 9.75)
     s = _settings(theta_step_deg=0.5, phi_step_deg=2.0)
-    hta = run_scenario(layout, PolarizationState.SLANT45, "A4", s, curves, maps)
-    ta = run_scenario(layout, PolarizationState.X, "A4", s, curves, maps)
-    fta = run_scenario(layout, PolarizationState.Y, "A4", s, curves, maps)
+    hta = {side: run_scenario(layout, PolarizationState.SLANT45, "A4", s, maps, side) for side in Side}
+    ta = run_scenario(layout, PolarizationState.X, "A4", s, maps, Side.TA)
+    fta = run_scenario(layout, PolarizationState.Y, "A4", s, maps, Side.FTA)
     sq = math.sqrt(0.5)
     # pattern level: identical shapes up to the common scale (the field-level
     # identity is bit-exact, see test_illuminate_slant_is_scaled_unidirectional)
     for got, ref in (
-        (hta[Side.TA][0].e_co, ta[Side.TA][0].e_co),
-        (hta[Side.FTA][0].e_co, fta[Side.FTA][0].e_co),
+        (hta[Side.TA][0].e_co, ta[0].e_co),
+        (hta[Side.FTA][0].e_co, fta[0].e_co),
     ):
         scale = np.max(np.abs(ref))
         np.testing.assert_allclose(got, sq * ref, rtol=1e-12, atol=1e-12 * scale)
     # per-hemisphere directivity is unchanged by the common 1/sqrt(2)
     assert hta[Side.TA][1].directivity_dbi == pytest.approx(
-        ta[Side.TA][1].directivity_dbi, abs=1e-9
+        ta[1].directivity_dbi, abs=1e-9
     )
     assert hta[Side.FTA][1].directivity_dbi == pytest.approx(
-        fta[Side.FTA][1].directivity_dbi, abs=1e-9
+        fta[1].directivity_dbi, abs=1e-9
     )
 
 
-def test_mirrored_feeds_mirror_the_pattern(layout, curves):
-    maps = synthesize_cell_maps(layout, curves, 9.75)
-    s = _settings(theta_step_deg=0.5, phi_step_deg=2.0)
-    plus = run_scenario(layout, PolarizationState.X, "A5", s, curves, maps)[Side.TA][0]
-    minus = run_scenario(layout, PolarizationState.X, "A3", s, curves, maps)[Side.TA][0]
-    idx = (np.round((180.0 - plus.phi_deg) % 360.0 / 2.0)).astype(int)
-    np.testing.assert_allclose(
-        np.abs(plus.e_co),
-        np.abs(minus.e_co[:, idx]),
-        rtol=1e-9,
-        atol=1e-9 * np.max(np.abs(plus.e_co)),
+@settings(database=None, deadline=None, max_examples=40)
+@given(
+    x=st.floats(-150.0, 150.0),
+    y=st.floats(-20.0, 20.0),
+    state=st.sampled_from(PolarizationState),
+    blocked=st.booleans(),
+)
+@example(x=50.0, y=0.0, state=PolarizationState.X, blocked=False)  # A5, mirrored to A3
+def test_mirrored_feeds_mirror_the_pattern(layout, curves, x, y, state, blocked):
+    # the element grid and both compensation maps are symmetric in x, so
+    # the feed mirrored to -x radiates the pattern mirrored to 180 - phi
+    feeds = (FeedConfig("P", x, y), FeedConfig("M", -x, y))
+    lay = build_layout(LayoutConfig(feeds=feeds))
+    maps = synthesize_cell_maps(lay, curves, 9.75)
+    s = _settings(
+        theta_step_deg=3.0,
+        phi_step_deg=10.0,
+        blockage=BlockageMask() if blocked else None,
+        ta_feed_ids=("P", "M"),
     )
+    for side in active_sides(state):
+        plus = run_scenario(lay, state, "P", s, maps, side)[0]
+        minus = run_scenario(lay, state, "M", s, maps, side)[0]
+        idx = (np.round((180.0 - plus.phi_deg) % 360.0 / 10.0)).astype(int)
+        np.testing.assert_allclose(
+            np.abs(plus.e_co),
+            np.abs(minus.e_co[:, idx]),
+            rtol=1e-9,
+            atol=1e-9 * np.max(np.abs(plus.e_co)),
+        )
 
 
 def test_fta_beam_pointing_oracle(layout, curves):
@@ -571,8 +595,7 @@ def test_fta_beam_pointing_oracle(layout, curves):
     s = _settings(theta_step_deg=0.5, phi_step_deg=2.0)
     tol = max(2.0, 0.5)
     for fid in ("A1", "A2", "A3", "A4", "A5", "A6", "A7"):
-        res = run_scenario(layout, PolarizationState.Y, fid, s, curves, maps)
-        m = res[Side.FTA][1]
+        m = run_scenario(layout, PolarizationState.Y, fid, s, maps, Side.FTA)[1]
         geo = math.degrees(math.atan(abs(layout.feed(fid).position.x) / layout.F))
         assert abs(m.peak_theta_deg - geo) <= tol
 
@@ -608,8 +631,8 @@ def test_scan_loss_flattening_benefit(layout, curves):
     maps = synthesize_cell_maps(layout, curves, 9.75)
     s = _settings(theta_step_deg=0.5, phi_step_deg=2.0)
     d_bif = {
-        fid: run_scenario(layout, PolarizationState.X, fid, s, curves, maps)
-        [Side.TA][1].directivity_dbi
+        fid: run_scenario(layout, PolarizationState.X, fid, s, maps, Side.TA)
+        [1].directivity_dbi
         for fid in ("A4", "A6")
     }
     curve = curves.curve("uc1", 9.75)
@@ -635,7 +658,7 @@ def test_scan_loss_flattening_benefit(layout, curves):
 def test_blockage_costs_directivity(layout, curves):
     maps = synthesize_cell_maps(layout, curves, 9.75)
     s = _settings(theta_step_deg=0.5, phi_step_deg=2.0)
-    clear = run_scenario(layout, PolarizationState.Y, "A4", s, curves, maps)
+    clear = run_scenario(layout, PolarizationState.Y, "A4", s, maps, Side.FTA)
     shadowed = run_scenario(
         layout,
         PolarizationState.Y,
@@ -646,10 +669,10 @@ def test_blockage_costs_directivity(layout, curves):
             phi_step_deg=2.0,
             blockage=BlockageMask(),
         ),
-        curves,
         maps,
+        Side.FTA,
     )
-    assert shadowed[Side.FTA][1].directivity_dbi < clear[Side.FTA][1].directivity_dbi
+    assert shadowed[1].directivity_dbi < clear[1].directivity_dbi
 
 
 def test_crosspol_metric_with_leakage(layout, curves):
@@ -657,15 +680,13 @@ def test_crosspol_metric_with_leakage(layout, curves):
     s = SimulationSettings(
         frequency_ghz=9.75, theta_step_deg=0.5, phi_step_deg=2.0, crosspol_leakage=0.05
     )
-    res = run_scenario(layout, PolarizationState.X, "A4", s, curves, maps)
-    m = res[Side.TA][1]
+    m = run_scenario(layout, PolarizationState.X, "A4", s, maps, Side.TA)[1]
     assert m.crosspol_peak_db == pytest.approx(20.0 * math.log10(0.05), abs=1e-6)
 
 
 def test_ideal_model_has_zero_crosspol(layout, curves):
     maps = synthesize_cell_maps(layout, curves, 9.75)
-    res = run_scenario(layout, PolarizationState.X, "A4", _settings(), curves, maps)
-    pat, m = res[Side.TA]
+    pat, m = run_scenario(layout, PolarizationState.X, "A4", _settings(), maps, Side.TA)
     assert np.all(pat.e_cross == 0.0)
     assert m.crosspol_peak_db == -math.inf
 

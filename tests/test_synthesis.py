@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from htasim.farfield import Side
 from htasim.geometry import ApertureConfig, ApertureSpec, LayoutConfig, Point3, build_layout
 from htasim.synthesis import (
     PhaseMap,
@@ -12,8 +13,6 @@ from htasim.synthesis import (
     quantize,
     single_focus_phase,
     single_focus_phase_unwrapped,
-    synthesize_fta,
-    synthesize_ta,
     wavenumber,
     wrap_deg,
     write_cell_map_csv,
@@ -165,13 +164,13 @@ def test_bifocal_degenerates_to_single_focus():
 
 
 def test_wrap_is_idempotent(layout):
-    pm = synthesize_ta(layout, wavenumber(9.75))
+    pm = Side.TA.phase_map(layout, wavenumber(9.75))
     np.testing.assert_array_equal(wrap_deg(pm.phases_deg), pm.phases_deg)
 
 
 def test_synthesize_ta_properties(layout):
     k0 = wavenumber(9.75)
-    pm = synthesize_ta(layout, k0)
+    pm = Side.TA.phase_map(layout, k0)
     assert pm.phases_deg.shape == (40, 40)
     # symmetric in x about the center column and in y
     np.testing.assert_allclose(pm.phases_deg, pm.phases_deg[::-1, :], atol=1e-9)
@@ -195,7 +194,7 @@ def test_synthesize_ta_center_element_value():
     lay = build_layout(cfg)
     assert lay.ta.nx == 41
     k0 = wavenumber(10.0)
-    pm = synthesize_ta(lay, k0)
+    pm = Side.TA.phase_map(lay, k0)
     r = math.sqrt(110.0**2 + 171.0**2)
     assert pm.phases_deg[20, 20] == pytest.approx(
         wrap_deg(math.degrees(k0 * r)), abs=1e-9
@@ -207,7 +206,7 @@ def test_synthesize_fta_center_element_value():
     lay = build_layout(cfg)
     assert lay.fta.nx == 37
     k0 = wavenumber(10.0)
-    pm = synthesize_fta(lay, k0)
+    pm = Side.FTA.phase_map(lay, k0)
     r = math.sqrt(110.0**2 + 384.0**2)
     assert pm.phases_deg[18, 18] == pytest.approx(
         wrap_deg(math.degrees(k0 * r)), abs=1e-9
@@ -218,7 +217,7 @@ def test_fta_with_d_zero_is_on_axis_single_focus():
     cfg = LayoutConfig(d_mm=0.0)
     lay = build_layout(cfg)
     k0 = wavenumber(9.75)
-    pm = synthesize_fta(lay, k0)
+    pm = Side.FTA.phase_map(lay, k0)
     sf = single_focus_phase(
         lay.fta, Point3(0.0, 0.0, 2.0 * lay.f), ScanTarget(0.0), k0
     )
@@ -231,8 +230,8 @@ def test_fta_h0_equals_ta_with_doubled_focal():
     lay_fold = build_layout(LayoutConfig(f_mm=100.0, h_mm=0.0, F_mm=None, fta=shared))
     lay_flat = build_layout(LayoutConfig(f_mm=200.0, h_mm=0.0, F_mm=None, ta=shared))
     k0 = wavenumber(9.75)
-    folded = synthesize_fta(lay_fold, k0)
-    flat = synthesize_ta(lay_flat, k0)
+    folded = Side.FTA.phase_map(lay_fold, k0)
+    flat = Side.TA.phase_map(lay_flat, k0)
     np.testing.assert_allclose(folded.phases_deg, flat.phases_deg, atol=1e-9)
 
 
@@ -258,7 +257,7 @@ def test_elliptical_anisotropy_of_bifocal_map(layout):
 
 def test_quantize_continuous_exact(layout, curves):
     k0 = wavenumber(9.75)
-    pm = synthesize_ta(layout, k0)
+    pm = Side.TA.phase_map(layout, k0)
     cm = quantize(pm, curves.curve("uc1", 9.75))
     assert cm.max_residual_deg <= 1e-6
     assert cm.params_mm.shape == (40, 40)
@@ -269,7 +268,7 @@ def test_quantize_coarse_two_sample_curve(layout):
     # a 2-sample curve interpolates linearly both ways: residual stays far
     # below the half-step bound
     coarse = PhaseCurve("L", [0.5, 4.6], [0.0, 180.0], [0.0, 0.0])
-    pm = synthesize_ta(layout, wavenumber(9.75))
+    pm = Side.TA.phase_map(layout, wavenumber(9.75))
     cm = quantize(pm, coarse)
     assert cm.max_residual_deg <= 90.0  # half the (single) 180-degree step
     assert cm.max_residual_deg <= 1e-9
@@ -287,6 +286,10 @@ def test_phase_map_validation():
     ap = _aperture(n=4)
     with pytest.raises(ValueError, match="wrapped"):
         PhaseMap(aperture=ap, phases_deg=np.full((4, 4), 361.0))
+    one_nan = np.zeros((4, 4))
+    one_nan[1, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        PhaseMap(aperture=ap, phases_deg=one_nan)
     with pytest.raises(ValueError, match="match"):
         PhaseMap(aperture=ap, phases_deg=np.zeros((3, 4)))
 
@@ -296,7 +299,7 @@ def test_phase_map_validation():
 
 def test_csv_exports(tmp_path, layout, curves):
     k0 = wavenumber(9.75)
-    pm = synthesize_ta(layout, k0)
+    pm = Side.TA.phase_map(layout, k0)
     cm = quantize(pm, curves.curve("uc1", 9.75))
     p1 = tmp_path / "ta_phase.csv"
     p2 = tmp_path / "ta_cells.csv"
