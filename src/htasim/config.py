@@ -103,8 +103,14 @@ def _feeds(entries) -> tuple[FeedConfig, ...]:
     return tuple(feeds)
 
 
-def _divides(full: float):
-    return lambda step: step > 0 and abs(full / step - round(full / step)) <= 1e-9
+def _divides(full: float, least: int = 1):
+    """Rule: the step cuts `full` degrees into `least` or more equal steps."""
+
+    def ok(step: float) -> bool:
+        n = full / step if step > 0 else 0.0
+        return math.isfinite(n) and round(n) >= least and abs(n - round(n)) <= 1e-9
+
+    return ok
 
 
 class Key(NamedTuple):
@@ -119,7 +125,7 @@ class Key(NamedTuple):
 
 _POSITIVE = (lambda v: v > 0.0, "must be > 0")
 _THETA_STEP = (_divides(90.0), "must divide 90 evenly")
-_PHI_STEP = (_divides(360.0), "must divide 360 evenly")
+_PHI_STEP = (_divides(360.0, 2), "must divide 360 evenly and be at most 180")
 
 KEYS = {
     "f_mm": Key("layout.f_mm", _real),
@@ -236,8 +242,21 @@ def with_overrides(cfg: RunConfig, values: dict) -> RunConfig:
     return cfg
 
 
+#: most directions a sampling grid may hold; the default cut grid has 129,960
+MAX_DIRECTIONS = 10**6
+
+
 def _validate(cfg: RunConfig):
     """Rules that tie several keys together."""
+    for prefix, theta, phi in (
+        ("sampling.", cfg.sim.theta_step_deg, cfg.sim.phi_step_deg),
+        ("sampling.cut_", cfg.cut_theta_step_deg, cfg.cut_phi_step_deg),
+    ):
+        if (round(90.0 / theta) + 1) * round(360.0 / phi) > MAX_DIRECTIONS:
+            raise ConfigError(
+                f"{prefix}theta_step_deg = {theta:g} and {prefix}phi_step_deg = {phi:g} "
+                f"make more than {MAX_DIRECTIONS:,} directions"
+            )
     configured = {fc.id for fc in cfg.layout.feeds}
     for key, ids in (
         ("feed.active_ids", cfg.feed_active_ids or ()),

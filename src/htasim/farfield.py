@@ -17,17 +17,20 @@ exp(+j k0 x_i u) and exp(+j k0 y_j v), one row per direction.  They
 depend only on the key (aperture, k0, theta step, phi step), so a
 `Steering` value built once per key serves every beam that radiates from
 that aperture at that frequency on that grid.  The factors are held and
-contracted in blocks of `THETA_BLOCK` theta rows; without a prebuilt
+contracted in blocks of `THETA_BLOCK` (8) theta rows; without a prebuilt
 value, `radiate` builds each block when it needs it and drops it after,
-so the live steering memory is one key, or one block.  Each factor
-evaluates exp on the first half of the element columns and fills the
-other half with the mirrored conjugates: the element grid is
-antisymmetric bit for bit (x_{n-1-i} == -x_i), so this is exact, not an
-approximation.  Each direction's
-element reduction has a fixed shape whatever its block, so results are
-bit-identical run to run and with or without a prebuilt value.  A
-component that is zero over the whole aperture is not contracted; its
-pattern is exactly zero.
+so the live steering memory is one key, or one block.  Each block
+evaluates one exp table, a row per (theta, distinct |cos(phi)| or
+|sin(phi)|), shared by both factors when the x and y element
+coordinates are equal, and gathers each direction's row from it,
+conjugated where the cosine is negative; within a row exp runs on the
+first half of the element columns and the other half holds the mirrored
+conjugates.  sin(theta) >= 0 and the element grid is antisymmetric bit
+for bit (x_{n-1-i} == -x_i), so this is exact, not an approximation.
+Each direction's element reduction has a fixed shape whatever its block,
+so results are bit-identical run to run and with or without a prebuilt
+value.  A component that is zero over the whole aperture is not
+contracted; its pattern is exactly zero.
 
 A field and its pattern carry their aperture; the hemisphere a pattern
 covers is its aperture's (`ApertureSpec.hemisphere`, read off the
@@ -61,7 +64,7 @@ from .synthesis import (
 from .unitcell import CurveLibrary, PhaseCurve
 
 #: theta rows per steering block
-THETA_BLOCK = 16
+THETA_BLOCK = 8
 
 
 class Side(str, Enum):
@@ -221,47 +224,74 @@ def illuminate(
     return ApertureField(aperture=aperture, ex=ex, ey=ey)
 
 
-def _direction_cosines(theta_deg: np.ndarray, phi_deg: np.ndarray):
-    st = np.sin(np.radians(theta_deg))[:, None]
-    u = st * np.cos(np.radians(phi_deg))[None, :]
-    v = st * np.sin(np.radians(phi_deg))[None, :]
-    return u, v
-
-
 def _grid(theta_step_deg: float, phi_step_deg: float):
     """Hemisphere sample angles: theta includes both endpoints of [0, 90],
     phi omits the periodic duplicate at 360."""
-    n_theta = _check_step(90.0, theta_step_deg, "theta")
-    n_phi = _check_step(360.0, phi_step_deg, "phi")
+    n_theta = _check_step(90.0, theta_step_deg, "theta", 1)
+    n_phi = _check_step(360.0, phi_step_deg, "phi", 2)
     return np.arange(n_theta + 1) * theta_step_deg, np.arange(n_phi) * phi_step_deg
 
 
-def _mirrored_factor(k0: float, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """exp(j k0 w_d x_i) as a (directions, elements) array, with exp
-    evaluated on the first ceil(n/2) element columns only.  The element
-    grid is antisymmetric bit for bit (x[n-1-i] == -x[i]) and
-    exp(-jt) == conj(exp(jt)) bit for bit, so the other n//2 columns are
-    the mirrored conjugates; an odd grid's middle column is evaluated."""
+def _signed_table(k0: float, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """exp(j k0 w x_i) for every w >= +0 of the (rows, m) array `w`,
+    followed by exp(-j k0 w x_i), as a (rows, 2m, elements) array.
+
+    exp is evaluated on the first ceil(n/2) element columns of the first
+    m entries only.  The element grid is antisymmetric bit for bit
+    (x[n-1-i] == -x[i]) and exp(-jt) == conj(exp(jt)) bit for bit, so
+    the other n//2 columns are the mirrored conjugates and the last m
+    entries the conjugates of the first; an odd grid's middle column is
+    evaluated."""
     n = x.size
     h = n - n // 2
-    # exp runs in place over a contiguous half: into the block's strided
+    rows, m = w.shape
+    # exp runs in place over a contiguous half: into the table's strided
     # left half it would loop h elements at a time
-    half = 1j * k0 * w[:, None] * x[None, :h]
+    half = 1j * k0 * w[:, :, None] * x[:h]
     np.exp(half, out=half)
-    out = np.empty((w.size, n), complex)
-    out[:, :h] = half
-    np.conjugate(half[:, : n // 2][:, ::-1], out=out[:, h:])
+    out = np.empty((rows, 2 * m, n), complex)
+    out[:, :m, :h] = half
+    np.conjugate(half[:, :, : n // 2][:, :, ::-1], out=out[:, :m, h:])
+    np.conjugate(out[:, :m], out=out[:, m:])
     return out
 
 
 def _steering_blocks(aperture: ApertureSpec, k0: float, theta: np.ndarray, phi: np.ndarray):
     """Yield the (pu, pv) steering factors of each THETA_BLOCK rows of
-    theta: pu is (directions, nx), pv is (directions, ny)."""
+    theta: pu is (directions, nx), pv is (directions, ny).
+
+    Entry (d, i) is exp(j k0 w_d x_i) with w = sin(theta) cos(phi) for
+    pu and sin(theta) sin(phi) for pv.  sin(theta) >= +0, so
+    |w| == sin(theta) |cos(phi)|, and the magnitudes |cos(phi)| and
+    |sin(phi)| repeat across the grid: each block evaluates one table
+    row per (theta, distinct magnitude), shared by pu and pv when the
+    element coordinates are equal, and gathers a direction's row from
+    it, conjugated where the cosine is negative.  A direction whose w
+    is zero is evaluated from w itself, which keeps its signed zeros.
+    """
     x = aperture.x_centers()
     y = aperture.y_centers()
+    cos_phi, sin_phi = np.cos(np.radians(phi)), np.sin(np.radians(phi))
+    cosines = np.concatenate([cos_phi, sin_phi])
+    mags, entry = np.unique(np.abs(cosines), return_inverse=True)
+    # a negative cosine reads the conjugate half of the table
+    entry += mags.size * np.signbit(cosines)
+    shared = np.array_equal(x, y)
     for start in range(0, theta.size, THETA_BLOCK):
-        u, v = _direction_cosines(theta[start : start + THETA_BLOCK], phi)
-        yield _mirrored_factor(k0, u.reshape(-1), x), _mirrored_factor(k0, v.reshape(-1), y)
+        st = np.sin(np.radians(theta[start : start + THETA_BLOCK]))[:, None]
+        table_x = _signed_table(k0, st * mags, x)
+        table_y = table_x if shared else _signed_table(k0, st * mags, y)
+        factors = []
+        for table, entries, cosine, coord in (
+            (table_x, entry[: phi.size], cos_phi, x),
+            (table_y, entry[phi.size :], sin_phi, y),
+        ):
+            factor = np.take(table, entries, axis=1).reshape(-1, coord.size)
+            w = (st * cosine).reshape(-1)
+            zero = w == 0.0
+            factor[zero] = np.exp(1j * k0 * w[zero][:, None] * coord)
+            factors.append(factor)
+        yield tuple(factors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,12 +364,16 @@ def radiate(
     )
 
 
-def _check_step(full_range: float, step: float, name: str) -> int:
+def _check_step(full_range: float, step: float, name: str, least: int) -> int:
+    """The number of steps in `full_range`, which must be whole and at
+    least `least` (the power integral needs two phi columns)."""
     if step <= 0:
         raise ValueError(f"{name} step must be positive")
     n = full_range / step
-    if abs(n - round(n)) > 1e-9:
-        raise ValueError(f"{name} step {step} does not divide {full_range} evenly")
+    if not (math.isfinite(n) and round(n) >= least and abs(n - round(n)) <= 1e-9):
+        raise ValueError(
+            f"{name} step {step} does not divide {full_range} evenly into {least} or more steps"
+        )
     return int(round(n))
 
 

@@ -155,8 +155,10 @@ def bifocal_phase(
     bit-exactly).
     """
     del theta_deg  # cancels in the symmetric average
-    unwrapped = bifocal_phase_unwrapped(aperture, vf1, vf2, k0)
-    return PhaseMap(aperture=aperture, phases_deg=wrap_deg(unwrapped))
+    # an overflowing phase wraps to NaN, which PhaseMap rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = wrap_deg(bifocal_phase_unwrapped(aperture, vf1, vf2, k0))
+    return PhaseMap(aperture=aperture, phases_deg=phases)
 
 
 def quantize(phase_map: PhaseMap, curve: PhaseCurve) -> CellMap:

@@ -112,6 +112,15 @@ def test_removed_keys_rejected(tmp_path, capsys, line):
 def test_validation_rules():
     with pytest.raises(ConfigError, match="divide"):
         with_overrides(RunConfig(), {"sampling.theta_step_deg": 0.7})
+    # no whole step, an infinite count, or a single phi column
+    for values in (
+        {"sampling.theta_step_deg": 1e300},
+        {"sampling.cut_theta_step_deg": 5e-324},
+        {"sampling.phi_step_deg": 360.0},
+        {"sampling.cut_phi_step_deg": 1e300},
+    ):
+        with pytest.raises(ConfigError, match="divide"):
+            with_overrides(RunConfig(), values)
     with pytest.raises(ConfigError, match="loss budget"):
         with_overrides(RunConfig(), {"gain_offset_db": 1.0})
     with pytest.raises(ConfigError, match="frequencies"):
@@ -275,6 +284,45 @@ def test_validate_survives_malformed_config(lines, bad_lines):
     assert code in (0, 1, 2)
 
 
+# every example changes at least one key of a configuration that runs
+@settings(database=None, max_examples=40, deadline=None)
+@given(st.lists(_FUZZ_KEY_LINES, min_size=1, max_size=3), st.lists(_FUZZ_BAD_LINES, max_size=1))
+@pytest.mark.parametrize("command", ["synthesize", "simulate", "sweep"])
+def test_every_command_survives_malformed_config(command, lines, bad_lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "fuzz.cfg"
+        cfg.write_text(FAST_SAMPLING + "\n".join(lines + bad_lines) + "\n", encoding="utf-8")
+        argv = [command, "--config", str(cfg), "--out", str(Path(tmp) / "o")]
+        if command == "simulate":
+            argv += ["--state", "slant45", "--feed", "A4", "--freq", "9.75"]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "command, line, flags",
+    [
+        ("sweep", "sampling.theta_step_deg = 1e-300", []),
+        ("simulate", "", ["--theta-step", "0.001", "--state", "y", "--feed", "A4", "--freq", "9.75"]),
+    ],
+)
+def test_oversized_sampling_grid_is_a_config_error(tmp_path, command, line, flags):
+    # 1.6e304 and 32,400,360 directions: rejected with the config, before
+    # any grid exists
+    cfg = tmp_path / "fine.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "o"
+    proc = _cli_child([command, "--config", str(cfg), *flags, "--out", str(out)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error: sampling.")
+    assert proc.stderr.endswith("make more than 1,000,000 directions\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "text, code",
     [
@@ -342,8 +390,8 @@ def test_non_finite_phase_map_is_an_error(tmp_path, command, route):
     proc = _cli_child(argv)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
-    # numpy's overflow warnings come first
-    message = proc.stderr.splitlines()[-1]
+    # the error is the only line: numpy's overflow warnings are silenced
+    [message] = proc.stderr.splitlines()
     assert message.startswith(_NON_FINITE_PREFIX[command]) and "must be finite" in message
     for path in out.rglob("*"):
         assert path.is_dir() or "nan" not in path.read_text()

@@ -143,6 +143,10 @@ def test_radiate_validates_steps():
         radiate(fld, 0.5, 7.0, K0)
     with pytest.raises(ValueError, match="positive"):
         radiate(fld, -1.0, 2.0, K0)
+    # no whole theta step, an infinite count, a single phi column
+    for steps in ((1e300, 2.0), (5e-324, 2.0), (0.5, 360.0)):
+        with pytest.raises(ValueError, match="divide"):
+            radiate(fld, *steps, K0)
 
 
 def test_radiate_rejects_dark_aperture():
@@ -265,6 +269,40 @@ def test_odd_grid_radiate_equals_one_shot_formula(theta_step, phi_step):
     for pat in (radiate(fld, theta_step, phi_step, K0, op), radiate(fld, theta_step, phi_step, K0)):
         assert np.array_equal(pat.e_co, e_co)
         assert np.array_equal(pat.e_cross, e_cross)
+
+
+@settings(database=None, max_examples=40, deadline=None)
+@given(
+    st.integers(1, 41),
+    st.integers(1, 41),
+    st.sampled_from([0.5, 6.0, 7.3, 10.0]),
+    st.sampled_from([9.0, 9.75, 10.5, 30.0]),
+    # 31, 19, 10, 7 and 4 theta rows end in a partial block of 8
+    st.sampled_from([3.0, 5.0, 10.0, 15.0, 30.0]),
+    st.sampled_from([10.0, 20.0, 45.0, 120.0, 180.0]),
+)
+def test_steering_factors_equal_the_whole_grid_exponential(nx, ny, period, freq, theta_step, phi_step):
+    ap = ApertureSpec(
+        plane_z=0.0, size_x=nx * period, size_y=ny * period, period=period, nx=nx, ny=ny
+    )
+    k0 = wavenumber(freq)
+    op = steering(ap, k0, theta_step, phi_step)
+    theta = np.arange(round(90.0 / theta_step) + 1) * theta_step
+    phi = np.arange(round(360.0 / phi_step)) * phi_step
+    s = np.sin(np.radians(theta))[:, None]
+    for k, cosine, coord in (
+        (0, np.cos(np.radians(phi)), ap.x_centers()),
+        (1, np.sin(np.radians(phi)), ap.y_centers()),
+    ):
+        w = (s * cosine[None, :]).reshape(-1)
+        whole = np.exp(1j * k0 * w[:, None] * coord[None, :])
+        got = np.concatenate([block[k] for block in op.blocks])
+        assert np.array_equal(got, whole)
+        # signed zeros too: theta = 0 and phi = 0 give w = -0.0 and +0.0
+        for part in ("real", "imag"):
+            assert np.array_equal(
+                np.signbit(getattr(got, part)), np.signbit(getattr(whole, part))
+            )
 
 
 # --- directivity and metrics ----------------------------------------------

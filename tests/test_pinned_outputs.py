@@ -94,4 +94,4 @@ def test_simulate_on_the_cut_grid_is_pinned_and_small(tmp_path):
     assert len(files) == 4
     for path in files:
         assert _sha256(path) == pinned[path.name], path.name
-    assert maxrss_kib < 200 * 1024
+    assert maxrss_kib < 100 * 1024
