@@ -244,6 +244,9 @@ def with_overrides(cfg: RunConfig, values: dict) -> RunConfig:
 
 #: most directions a sampling grid may hold; the default cut grid has 129,960
 MAX_DIRECTIONS = 10**6
+#: most cells an aperture may hold a side: 720 (fta.period_mm = 0.5) fits,
+#: while the 24,000 of ta.period_mm = 0.01 would allocate gigabytes
+MAX_CELLS_PER_SIDE = 1000
 
 
 def _validate(cfg: RunConfig):
@@ -256,6 +259,13 @@ def _validate(cfg: RunConfig):
             raise ConfigError(
                 f"{prefix}theta_step_deg = {theta:g} and {prefix}phi_step_deg = {phi:g} "
                 f"make more than {MAX_DIRECTIONS:,} directions"
+            )
+    for name, aperture in (("ta", cfg.layout.ta), ("fta", cfg.layout.fta)):
+        # the layout rounds size / period to the cells a side
+        if aperture.size_mm / aperture.period_mm + 0.5 >= MAX_CELLS_PER_SIDE + 1:
+            raise ConfigError(
+                f"{name}.size_mm = {aperture.size_mm:g} and {name}.period_mm = "
+                f"{aperture.period_mm:g} make more than {MAX_CELLS_PER_SIDE} cells a side"
             )
     configured = {fc.id for fc in cfg.layout.feeds}
     for key, ids in (

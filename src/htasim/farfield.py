@@ -17,20 +17,29 @@ exp(+j k0 x_i u) and exp(+j k0 y_j v), one row per direction.  They
 depend only on the key (aperture, k0, theta step, phi step), so a
 `Steering` value built once per key serves every beam that radiates from
 that aperture at that frequency on that grid.  The factors are held and
-contracted in blocks of `THETA_BLOCK` (8) theta rows; without a prebuilt
-value, `radiate` builds each block when it needs it and drops it after,
-so the live steering memory is one key, or one block.  Each block
-evaluates one exp table, a row per (theta, distinct |cos(phi)| or
-|sin(phi)|), shared by both factors when the x and y element
-coordinates are equal, and gathers each direction's row from it,
-conjugated where the cosine is negative; within a row exp runs on the
-first half of the element columns and the other half holds the mirrored
-conjugates.  sin(theta) >= 0 and the element grid is antisymmetric bit
-for bit (x_{n-1-i} == -x_i), so this is exact, not an approximation.
-Each direction's element reduction has a fixed shape whatever its block,
-so results are bit-identical run to run and with or without a prebuilt
-value.  A component that is zero over the whole aperture is not
-contracted; its pattern is exactly zero.
+contracted in blocks of theta rows.  `steering` and `radiate` split the
+blocks into one contiguous theta range per worker; each range runs in a
+thread of its own (the calling thread takes the first), runs numpy work
+only and writes only its own rows, so the ranges come back together in
+theta order.  There is one worker per CPU the process may use, at most
+`MAX_WORKERS`, and one only unless the BLAS pool is one thread
+(`htasim.SERIAL_BLAS`); n workers hold blocks of `BLOCK_ROWS` // n
+rows.  Without a prebuilt value, each range of `radiate` builds its
+blocks when it needs them and drops them after, so the live steering
+memory is one key, or `BLOCK_ROWS` theta rows over all ranges.  Each
+block evaluates one exp table, a row per
+(theta, distinct |cos(phi)| or |sin(phi)|), shared by both factors when
+the x and y element coordinates are equal, and gathers each direction's
+row from it, conjugated where the cosine is negative; within a row exp
+runs on the first half of the element columns and the other half holds
+the mirrored conjugates.  sin(theta) >= 0 and the element grid is
+antisymmetric bit for bit (x_{n-1-i} == -x_i), so this is exact, not an
+approximation.
+Each direction's element reduction has a fixed shape whatever its block
+or thread, so results are bit-identical run to run, whatever the split
+or the BLAS thread count, and with or without a prebuilt value.  A
+component that is zero over the whole aperture is not contracted; its
+pattern is exactly zero.
 
 A field and its pattern carry their aperture; the hemisphere a pattern
 covers is its aperture's (`ApertureSpec.hemisphere`, read off the
@@ -40,11 +49,13 @@ normal).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from . import SERIAL_BLAS
 from .feed import (
     FeedExcitation,
     FeedPattern,
@@ -63,8 +74,11 @@ from .synthesis import (
 )
 from .unitcell import CurveLibrary, PhaseCurve
 
-#: theta rows per steering block
-THETA_BLOCK = 8
+#: theta rows of steering factors live at once over all workers: n
+#: workers each hold blocks of BLOCK_ROWS // n rows
+BLOCK_ROWS = 8
+#: the most far-field workers: the count the split was measured at
+MAX_WORKERS = 2
 
 
 class Side(str, Enum):
@@ -256,9 +270,11 @@ def _signed_table(k0: float, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _steering_blocks(aperture: ApertureSpec, k0: float, theta: np.ndarray, phi: np.ndarray):
-    """Yield the (pu, pv) steering factors of each THETA_BLOCK rows of
-    theta: pu is (directions, nx), pv is (directions, ny).
+def _steering_blocks(
+    aperture: ApertureSpec, k0: float, theta: np.ndarray, phi: np.ndarray, blocks: list[slice]
+):
+    """Yield the (pu, pv) steering factors of each slice of theta rows in
+    `blocks`: pu is (directions, nx), pv is (directions, ny).
 
     Entry (d, i) is exp(j k0 w_d x_i) with w = sin(theta) cos(phi) for
     pu and sin(theta) sin(phi) for pv.  sin(theta) >= +0, so
@@ -277,8 +293,8 @@ def _steering_blocks(aperture: ApertureSpec, k0: float, theta: np.ndarray, phi: 
     # a negative cosine reads the conjugate half of the table
     entry += mags.size * np.signbit(cosines)
     shared = np.array_equal(x, y)
-    for start in range(0, theta.size, THETA_BLOCK):
-        st = np.sin(np.radians(theta[start : start + THETA_BLOCK]))[:, None]
+    for rows in blocks:
+        st = np.sin(np.radians(theta[rows]))[:, None]
         table_x = _signed_table(k0, st * mags, x)
         table_y = table_x if shared else _signed_table(k0, st * mags, y)
         factors = []
@@ -294,11 +310,56 @@ def _steering_blocks(aperture: ApertureSpec, k0: float, theta: np.ndarray, phi: 
         yield tuple(factors)
 
 
+def _workers() -> int:
+    """The far-field workers: one per CPU this process may run on (its
+    affinity), at most MAX_WORKERS, and one unless the BLAS pool is one
+    thread."""
+    if not SERIAL_BLAS:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX_WORKERS)
+
+
+def _theta_blocks(n_theta: int, rows: int | None = None) -> tuple[list[slice], int]:
+    """The `n_theta` theta rows in blocks, the last possibly shorter, and
+    the workers to share them, so that the workers' blocks hold at most
+    BLOCK_ROWS rows at once: blocks of `rows` rows if given (a prebuilt
+    value's), else of BLOCK_ROWS // workers."""
+    if rows is None:
+        workers = min(_workers(), BLOCK_ROWS)
+        rows = BLOCK_ROWS // workers
+    else:
+        workers = max(1, min(_workers(), BLOCK_ROWS // rows))
+    return [slice(s, min(s + rows, n_theta)) for s in range(0, n_theta, rows)], workers
+
+
+def _over_blocks(task, n_blocks: int, workers: int) -> list:
+    """[task(r) for r in ranges], where `ranges` split range(n_blocks)
+    into at most `workers` contiguous, nonempty ranges, in order.  The
+    first range runs on this thread, each other in a thread of its own;
+    a task's exception is raised here."""
+    n = min(workers, n_blocks)
+    ranges = [range(n_blocks * k // n, n_blocks * (k + 1) // n) for k in range(n)]
+    if n == 1:
+        return [task(ranges[0])]
+    # imported on first use: it loads `logging`, which start-up need not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(n - 1) as pool:
+        rest = [pool.submit(task, r) for r in ranges[1:]]
+        first = task(ranges[0])
+        return [first] + [f.result() for f in rest]
+
+
 @dataclass(frozen=True, eq=False)
 class Steering:
     """The far-field steering factors of one key: `key` is (aperture, k0,
-    theta_step_deg, phi_step_deg), `blocks` the (pu, pv) pair of every
-    THETA_BLOCK theta rows in order."""
+    theta_step_deg, phi_step_deg), `blocks` the (pu, pv) pair of each
+    block of theta rows in order; every block but the last has the same
+    rows."""
 
     key: tuple[ApertureSpec, float, float, float]
     blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -310,9 +371,15 @@ def steering(
     """Build the steering operator that `radiate` reuses for every field
     over `aperture` at wavenumber `k0` on the given hemisphere grid."""
     theta, phi = _grid(theta_step_deg, phi_step_deg)
+    blocks, workers = _theta_blocks(theta.size)
+
+    def build(part: range):
+        return list(_steering_blocks(aperture, k0, theta, phi, blocks[part.start : part.stop]))
+
+    parts = _over_blocks(build, len(blocks), workers)
     return Steering(
         key=(aperture, k0, theta_step_deg, phi_step_deg),
-        blocks=tuple(_steering_blocks(aperture, k0, theta, phi)),
+        blocks=tuple(block for part in parts for block in part),
     )
 
 
@@ -334,26 +401,38 @@ def radiate(
     theta, phi = _grid(theta_step_deg, phi_step_deg)
     if not (np.any(field.ex) or np.any(field.ey)):
         raise ValueError("aperture field is identically zero")
-    if steering is None:
-        blocks = _steering_blocks(field.aperture, k0, theta, phi)
-    elif steering.key != (field.aperture, k0, theta_step_deg, phi_step_deg):
+    if steering is not None and steering.key != (field.aperture, k0, theta_step_deg, phi_step_deg):
         raise ValueError("steering operator was built for another aperture, k0 or grid")
-    else:
-        blocks = steering.blocks
 
     e_co = np.zeros((theta.size, phi.size), complex)
     e_cross = np.zeros((theta.size, phi.size), complex)
     # a component that is zero everywhere radiates exact zeros
     lit = [(a, out) for a, out in ((field.ey, e_co), (field.ex, e_cross)) if np.any(a)]
     element_factor = np.cos(np.radians(theta))[:, None]
-    for start, (pu, pv) in zip(range(0, theta.size, THETA_BLOCK), blocks):
-        rows = slice(start, start + THETA_BLOCK)
-        for a, out in lit:
-            # Separable contraction: sum_i sum_j A_ij e^{jk0 x_i u} e^{jk0 y_j v}.
-            partial = pu @ a  # (directions, ny)
-            partial *= pv
-            out[rows] = partial.sum(axis=1).reshape(-1, phi.size) * element_factor[rows]
+    if steering is None:
+        blocks, workers = _theta_blocks(theta.size)
+    else:
+        blocks, workers = _theta_blocks(theta.size, len(steering.blocks[0][0]) // phi.size)
 
+    def contract(part: range):
+        """Fill the rows of the blocks in `part` in every lit component's
+        pattern."""
+        mine = blocks[part.start : part.stop]
+        if steering is None:
+            factors = _steering_blocks(field.aperture, k0, theta, phi, mine)
+        else:
+            factors = steering.blocks[part.start : part.stop]
+        # a range's first block is its largest
+        buffer = np.empty((len(theta[mine[0]]) * phi.size, field.aperture.ny), complex)
+        for block, (pu, pv) in zip(mine, factors):
+            partial = buffer[: pu.shape[0]]  # (directions, ny)
+            for a, out in lit:
+                # Separable contraction: sum_i sum_j A_ij e^{jk0 x_i u} e^{jk0 y_j v}.
+                np.matmul(pu, a, out=partial)
+                np.multiply(partial, pv, out=partial)
+                out[block] = partial.sum(axis=1).reshape(-1, phi.size) * element_factor[block]
+
+    _over_blocks(contract, len(blocks), workers)
     return PatternGrid(
         theta_deg=theta,
         phi_deg=phi,

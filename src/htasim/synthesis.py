@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -182,31 +183,39 @@ def quantize(phase_map: PhaseMap, curve: PhaseCurve) -> CellMap:
 # --- exports ------------------------------------------------------------
 
 
-def phase_map_rows(phase_map: PhaseMap):
-    """Rows for the `i,j,x_mm,y_mm,phase_deg` export, row-major in (i, j)."""
-    ap = phase_map.aperture
-    x = ap.x_centers()
-    y = ap.y_centers()
-    for i in range(ap.nx):
-        for j in range(ap.ny):
-            yield i, j, x[i], y[j], phase_map.phases_deg[i, j]
+def _write_cells(path, header: str, row: str, aperture: ApertureSpec, *columns: np.ndarray):
+    """Write `header`, then one `row`-formatted line per cell, row-major in
+    (i, j): the cell's i, j, x_mm and y_mm, then its entry of each (nx, ny)
+    array in `columns`.  Lines are formatted and written one aperture row
+    at a time."""
+    ny = aperture.ny
+    y = aperture.y_centers().tolist()
+    with open(path, "w", newline="") as fh:
+        fh.write(header)
+        for i, xi in enumerate(aperture.x_centers().tolist()):
+            cells = (repeat(i, ny), range(ny), repeat(xi, ny), y, *(c[i].tolist() for c in columns))
+            fh.writelines(list(map(row.format, *cells)))
 
 
 def write_phase_map_csv(phase_map: PhaseMap, path):
-    with open(path, "w", newline="") as fh:
-        fh.write("i,j,x_mm,y_mm,phase_deg\n")
-        for i, j, x, y, p in phase_map_rows(phase_map):
-            fh.write(f"{i},{j},{x:.6f},{y:.6f},{p:.6f}\n")
+    _write_cells(
+        path,
+        "i,j,x_mm,y_mm,phase_deg\n",
+        "{},{},{:.6f},{:.6f},{:.6f}\n",
+        phase_map.aperture,
+        phase_map.phases_deg,
+    )
 
 
 def write_cell_map_csv(phase_map: PhaseMap, cell_map: CellMap, path):
     if cell_map.aperture != phase_map.aperture:
         raise ValueError("cell map and phase map describe different apertures")
-    with open(path, "w", newline="") as fh:
-        fh.write("i,j,x_mm,y_mm,phase_deg,param_mm,rotated\n")
-        for i, j, x, y, p in phase_map_rows(phase_map):
-            fh.write(
-                f"{i},{j},{x:.6f},{y:.6f},{p:.6f},"
-                f"{cell_map.params_mm[i, j]:.6f},"
-                f"{int(cell_map.rotated[i, j])}\n"
-            )
+    _write_cells(
+        path,
+        "i,j,x_mm,y_mm,phase_deg,param_mm,rotated\n",
+        "{},{},{:.6f},{:.6f},{:.6f},{:.6f},{}\n",
+        phase_map.aperture,
+        phase_map.phases_deg,
+        cell_map.params_mm,
+        cell_map.rotated.astype(int),
+    )

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -237,21 +238,42 @@ def test_missing_curve_file_exits_usage(tmp_path, capsys):
     assert "/nonexistent/curve.csv" in err
 
 
-def _cli_child(argv):
+def _cli_child(argv, **env_vars):
     """Run the CLI as a child process, so that a traceback shows on its
-    stderr."""
+    stderr; `env_vars` are added to its environment."""
     src = str(Path(htasim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
-        [sys.executable, "-m", "htasim.cli", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "htasim.cli", *argv], capture_output=True, text=True,
+        env=dict(env, **env_vars),
     )
 
 
-# Values stay small or absurd: a cell count between about 10^3 and 10^9
-# per axis would allocate gigabytes rather than fail.
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_sweep_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, blas_threads):
+    # a child process, so that the BLAS pool size is read when numpy loads;
+    # the far-field engine splits its work beside the one-thread pool only
+    cfg = tmp_path / "two_feeds.cfg"
+    cfg.write_text("feed.active_ids = A1, A4\n")
+    out = tmp_path / "sweep"
+    proc = _cli_child(
+        ["sweep", "--config", str(cfg), "--out", str(out)], OPENBLAS_NUM_THREADS=blas_threads
+    )
+    assert proc.returncode == 0
+    golden = Path(__file__).resolve().parents[1] / "bench" / "golden" / "sha256.json"
+    pinned = json.loads(golden.read_text())["sweep_default"]
+    beams = sorted((out / "beams").iterdir())
+    assert len(beams) == 42
+    for path in beams:
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == pinned[f"beams/{path.name}"], path.name
+
+
+# Periods such as 0.05 and 0.01 reach the cell cap (config.MAX_CELLS_PER_SIDE)
+# as well as the absurd values; steps that small reach the direction cap.
 _FUZZ_VALUES = st.sampled_from(
-    ["", "0", "-0", "-1", "0.5", "1", "6", "9.75", "240", "1e300", "-1e300", "1e-300",
-     "nan", "inf", "-inf", "true", "false", "A1", "A4, A1", "9.0, 10.5", ",", "1,,2"]
+    ["", "0", "-0", "-1", "0.01", "0.05", "0.5", "1", "6", "9.75", "240", "1e300", "-1e300",
+     "1e-300", "nan", "inf", "-inf", "true", "false", "A1", "A4, A1", "9.0, 10.5", ",", "1,,2"]
 )
 _FUZZ_JUNK = st.text(alphabet="abxyz_.,-=[]#\t \x00\u00e9", max_size=8)
 _FUZZ_KEY_LINES = st.builds("{} = {}".format, st.sampled_from(sorted(KEYS)), _FUZZ_VALUES)
@@ -320,6 +342,21 @@ def test_oversized_sampling_grid_is_a_config_error(tmp_path, command, line, flag
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error: sampling.")
     assert proc.stderr.endswith("make more than 1,000,000 directions\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "synthesize"])
+def test_oversized_aperture_is_a_config_error(tmp_path, command):
+    # 24,000 x 24,000 cells: rejected with the config, before any grid exists
+    cfg = tmp_path / "fine.cfg"
+    out = tmp_path / "o"
+    cfg.write_text(f"ta.period_mm = 0.01\noutput_dir = {out}\n")
+    proc = _cli_child([command, "--config", str(cfg)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (
+        "config error: ta.size_mm = 240 and ta.period_mm = 0.01 make more than 1000 cells a side\n"
+    )
     assert not out.exists()
 
 

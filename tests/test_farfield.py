@@ -1,11 +1,20 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+import threading
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import htasim
+from htasim import farfield
 from htasim.farfield import (
     ApertureField,
     BlockageMask,
@@ -197,17 +206,118 @@ def _hybrid_fields(layout, curves, leakage=0.05):
     ]
 
 
-@pytest.mark.parametrize("theta_step, phi_step", [(0.5, 2.0), (3.0, 10.0)])
+#: (theta step, phi step): 181 and 31 theta rows are no multiple of any
+#: block; 4 rows are one block of two workers' 4 rows, fewer blocks than
+#: workers; 10 rows are three such blocks, which two workers split
+#: unevenly, and five blocks of three workers' 2 rows
+_SPLIT_GRIDS = [(0.5, 2.0), (3.0, 10.0), (30.0, 10.0), (10.0, 20.0)]
+
+#: far-field worker counts: 16 is more than BLOCK_ROWS, so 8 workers run
+#: blocks of one row
+_SPLIT_WORKERS = (1, 2, 3, 16)
+
+
+def _split_patterns(fld, theta_step, phi_step):
+    """The patterns of `fld` built with a prebuilt and without a steering
+    value, each under every count of `_SPLIT_WORKERS`, whatever the
+    host's CPUs."""
+    for workers in _SPLIT_WORKERS:
+        with mock.patch.object(farfield, "_workers", lambda: workers):
+            op = steering(fld.aperture, K0, theta_step, phi_step)
+            yield radiate(fld, theta_step, phi_step, K0, op)
+            yield radiate(fld, theta_step, phi_step, K0)
+
+
+@pytest.mark.parametrize("theta_step, phi_step", _SPLIT_GRIDS)
 def test_blocked_radiate_equals_one_shot_formula(layout, curves, theta_step, phi_step):
-    # 181 and 31 theta rows: neither is a multiple of the block
     for fld in _hybrid_fields(layout, curves):
-        op = steering(fld.aperture, K0, theta_step, phi_step)
-        prebuilt = radiate(fld, theta_step, phi_step, K0, op)
-        lazy = radiate(fld, theta_step, phi_step, K0)
         e_co, e_cross = _one_shot(fld, theta_step, phi_step, K0)
-        for pat in (prebuilt, lazy):
+        for pat in _split_patterns(fld, theta_step, phi_step):
             assert np.array_equal(pat.e_co, e_co)
             assert np.array_equal(pat.e_cross, e_cross)
+
+
+@pytest.mark.parametrize("build", ["radiate", "steering"])
+def test_a_failing_range_raises_from_the_call(monkeypatch, build):
+    # the calling thread takes the first theta range; the error comes from
+    # the second, in a worker thread, and must not be lost or hang the call
+    fld = _uniform_field(10)
+    table = farfield._signed_table
+    caller = []
+
+    def failing_table(k0, w, x):
+        if threading.current_thread() is not caller[0]:
+            raise FloatingPointError("second range failed")
+        return table(k0, w, x)
+
+    monkeypatch.setattr(farfield, "_workers", lambda: 2)
+    monkeypatch.setattr(farfield, "_signed_table", failing_table)
+    raised = []
+
+    def call():
+        caller.append(threading.current_thread())
+        try:
+            if build == "radiate":
+                radiate(fld, 3.0, 10.0, K0)
+            else:
+                steering(fld.aperture, K0, 3.0, 10.0)
+        except FloatingPointError as exc:
+            raised.append(str(exc))
+
+    thread = threading.Thread(target=call, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert raised == ["second range failed"]
+
+
+def _traced_peak(call) -> int:
+    """The peak of traced allocations, in bytes, while `call()` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_many_workers_hold_no_more_steering_rows_than_one(layout, curves):
+    # the lazy cut-grid radiate of `simulate`: however many workers, their
+    # live blocks hold BLOCK_ROWS theta rows, as one worker's block does
+    ta, _ = _hybrid_fields(layout, curves)
+    peaks = {}
+    for workers in (1, 16):
+        with mock.patch.object(farfield, "_workers", lambda: workers):
+            peaks[workers] = _traced_peak(lambda: radiate(ta, 0.25, 1.0, K0))
+    assert peaks[16] < 1.1 * peaks[1]
+
+
+def _workers_in_child(code: str, **env_vars) -> list[str]:
+    """`code`, then the far-field worker count and the process's
+    OPENBLAS_NUM_THREADS, as printed by a child process."""
+    src = str(Path(htasim.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(PYTHONPATH=os.pathsep.join([src, env.get("PYTHONPATH", "")]), **env_vars)
+    code += (
+        "; import os; from htasim import farfield;"
+        " print(farfield._workers(), os.environ.get('OPENBLAS_NUM_THREADS'))"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout.split()
+
+
+def test_the_engine_splits_only_beside_a_one_thread_blas():
+    with mock.patch.object(farfield, "SERIAL_BLAS", True):
+        cpus = farfield._workers()
+    # htasim loads numpy with one BLAS thread and leaves the environment
+    # as it found it
+    assert _workers_in_child("import htasim") == [str(cpus), "None"]
+    # numpy loaded first keeps its default, multithreaded pool
+    assert _workers_in_child("import numpy, htasim") == ["1", "None"]
+    # a pool size the user set wins
+    assert _workers_in_child("import htasim", OPENBLAS_NUM_THREADS="2") == ["1", "2"]
+    assert _workers_in_child("import numpy, htasim", OPENBLAS_NUM_THREADS="1") == [str(cpus), "1"]
 
 
 def test_steering_key_must_match(layout, curves):
@@ -258,15 +368,14 @@ def test_pattern_magnitudes_invariant_under_global_phase(amplitudes, phase):
         np.testing.assert_allclose(np.abs(got), np.abs(ref), rtol=0, atol=1e-12 * scale)
 
 
-@pytest.mark.parametrize("theta_step, phi_step", [(0.5, 2.0), (3.0, 10.0)])
+@pytest.mark.parametrize("theta_step, phi_step", _SPLIT_GRIDS)
 def test_odd_grid_radiate_equals_one_shot_formula(theta_step, phi_step):
     # nx = 5 leaves an unpaired middle column in the halved steering build
     rng = np.random.default_rng(7)
     a = rng.standard_normal((2, 5, 4)) + 1j * rng.standard_normal((2, 5, 4))
     fld = ApertureField(aperture=_SMALL_APERTURE, ex=a[0], ey=a[1])
-    op = steering(_SMALL_APERTURE, K0, theta_step, phi_step)
     e_co, e_cross = _one_shot(fld, theta_step, phi_step, K0)
-    for pat in (radiate(fld, theta_step, phi_step, K0, op), radiate(fld, theta_step, phi_step, K0)):
+    for pat in _split_patterns(fld, theta_step, phi_step):
         assert np.array_equal(pat.e_co, e_co)
         assert np.array_equal(pat.e_cross, e_cross)
 
@@ -277,16 +386,25 @@ def test_odd_grid_radiate_equals_one_shot_formula(theta_step, phi_step):
     st.integers(1, 41),
     st.sampled_from([0.5, 6.0, 7.3, 10.0]),
     st.sampled_from([9.0, 9.75, 10.5, 30.0]),
-    # 31, 19, 10, 7 and 4 theta rows end in a partial block of 8
+    # 31, 19, 10 and 7 theta rows are no multiple of the 8- or 4-row
+    # block; 4 rows are fewer blocks than two workers
     st.sampled_from([3.0, 5.0, 10.0, 15.0, 30.0]),
     st.sampled_from([10.0, 20.0, 45.0, 120.0, 180.0]),
+    st.sampled_from(_SPLIT_WORKERS),
 )
-def test_steering_factors_equal_the_whole_grid_exponential(nx, ny, period, freq, theta_step, phi_step):
+# two workers split 10 rows' three blocks unevenly; three split 31 rows' 16
+@example(nx=5, ny=4, period=6.0, freq=9.75, theta_step=10.0, phi_step=20.0, workers=2)
+@example(nx=5, ny=4, period=6.0, freq=9.75, theta_step=3.0, phi_step=20.0, workers=3)
+@example(nx=5, ny=4, period=6.0, freq=9.75, theta_step=30.0, phi_step=20.0, workers=2)
+def test_steering_factors_equal_the_whole_grid_exponential(
+    nx, ny, period, freq, theta_step, phi_step, workers
+):
     ap = ApertureSpec(
         plane_z=0.0, size_x=nx * period, size_y=ny * period, period=period, nx=nx, ny=ny
     )
     k0 = wavenumber(freq)
-    op = steering(ap, k0, theta_step, phi_step)
+    with mock.patch.object(farfield, "_workers", lambda: workers):
+        op = steering(ap, k0, theta_step, phi_step)
     theta = np.arange(round(90.0 / theta_step) + 1) * theta_step
     phi = np.arange(round(360.0 / phi_step)) * phi_step
     s = np.sin(np.radians(theta))[:, None]
