@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -119,22 +120,16 @@ def _fmt(value: float, nd: int = 4) -> str:
 
 
 def _metrics_dict(state, feed_id, frequency, hemisphere, m: BeamMetrics) -> dict:
-    def _num(v):
-        return None if (isinstance(v, float) and not math.isfinite(v)) else v
-
+    metrics = {
+        name: None if isinstance(v, float) and not math.isfinite(v) else v
+        for name, v in dataclasses.asdict(m).items()
+    }
     return {
         "state": state.value,
         "feed_id": feed_id,
         "frequency_ghz": frequency,
         "hemisphere": hemisphere,
-        "peak_theta_deg": m.peak_theta_deg,
-        "peak_phi_deg": m.peak_phi_deg,
-        "directivity_dbi": m.directivity_dbi,
-        "peak_gain_dbi": m.peak_gain_dbi,
-        "sll_db": _num(m.sll_db),
-        "beamwidth_3db_deg": m.beamwidth_3db_deg,
-        "crosspol_peak_db": _num(m.crosspol_peak_db),
-        "aperture_efficiency": m.aperture_efficiency,
+        **metrics,
     }
 
 
@@ -268,17 +263,21 @@ def cmd_simulate(args) -> int:
 
 # --- sweep ------------------------------------------------------------------
 
+#: the beam table's metric columns, each with the BeamMetrics attribute it shows
+_METRIC_COLUMNS = (
+    ("peak_theta_deg", "peak_theta_deg"),
+    ("peak_phi_deg", "peak_phi_deg"),
+    ("directivity_dbi", "directivity_dbi"),
+    ("sll_db", "sll_db"),
+    ("crosspol_db", "crosspol_peak_db"),
+    ("beamwidth_deg", "beamwidth_3db_deg"),
+)
 BEAM_TABLE_COLUMNS = (
     "state",
     "feed_id",
     "frequency_ghz",
     "hemisphere",
-    "peak_theta_deg",
-    "peak_phi_deg",
-    "directivity_dbi",
-    "sll_db",
-    "crosspol_db",
-    "beamwidth_deg",
+    *(column for column, _ in _METRIC_COLUMNS),
     "scan_loss_db",
     "status",
 )
@@ -373,21 +372,17 @@ def write_beam_table(rows, path):
         writer.writerow(BEAM_TABLE_COLUMNS)
         for row in rows:
             m = row.get("metrics")
-            cells = [
-                row["state"],
-                row["feed_id"],
-                f"{row['frequency_ghz']:g}",
-                row["hemisphere"],
-                _fmt(m.peak_theta_deg) if m else "",
-                _fmt(m.peak_phi_deg) if m else "",
-                _fmt(m.directivity_dbi) if m else "",
-                _fmt(m.sll_db) if m else "",
-                _fmt(m.crosspol_peak_db) if m else "",
-                _fmt(m.beamwidth_3db_deg) if m else "",
-                _fmt(row.get("scan_loss_db")),
-                row["status"],
-            ]
-            writer.writerow(cells)
+            writer.writerow(
+                [
+                    row["state"],
+                    row["feed_id"],
+                    f"{row['frequency_ghz']:g}",
+                    row["hemisphere"],
+                    *(_fmt(getattr(m, attr)) if m else "" for _, attr in _METRIC_COLUMNS),
+                    _fmt(row.get("scan_loss_db")),
+                    row["status"],
+                ]
+            )
 
 
 def cmd_sweep(args) -> int:

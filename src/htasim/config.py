@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .farfield import BlockageMask, SimulationSettings
+from .farfield import BlockageMask, SimulationSettings, whole_steps
 from .geometry import FeedConfig, LayoutConfig
 from .unitcell import CURVE_FREQUENCIES_GHZ, builtin_covered
 
@@ -79,7 +79,14 @@ def _real(value) -> float:
 
 def _tuple_of(cast):
     """Parser of a one-or-more value list into a tuple."""
-    return lambda value: tuple(cast(v) for v in (value if isinstance(value, list) else [value]))
+
+    def parse(value) -> tuple:
+        values = tuple(cast(v) for v in (value if isinstance(value, list) else [value]))
+        if not values:
+            raise ValueError("expected one or more values, got none")
+        return values
+
+    return parse
 
 
 def _flag(value) -> bool:
@@ -103,16 +110,6 @@ def _feeds(entries) -> tuple[FeedConfig, ...]:
     return tuple(feeds)
 
 
-def _divides(full: float, least: int = 1):
-    """Rule: the step cuts `full` degrees into `least` or more equal steps."""
-
-    def ok(step: float) -> bool:
-        n = full / step if step > 0 else 0.0
-        return math.isfinite(n) and round(n) >= least and abs(n - round(n)) <= 1e-9
-
-    return ok
-
-
 class Key(NamedTuple):
     """One config key: the dotted RunConfig attribute it sets, the parser of
     its raw value and the rule the parsed value must satisfy."""
@@ -124,8 +121,10 @@ class Key(NamedTuple):
 
 
 _POSITIVE = (lambda v: v > 0.0, "must be > 0")
-_THETA_STEP = (_divides(90.0), "must divide 90 evenly")
-_PHI_STEP = (_divides(360.0, 2), "must divide 360 evenly and be at most 180")
+_THETA_STEP = (lambda v: whole_steps(90.0, v) is not None, "must divide 90 evenly")
+_PHI_STEP = (
+    lambda v: whole_steps(360.0, v, 2) is not None, "must divide 360 evenly and be at most 180"
+)
 
 KEYS = {
     "f_mm": Key("layout.f_mm", _real),
@@ -255,7 +254,8 @@ def _validate(cfg: RunConfig):
         ("sampling.", cfg.sim.theta_step_deg, cfg.sim.phi_step_deg),
         ("sampling.cut_", cfg.cut_theta_step_deg, cfg.cut_phi_step_deg),
     ):
-        if (round(90.0 / theta) + 1) * round(360.0 / phi) > MAX_DIRECTIONS:
+        # the key rules made both steps whole
+        if (whole_steps(90.0, theta) + 1) * whole_steps(360.0, phi) > MAX_DIRECTIONS:
             raise ConfigError(
                 f"{prefix}theta_step_deg = {theta:g} and {prefix}phi_step_deg = {phi:g} "
                 f"make more than {MAX_DIRECTIONS:,} directions"

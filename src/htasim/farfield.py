@@ -14,32 +14,29 @@ and superposes the element contributions onto a hemisphere grid:
 accumulated separately for the co-polarized (y) and cross-polarized (x)
 components.  The sum separates into two steering factors,
 exp(+j k0 x_i u) and exp(+j k0 y_j v), one row per direction.  They
-depend only on the key (aperture, k0, theta step, phi step), so a
-`Steering` value built once per key serves every beam that radiates from
-that aperture at that frequency on that grid.  The factors are held and
-contracted in blocks of theta rows.  `steering` and `radiate` split the
-blocks into one contiguous theta range per worker; each range runs in a
-thread of its own (the calling thread takes the first), runs numpy work
-only and writes only its own rows, so the ranges come back together in
-theta order.  There is one worker per CPU the process may use, at most
-`MAX_WORKERS`, and one only unless the BLAS pool is one thread
-(`htasim.SERIAL_BLAS`); n workers hold blocks of `BLOCK_ROWS` // n
-rows.  Without a prebuilt value, each range of `radiate` builds its
-blocks when it needs them and drops them after, so the live steering
-memory is one key, or `BLOCK_ROWS` theta rows over all ranges.  Each
-block evaluates one exp table, a row per
-(theta, distinct |cos(phi)| or |sin(phi)|), shared by both factors when
-the x and y element coordinates are equal, and gathers each direction's
-row from it, conjugated where the cosine is negative; within a row exp
-runs on the first half of the element columns and the other half holds
-the mirrored conjugates.  sin(theta) >= 0 and the element grid is
-antisymmetric bit for bit (x_{n-1-i} == -x_i), so this is exact, not an
-approximation.
-Each direction's element reduction has a fixed shape whatever its block
-or thread, so results are bit-identical run to run, whatever the split
-or the BLAS thread count, and with or without a prebuilt value.  A
-component that is zero over the whole aperture is not contracted; its
-pattern is exactly zero.
+depend only on the key (aperture, k0, theta step, phi step); a
+`Steering` value holds a key's factors as two arrays, `pu` and `pv`,
+theta-major, and serves every beam radiated on that key.  A block is a
+slice of theta rows, and so a row slice of the key.  `steering` and
+`radiate` share the blocks out in one contiguous run per worker: the
+calling thread takes the first, each other runs in a thread of its own,
+does numpy work only and writes only its own rows.  There is one worker
+per CPU the process may use, at most `MAX_WORKERS`, and one only unless
+the BLAS pool is one thread (`htasim.SERIAL_BLAS`); n workers take
+blocks of `BLOCK_ROWS` // n rows.  Without a prebuilt value, `radiate`
+fills each block into one buffer per worker, so it holds `BLOCK_ROWS`
+theta rows of factors over all workers.  A block's fill evaluates one
+exp table, a row per (theta, distinct |cos(phi)| or |sin(phi)|), shared
+by both factors when the x and y element coordinates are equal, and
+gathers each direction's row from it, conjugated where the cosine is
+negative; within a row exp runs on the first half of the element
+columns and the other half holds the mirrored conjugates.  sin(theta)
+>= 0 and the element grid is antisymmetric bit for bit
+(x_{n-1-i} == -x_i), so this is exact.  Each direction's element
+reduction has a fixed shape in any block or thread, so results are
+bit-identical whatever the split, the BLAS thread count or the use of a
+prebuilt value.  A component that is zero over the whole aperture is
+not contracted; its pattern is exactly zero.
 
 A field and its pattern carry their aperture; the hemisphere a pattern
 covers is its aperture's (`ApertureSpec.hemisphere`, read off the
@@ -238,12 +235,33 @@ def illuminate(
     return ApertureField(aperture=aperture, ex=ex, ey=ey)
 
 
+def whole_steps(full_range: float, step: float, least: int = 1) -> int | None:
+    """The number of `step`s in `full_range` if it is whole (within 1e-9)
+    and at least `least`, else None."""
+    n = full_range / step if step > 0 else 0.0
+    if math.isfinite(n) and round(n) >= least and abs(n - round(n)) <= 1e-9:
+        return round(n)
+    return None
+
+
 def _grid(theta_step_deg: float, phi_step_deg: float):
     """Hemisphere sample angles: theta includes both endpoints of [0, 90],
-    phi omits the periodic duplicate at 360."""
-    n_theta = _check_step(90.0, theta_step_deg, "theta", 1)
-    n_phi = _check_step(360.0, phi_step_deg, "phi", 2)
-    return np.arange(n_theta + 1) * theta_step_deg, np.arange(n_phi) * phi_step_deg
+    phi omits the periodic duplicate at 360; the power integral needs two
+    phi columns."""
+    counts = []
+    for name, full_range, step, least in (
+        ("theta", 90.0, theta_step_deg, 1),
+        ("phi", 360.0, phi_step_deg, 2),
+    ):
+        if step <= 0:
+            raise ValueError(f"{name} step must be positive")
+        n = whole_steps(full_range, step, least)
+        if n is None:
+            raise ValueError(
+                f"{name} step {step} does not divide {full_range} evenly into {least} or more steps"
+            )
+        counts.append(n)
+    return np.arange(counts[0] + 1) * theta_step_deg, np.arange(counts[1]) * phi_step_deg
 
 
 def _signed_table(k0: float, w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -270,16 +288,15 @@ def _signed_table(k0: float, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _steering_blocks(
-    aperture: ApertureSpec, k0: float, theta: np.ndarray, phi: np.ndarray, blocks: list[slice]
-):
-    """Yield the (pu, pv) steering factors of each slice of theta rows in
-    `blocks`: pu is (directions, nx), pv is (directions, ny).
+def _steering_fill(aperture: ApertureSpec, k0: float, theta: np.ndarray, phi: np.ndarray):
+    """fill(block, pu, pv), which writes the steering factors of the slice
+    `block` of theta rows into the C-contiguous pu (directions, nx) and
+    pv (directions, ny), one row per direction, theta-major.
 
     Entry (d, i) is exp(j k0 w_d x_i) with w = sin(theta) cos(phi) for
     pu and sin(theta) sin(phi) for pv.  sin(theta) >= +0, so
     |w| == sin(theta) |cos(phi)|, and the magnitudes |cos(phi)| and
-    |sin(phi)| repeat across the grid: each block evaluates one table
+    |sin(phi)| repeat across the grid: each fill evaluates one table
     row per (theta, distinct magnitude), shared by pu and pv when the
     element coordinates are equal, and gathers a direction's row from
     it, conjugated where the cosine is negative.  A direction whose w
@@ -293,21 +310,22 @@ def _steering_blocks(
     # a negative cosine reads the conjugate half of the table
     entry += mags.size * np.signbit(cosines)
     shared = np.array_equal(x, y)
-    for rows in blocks:
-        st = np.sin(np.radians(theta[rows]))[:, None]
+
+    def fill(block: slice, pu: np.ndarray, pv: np.ndarray) -> None:
+        st = np.sin(np.radians(theta[block]))[:, None]
         table_x = _signed_table(k0, st * mags, x)
         table_y = table_x if shared else _signed_table(k0, st * mags, y)
-        factors = []
-        for table, entries, cosine, coord in (
-            (table_x, entry[: phi.size], cos_phi, x),
-            (table_y, entry[phi.size :], sin_phi, y),
+        for table, entries, cosine, coord, factor in (
+            (table_x, entry[: phi.size], cos_phi, x, pu),
+            (table_y, entry[phi.size :], sin_phi, y, pv),
         ):
-            factor = np.take(table, entries, axis=1).reshape(-1, coord.size)
+            # every entry is a valid index; mode "raise" would buffer `out`
+            np.take(table, entries, axis=1, out=factor.reshape(st.size, phi.size, -1), mode="clip")
             w = (st * cosine).reshape(-1)
             zero = w == 0.0
             factor[zero] = np.exp(1j * k0 * w[zero][:, None] * coord)
-            factors.append(factor)
-        yield tuple(factors)
+
+    return fill
 
 
 def _workers() -> int:
@@ -323,46 +341,40 @@ def _workers() -> int:
     return min(cpus, MAX_WORKERS)
 
 
-def _theta_blocks(n_theta: int, rows: int | None = None) -> tuple[list[slice], int]:
-    """The `n_theta` theta rows in blocks, the last possibly shorter, and
-    the workers to share them, so that the workers' blocks hold at most
-    BLOCK_ROWS rows at once: blocks of `rows` rows if given (a prebuilt
-    value's), else of BLOCK_ROWS // workers."""
-    if rows is None:
-        workers = min(_workers(), BLOCK_ROWS)
-        rows = BLOCK_ROWS // workers
-    else:
-        workers = max(1, min(_workers(), BLOCK_ROWS // rows))
-    return [slice(s, min(s + rows, n_theta)) for s in range(0, n_theta, rows)], workers
-
-
-def _over_blocks(task, n_blocks: int, workers: int) -> list:
-    """[task(r) for r in ranges], where `ranges` split range(n_blocks)
-    into at most `workers` contiguous, nonempty ranges, in order.  The
-    first range runs on this thread, each other in a thread of its own;
-    a task's exception is raised here."""
-    n = min(workers, n_blocks)
-    ranges = [range(n_blocks * k // n, n_blocks * (k + 1) // n) for k in range(n)]
+def _over_theta(task, n_theta: int) -> None:
+    """Run task(blocks) once per worker: `blocks` is a contiguous run of
+    slices of range(n_theta), each of BLOCK_ROWS // workers rows but
+    the last, so that the workers' blocks hold BLOCK_ROWS rows at once;
+    the runs cover the rows in order.  The first run goes on this thread,
+    each other on a thread of its own; a task's exception is raised here.
+    """
+    workers = min(_workers(), BLOCK_ROWS)
+    rows = BLOCK_ROWS // workers
+    blocks = [slice(s, min(s + rows, n_theta)) for s in range(0, n_theta, rows)]
+    n = min(workers, len(blocks))
+    runs = [blocks[len(blocks) * k // n : len(blocks) * (k + 1) // n] for k in range(n)]
     if n == 1:
-        return [task(ranges[0])]
+        task(runs[0])
+        return
     # imported on first use: it loads `logging`, which start-up need not pay
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(n - 1) as pool:
-        rest = [pool.submit(task, r) for r in ranges[1:]]
-        first = task(ranges[0])
-        return [first] + [f.result() for f in rest]
+        rest = [pool.submit(task, run) for run in runs[1:]]
+        task(runs[0])
+        for future in rest:
+            future.result()
 
 
 @dataclass(frozen=True, eq=False)
 class Steering:
     """The far-field steering factors of one key: `key` is (aperture, k0,
-    theta_step_deg, phi_step_deg), `blocks` the (pu, pv) pair of each
-    block of theta rows in order; every block but the last has the same
-    rows."""
+    theta_step_deg, phi_step_deg), `pu` (directions, nx) and `pv`
+    (directions, ny) one row per direction, theta-major."""
 
     key: tuple[ApertureSpec, float, float, float]
-    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    pu: np.ndarray
+    pv: np.ndarray
 
 
 def steering(
@@ -371,16 +383,17 @@ def steering(
     """Build the steering operator that `radiate` reuses for every field
     over `aperture` at wavenumber `k0` on the given hemisphere grid."""
     theta, phi = _grid(theta_step_deg, phi_step_deg)
-    blocks, workers = _theta_blocks(theta.size)
+    pu = np.empty((theta.size * phi.size, aperture.nx), complex)
+    pv = np.empty((theta.size * phi.size, aperture.ny), complex)
+    fill = _steering_fill(aperture, k0, theta, phi)
 
-    def build(part: range):
-        return list(_steering_blocks(aperture, k0, theta, phi, blocks[part.start : part.stop]))
+    def build(blocks: list[slice]):
+        for block in blocks:
+            rows = slice(block.start * phi.size, block.stop * phi.size)
+            fill(block, pu[rows], pv[rows])
 
-    parts = _over_blocks(build, len(blocks), workers)
-    return Steering(
-        key=(aperture, k0, theta_step_deg, phi_step_deg),
-        blocks=tuple(block for part in parts for block in part),
-    )
+    _over_theta(build, theta.size)
+    return Steering(key=(aperture, k0, theta_step_deg, phi_step_deg), pu=pu, pv=pv)
 
 
 def radiate(
@@ -396,7 +409,7 @@ def radiate(
     range evenly; theta includes both endpoints, phi omits the periodic
     duplicate at 360.  `steering`, if given, must have been built for
     this field's aperture, `k0` and steps; without it each block of
-    steering factors is built here and dropped after use.
+    steering factors is built here, into one buffer per worker.
     """
     theta, phi = _grid(theta_step_deg, phi_step_deg)
     if not (np.any(field.ex) or np.any(field.ey)):
@@ -409,30 +422,32 @@ def radiate(
     # a component that is zero everywhere radiates exact zeros
     lit = [(a, out) for a, out in ((field.ey, e_co), (field.ex, e_cross)) if np.any(a)]
     element_factor = np.cos(np.radians(theta))[:, None]
+    nx, ny = field.aperture.nx, field.aperture.ny
     if steering is None:
-        blocks, workers = _theta_blocks(theta.size)
-    else:
-        blocks, workers = _theta_blocks(theta.size, len(steering.blocks[0][0]) // phi.size)
+        fill = _steering_fill(field.aperture, k0, theta, phi)
 
-    def contract(part: range):
-        """Fill the rows of the blocks in `part` in every lit component's
-        pattern."""
-        mine = blocks[part.start : part.stop]
+    def contract(blocks: list[slice]):
+        """Fill the rows of `blocks` in every lit component's pattern."""
+        # a run's first block is its largest
+        size = (blocks[0].stop - blocks[0].start) * phi.size
+        partial = np.empty((size, ny), complex)
         if steering is None:
-            factors = _steering_blocks(field.aperture, k0, theta, phi, mine)
-        else:
-            factors = steering.blocks[part.start : part.stop]
-        # a range's first block is its largest
-        buffer = np.empty((len(theta[mine[0]]) * phi.size, field.aperture.ny), complex)
-        for block, (pu, pv) in zip(mine, factors):
-            partial = buffer[: pu.shape[0]]  # (directions, ny)
+            buffers = np.empty((size, nx), complex), np.empty((size, ny), complex)
+        for block in blocks:
+            rows = slice(block.start * phi.size, block.stop * phi.size)
+            if steering is None:
+                pu, pv = (b[: rows.stop - rows.start] for b in buffers)
+                fill(block, pu, pv)
+            else:
+                pu, pv = steering.pu[rows], steering.pv[rows]
+            part = partial[: pu.shape[0]]  # (directions, ny)
             for a, out in lit:
                 # Separable contraction: sum_i sum_j A_ij e^{jk0 x_i u} e^{jk0 y_j v}.
-                np.matmul(pu, a, out=partial)
-                np.multiply(partial, pv, out=partial)
-                out[block] = partial.sum(axis=1).reshape(-1, phi.size) * element_factor[block]
+                np.matmul(pu, a, out=part)
+                np.multiply(part, pv, out=part)
+                out[block] = part.sum(axis=1).reshape(-1, phi.size) * element_factor[block]
 
-    _over_blocks(contract, len(blocks), workers)
+    _over_theta(contract, theta.size)
     return PatternGrid(
         theta_deg=theta,
         phi_deg=phi,
@@ -441,19 +456,6 @@ def radiate(
         aperture=field.aperture,
         frequency_ghz=k0 * C_MM_PER_NS / (2.0 * math.pi),
     )
-
-
-def _check_step(full_range: float, step: float, name: str, least: int) -> int:
-    """The number of steps in `full_range`, which must be whole and at
-    least `least` (the power integral needs two phi columns)."""
-    if step <= 0:
-        raise ValueError(f"{name} step must be positive")
-    n = full_range / step
-    if not (math.isfinite(n) and round(n) >= least and abs(n - round(n)) <= 1e-9):
-        raise ValueError(
-            f"{name} step {step} does not divide {full_range} evenly into {least} or more steps"
-        )
-    return int(round(n))
 
 
 def radiated_power_integral(pattern: PatternGrid) -> float:

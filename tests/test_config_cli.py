@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import htasim
@@ -309,6 +309,8 @@ def test_validate_survives_malformed_config(lines, bad_lines):
 # every example changes at least one key of a configuration that runs
 @settings(database=None, max_examples=40, deadline=None)
 @given(st.lists(_FUZZ_KEY_LINES, min_size=1, max_size=3), st.lists(_FUZZ_BAD_LINES, max_size=1))
+# an empty list once left synthesize no design frequency to index
+@example(lines=["frequencies = ,"], bad_lines=[])
 @pytest.mark.parametrize("command", ["synthesize", "simulate", "sweep"])
 def test_every_command_survives_malformed_config(command, lines, bad_lines):
     with tempfile.TemporaryDirectory() as tmp:
@@ -479,6 +481,24 @@ def test_feed_id_lists_name_configured_feeds(tmp_path, capsys, line):
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
     assert line.split()[0] in capsys.readouterr().err
     assert not (out / "beam_table.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [(command, "frequencies") for command in ("validate", "synthesize", "simulate", "sweep")]
+    + [("sweep", "ta_feed_ids"), ("sweep", "feed.active_ids")],
+)
+def test_empty_list_is_a_config_error(tmp_path, capsys, command, key):
+    # `key = ,` parses to no values; every list key takes one or more
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(FAST_SAMPLING + f"{key} = ,\n")
+    out = tmp_path / "o"
+    argv = [command, "--config", str(cfg)]
+    if command != "validate":
+        argv += ["--out", str(out)] + (_SCENARIO if command == "simulate" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {key}: expected one or more values, got none\n"
+    assert not out.exists()
 
 
 # --- CLI: synthesize ---------------------------------------------------------

@@ -237,6 +237,20 @@ def test_blocked_radiate_equals_one_shot_formula(layout, curves, theta_step, phi
             assert np.array_equal(pat.e_cross, e_cross)
 
 
+@pytest.mark.parametrize("built, used", [(1, 2), (2, 1), (1, 3), (3, 1)])
+def test_a_steering_value_radiates_alike_under_any_worker_count(layout, curves, built, used):
+    # a value is the whole key, so the split it was built under does not
+    # fix the blocks it is contracted in
+    for fld in _hybrid_fields(layout, curves):
+        with mock.patch.object(farfield, "_workers", lambda: built):
+            op = steering(fld.aperture, K0, 3.0, 10.0)
+            ref = radiate(fld, 3.0, 10.0, K0, op)
+        with mock.patch.object(farfield, "_workers", lambda: used):
+            pat = radiate(fld, 3.0, 10.0, K0, op)
+        assert np.array_equal(pat.e_co, ref.e_co)
+        assert np.array_equal(pat.e_cross, ref.e_cross)
+
+
 @pytest.mark.parametrize("build", ["radiate", "steering"])
 def test_a_failing_range_raises_from_the_call(monkeypatch, build):
     # the calling thread takes the first theta range; the error comes from
@@ -408,13 +422,12 @@ def test_steering_factors_equal_the_whole_grid_exponential(
     theta = np.arange(round(90.0 / theta_step) + 1) * theta_step
     phi = np.arange(round(360.0 / phi_step)) * phi_step
     s = np.sin(np.radians(theta))[:, None]
-    for k, cosine, coord in (
-        (0, np.cos(np.radians(phi)), ap.x_centers()),
-        (1, np.sin(np.radians(phi)), ap.y_centers()),
+    for got, cosine, coord in (
+        (op.pu, np.cos(np.radians(phi)), ap.x_centers()),
+        (op.pv, np.sin(np.radians(phi)), ap.y_centers()),
     ):
         w = (s * cosine[None, :]).reshape(-1)
         whole = np.exp(1j * k0 * w[:, None] * coord[None, :])
-        got = np.concatenate([block[k] for block in op.blocks])
         assert np.array_equal(got, whole)
         # signed zeros too: theta = 0 and phi = 0 give w = -0.0 and +0.0
         for part in ("real", "imag"):
