@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 from .farfield import BlockageMask, SimulationSettings, whole_steps
 from .geometry import FeedConfig, LayoutConfig
-from .unitcell import CURVE_FREQUENCIES_GHZ, builtin_covered
+from .synthesis import C_MM_PER_NS
 
 _ASSIGN_RE = re.compile(r"^([A-Za-z0-9_.\[\]]+)\s*=\s*(.*)$")
 _INDEX_RE = re.compile(r"^([A-Za-z0-9_]+)\[(\d+)\]\.(.+)$")
@@ -45,7 +45,8 @@ class RunConfig:
 
     layout: LayoutConfig = LayoutConfig()
     sim: SimulationSettings = SimulationSettings()  # metrics-grid engine knobs
-    frequencies_ghz: tuple[float, ...] = CURVE_FREQUENCIES_GHZ
+    # the design frequency and 0.75 GHz either side
+    frequencies_ghz: tuple[float, ...] = (9.0, SimulationSettings.frequency_ghz, 10.5)
     feed_active_ids: tuple[str, ...] | None = None  # None -> every feed
     cut_theta_step_deg: float = 0.25
     cut_phi_step_deg: float = 1.0
@@ -57,18 +58,11 @@ class RunConfig:
 
     def settings(self, frequency_ghz: float, for_cuts: bool = False) -> SimulationSettings:
         """Engine settings at one frequency, on the metrics or the cut grid."""
-        steps = (
-            (self.cut_theta_step_deg, self.cut_phi_step_deg)
-            if for_cuts
-            else (self.sim.theta_step_deg, self.sim.phi_step_deg)
-        )
-        return replace(
-            self.sim,
-            frequency_ghz=frequency_ghz,
-            theta_step_deg=steps[0],
-            phi_step_deg=steps[1],
-            blockage=self.blockage if self.blockage_enabled else None,
-        )
+        blockage = self.blockage if self.blockage_enabled else None
+        sim = replace(self.sim, frequency_ghz=frequency_ghz, blockage=blockage)
+        if for_cuts:
+            sim = replace(sim, theta_step_deg=self.cut_theta_step_deg, phi_step_deg=self.cut_phi_step_deg)
+        return sim
 
 
 def _real(value) -> float:
@@ -99,6 +93,8 @@ _FEED_FIELDS = {"id": str, "x_mm": _real, "y_mm": _real}
 
 
 def _feeds(entries) -> tuple[FeedConfig, ...]:
+    if not (isinstance(entries, list) and entries and all(isinstance(e, dict) for e in entries)):
+        raise ValueError(f"expected feeds[k].id and feeds[k].x_mm lines, got {entries!r}")
     feeds = []
     for k, entry in enumerate(entries):
         unknown = sorted(set(entry) - set(_FEED_FIELDS))
@@ -121,6 +117,16 @@ class Key(NamedTuple):
 
 
 _POSITIVE = (lambda v: v > 0.0, "must be > 0")
+
+
+def _wavelength_squares(frequency_ghz: float) -> bool:
+    # the aperture efficiency divides by this square
+    try:
+        return frequency_ghz > 0.0 and 0.0 < (C_MM_PER_NS / frequency_ghz) ** 2 < math.inf
+    except OverflowError:
+        return False
+
+
 _THETA_STEP = (lambda v: whole_steps(90.0, v) is not None, "must divide 90 evenly")
 _PHI_STEP = (
     lambda v: whole_steps(360.0, v, 2) is not None, "must divide 360 evenly and be at most 180"
@@ -137,7 +143,8 @@ KEYS = {
     "fta.period_mm": Key("layout.fta.period_mm", _real, *_POSITIVE),
     "feeds": Key("layout.feeds", _feeds),
     "frequencies": Key(
-        "frequencies_ghz", _tuple_of(_real), lambda fs: all(f > 0 for f in fs), "must be positive"
+        "frequencies_ghz", _tuple_of(_real), lambda fs: all(map(_wavelength_squares, fs)),
+        "must be positive with a wavelength whose square is a finite, nonzero float",
     ),
     "ta_feed_ids": Key("sim.ta_feed_ids", _tuple_of(str)),
     "feed.q": Key("sim.feed_q", _real, *_POSITIVE),
@@ -167,14 +174,11 @@ def _parse_scalar(raw: str):
     text = raw.strip()
     if text.lower() in ("true", "false"):
         return text.lower() == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            pass
     return text
 
 
@@ -246,26 +250,39 @@ MAX_DIRECTIONS = 10**6
 #: most cells an aperture may hold a side: 720 (fta.period_mm = 0.5) fits,
 #: while the 24,000 of ta.period_mm = 0.01 would allocate gigabytes
 MAX_CELLS_PER_SIDE = 1000
+#: bytes a sweep's steering key for one side may hold; 1000 cells a side
+#: on the default metrics grid need 1.04e9
+MAX_STEERING_KEY_BYTES = 2**30
 
 
 def _validate(cfg: RunConfig):
     """Rules that tie several keys together."""
+    directions = {}
     for prefix, theta, phi in (
         ("sampling.", cfg.sim.theta_step_deg, cfg.sim.phi_step_deg),
         ("sampling.cut_", cfg.cut_theta_step_deg, cfg.cut_phi_step_deg),
     ):
         # the key rules made both steps whole
-        if (whole_steps(90.0, theta) + 1) * whole_steps(360.0, phi) > MAX_DIRECTIONS:
+        directions[prefix] = (whole_steps(90.0, theta) + 1) * whole_steps(360.0, phi)
+        if directions[prefix] > MAX_DIRECTIONS:
             raise ConfigError(
                 f"{prefix}theta_step_deg = {theta:g} and {prefix}phi_step_deg = {phi:g} "
                 f"make more than {MAX_DIRECTIONS:,} directions"
             )
     for name, aperture in (("ta", cfg.layout.ta), ("fta", cfg.layout.fta)):
         # the layout rounds size / period to the cells a side
-        if aperture.size_mm / aperture.period_mm + 0.5 >= MAX_CELLS_PER_SIDE + 1:
+        rounded = aperture.size_mm / aperture.period_mm + 0.5
+        sizes = f"{name}.size_mm = {aperture.size_mm:g} and {name}.period_mm = {aperture.period_mm:g}"
+        if rounded >= MAX_CELLS_PER_SIDE + 1:
+            raise ConfigError(f"{sizes} make more than {MAX_CELLS_PER_SIDE} cells a side")
+        cells = max(math.floor(rounded), 1)
+        # a sweep's steering key for this side holds a complex128 factor for
+        # every metrics-grid direction and each of its nx + ny cells
+        if directions["sampling."] * 2 * cells * 16 > MAX_STEERING_KEY_BYTES:
             raise ConfigError(
-                f"{name}.size_mm = {aperture.size_mm:g} and {name}.period_mm = "
-                f"{aperture.period_mm:g} make more than {MAX_CELLS_PER_SIDE} cells a side"
+                f"sampling.theta_step_deg = {cfg.sim.theta_step_deg:g}, sampling.phi_step_deg = "
+                f"{cfg.sim.phi_step_deg:g}, {sizes} make a steering key of more than "
+                f"{MAX_STEERING_KEY_BYTES:,} bytes"
             )
     configured = {fc.id for fc in cfg.layout.feeds}
     for key, ids in (
@@ -275,14 +292,6 @@ def _validate(cfg: RunConfig):
         unknown = [i for i in ids if i not in configured]
         if unknown:
             raise ConfigError(f"{key} names feeds that are not configured: {unknown}")
-    # a CSV curve serves every frequency; a builtin family only its own
-    uncovered = [f for f in cfg.frequencies_ghz if builtin_covered(f) is None]
-    for kind, csv_path in (("uc1", cfg.uc1_curve_csv), ("uc2", cfg.uc2_curve_csv)):
-        if uncovered and csv_path is None:
-            raise ConfigError(
-                f"frequencies {uncovered} GHz have no builtin {kind} curve "
-                f"(library carries {list(CURVE_FREQUENCIES_GHZ)}); set curves.{kind}_csv"
-            )
 
 
 def load_config(path) -> RunConfig:

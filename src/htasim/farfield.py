@@ -69,7 +69,7 @@ from .synthesis import (
     quantize,
     wavenumber,
 )
-from .unitcell import CurveLibrary, PhaseCurve
+from .unitcell import DESIGN_FREQUENCY_GHZ, CurveLibrary, PhaseCurve
 
 #: theta rows of steering factors live at once over all workers: n
 #: workers each hold blocks of BLOCK_ROWS // n rows
@@ -607,7 +607,7 @@ def extract_metrics(
 class SimulationSettings:
     """Knobs of one engine run (sampling, feed model, optional effects)."""
 
-    frequency_ghz: float = 9.75
+    frequency_ghz: float = DESIGN_FREQUENCY_GHZ
     theta_step_deg: float = 0.5
     phi_step_deg: float = 2.0
     feed_q: float | None = None  # None -> derived from the layout geometry

@@ -179,37 +179,30 @@ _UC2_KNOTS = (
     (4.0, 180.0, -1.1),
 )
 
-#: Library frequencies; curves at the off-center points share the design
-#: shape shifted by a constant (the sweeps stay parallel across the band).
-CURVE_FREQUENCIES_GHZ = (9.0, 9.75, 10.5)
+#: The builtin curves at any frequency share the design-frequency shape,
+#: shifted by a constant 40 deg/GHz away from it (the sweeps stay parallel
+#: across the band).
 _PARALLEL_SHIFT_DEG_PER_GHZ = 40.0
 DESIGN_FREQUENCY_GHZ = 9.75
 
 
 def _build_curve(param_name, knots, frequency_ghz):
-    params = [k[0] for k in knots]
+    params, phases, mags = np.array(knots).T
     shift = _PARALLEL_SHIFT_DEG_PER_GHZ * (frequency_ghz - DESIGN_FREQUENCY_GHZ)
-    phases = [k[1] + shift for k in knots]
-    mags = [k[2] for k in knots]
-    return PhaseCurve(param_name, params, phases, mags)
+    return PhaseCurve(param_name, params, phases + shift, mags)
 
 
 _BUILTIN_FAMILIES = {"uc1": ("L", _UC1_KNOTS), "uc2": ("W", _UC2_KNOTS)}
 
 
-def builtin_covered(frequency_ghz: float) -> float | None:
-    """The library frequency within 1e-6 GHz of `frequency_ghz`, or None."""
-    f = round(float(frequency_ghz), 6)
-    return f if f in CURVE_FREQUENCIES_GHZ else None
-
-
 class CurveLibrary:
     """Phase curves of both cell families, looked up by frequency.
 
-    A loaded CSV curve serves every frequency: the sweeps are parallel
-    across the band, so the per-frequency constant offset is a global
-    phase the synthesis ignores.  A builtin family serves only
-    CURVE_FREQUENCIES_GHZ and is built on demand.
+    Either source serves every frequency.  A loaded CSV curve is the same
+    at each: the sweeps are parallel across the band, so the
+    per-frequency constant offset is a global phase the synthesis
+    ignores.  A builtin family is built on demand, its design shape
+    shifted 40 deg/GHz from DESIGN_FREQUENCY_GHZ.
     """
 
     def __init__(self, loaded: dict[str, PhaseCurve] | None = None):
@@ -218,15 +211,11 @@ class CurveLibrary:
     def curve(self, cell_kind: str, frequency_ghz: float) -> PhaseCurve:
         if cell_kind in self.loaded:
             return self.loaded[cell_kind]
-        covered = builtin_covered(frequency_ghz)
-        if cell_kind not in _BUILTIN_FAMILIES or covered is None:
-            known = list(CURVE_FREQUENCIES_GHZ) if cell_kind in _BUILTIN_FAMILIES else []
-            raise KeyError(f"no {cell_kind} curve at {frequency_ghz} GHz; library carries {known}")
-        return _build_curve(*_BUILTIN_FAMILIES[cell_kind], covered)
+        return _build_curve(*_BUILTIN_FAMILIES[cell_kind], frequency_ghz)
 
 
 def builtin_curve_library() -> CurveLibrary:
-    """Default library: both cell families at 9.0, 9.75 and 10.5 GHz."""
+    """Default library: both builtin cell families, at any frequency."""
     return CurveLibrary()
 
 

@@ -311,6 +311,8 @@ def test_validate_survives_malformed_config(lines, bad_lines):
 @given(st.lists(_FUZZ_KEY_LINES, min_size=1, max_size=3), st.lists(_FUZZ_BAD_LINES, max_size=1))
 # an empty list once left synthesize no design frequency to index
 @example(lines=["frequencies = ,"], bad_lines=[])
+# a wavelength whose square overflows once reached the aperture efficiency
+@example(lines=["frequencies = 1e-300"], bad_lines=[])
 @pytest.mark.parametrize("command", ["synthesize", "simulate", "sweep"])
 def test_every_command_survives_malformed_config(command, lines, bad_lines):
     with tempfile.TemporaryDirectory() as tmp:
@@ -408,16 +410,19 @@ _NON_FINITE_PREFIX = {
 @pytest.mark.parametrize("route", ["spacing", "frequency"])
 @pytest.mark.parametrize("command", ["synthesize", "validate", "simulate", "sweep"])
 def test_non_finite_phase_map_is_an_error(tmp_path, command, route):
-    # each route overflows the unwrapped phases to inf, which wrap to NaN;
-    # CSV curves cover any frequency, the builtin ones three
+    # each route overflows the unwrapped phases to inf, which wrap to NaN.
+    # A spacing of 1e150 mm keeps them finite at 9.75 GHz, and a frequency
+    # that the frequency rule admits overflows them; the CSV curves keep
+    # their shape at any frequency, while a builtin shift of 40 deg/GHz
+    # rounds the knots together
     if route == "spacing":
         text, freq = FAST_SAMPLING + "d_mm = 1e300\n", "9.75"
     else:
         curve = tmp_path / "curve.csv"
         curve.write_text(_FULL_CURVE)
-        text = FAST_SAMPLING.replace("frequencies = 9.75", "frequencies = 1e306")
-        text += f"curves.uc1_csv = {curve}\ncurves.uc2_csv = {curve}\n"
-        freq = "1e306"
+        text = FAST_SAMPLING.replace("frequencies = 9.75", "frequencies = 1e160")
+        text += f"d_mm = 1e150\ncurves.uc1_csv = {curve}\ncurves.uc2_csv = {curve}\n"
+        freq = "1e160"
     cfg = tmp_path / "big.cfg"
     cfg.write_text(text)
     out = tmp_path / "o"
@@ -436,18 +441,64 @@ def test_non_finite_phase_map_is_an_error(tmp_path, command, route):
         assert path.is_dir() or "nan" not in path.read_text()
 
 
-@pytest.mark.parametrize("command", ["validate", "synthesize", "sweep"])
-def test_uncovered_frequency_is_a_config_error(tmp_path, command):
-    # the builtin curves carry 9.0, 9.75 and 10.5 GHz only
+def test_builtin_curves_serve_an_off_table_frequency(tmp_path):
+    # the builtin curves shift 40 deg/GHz at any frequency, and adding a
+    # frequency leaves the beams of the others as they were
     cfg = tmp_path / "band.cfg"
     cfg.write_text(FAST_SAMPLING.replace("frequencies = 9.75", "frequencies = 9.75, 11.0"))
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert main(["synthesize", "--config", str(cfg), "--out", str(tmp_path / "syn")]) == 0
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "band")]) == 0
+    single = tmp_path / "single.cfg"
+    single.write_text(FAST_SAMPLING)
+    assert main(["sweep", "--config", str(single), "--out", str(tmp_path / "one")]) == 0
+    beams = sorted(p.name for p in (tmp_path / "one" / "beams").iterdir())
+    assert beams and all("_9.75GHz_" in name for name in beams)
+    assert any("_11GHz_" in p.name for p in (tmp_path / "band" / "beams").iterdir())
+    for name in beams:
+        band = (tmp_path / "band" / "beams" / name).read_bytes()
+        assert band == (tmp_path / "one" / "beams" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["validate", "synthesize", "sweep"])
+def test_uncovered_frequency_is_a_config_error(tmp_path, command):
+    # the frequency rule covers 9.75 GHz but not 1e200 GHz, whose squared
+    # wavelength is zero; the builtin curves would serve both
+    cfg = tmp_path / "band.cfg"
+    cfg.write_text(FAST_SAMPLING.replace("frequencies = 9.75", "frequencies = 9.75, 1e200"))
     argv = [command, "--config", str(cfg)]
     if command != "validate":
         argv += ["--out", str(tmp_path / "o")]
     proc = _cli_child(argv)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("config error:") and "11.0" in proc.stderr
+    assert proc.stderr.startswith("config error:") and "1e+200" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("source", ["builtin", "csv"])
+@pytest.mark.parametrize("freq", ["1e-300", "1e200"])
+@pytest.mark.parametrize("command", ["validate", "synthesize", "simulate", "sweep"])
+def test_unusable_frequency_is_a_config_error(tmp_path, capsys, command, freq, source):
+    # the aperture efficiency divides by the squared wavelength, which
+    # overflows at 1e-300 GHz and is zero at 1e200 GHz, whatever the curves
+    text = FAST_SAMPLING.replace("frequencies = 9.75", f"frequencies = {freq}")
+    if source == "csv":
+        curve = tmp_path / "curve.csv"
+        curve.write_text(_FULL_CURVE)
+        text += f"curves.uc1_csv = {curve}\ncurves.uc2_csv = {curve}\n"
+    cfg = tmp_path / "freq.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    argv = [command, "--config", str(cfg)]
+    if command != "validate":
+        argv += ["--out", str(out)]
+    if command == "simulate":
+        argv += ["--state", "y", "--feed", "A4", "--freq", freq]
+    assert main(argv) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"config error: frequencies = {float(freq):g} must be positive")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -481,6 +532,30 @@ def test_feed_id_lists_name_configured_feeds(tmp_path, capsys, line):
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
     assert line.split()[0] in capsys.readouterr().err
     assert not (out / "beam_table.csv").exists()
+
+
+@pytest.mark.parametrize("line", ["feeds = A1", "feeds = ,", "feeds = 1, 2"])
+def test_plain_feeds_value_is_a_config_error(tmp_path, capsys, line):
+    # feeds is an indexed key: a plain value is no feed list
+    cfg = tmp_path / "feeds.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["validate", "--config", str(cfg)]) == 2
+    [message] = capsys.readouterr().err.splitlines()
+    assert message.startswith("config error: feeds: expected feeds[k].id and feeds[k].x_mm lines")
+
+
+def test_oversized_steering_key_is_a_config_error():
+    # 648,720 directions x 1,440 cells x 16 B = 14.9 GB for the folded side
+    fine = {"fta.period_mm": 0.5, "sampling.theta_step_deg": 0.1, "sampling.phi_step_deg": 0.5}
+    with pytest.raises(ConfigError) as exc:
+        with_overrides(RunConfig(), fine)
+    assert str(exc.value) == (
+        "sampling.theta_step_deg = 0.1, sampling.phi_step_deg = 0.5, fta.size_mm = 360 and "
+        "fta.period_mm = 0.5 make a steering key of more than 1,073,741,824 bytes"
+    )
+    # on the default grid every aperture under the cell cap passes:
+    # 1000 cells a side need 1.04e9 bytes
+    with_overrides(RunConfig(), {"ta.period_mm": 0.24, "fta.period_mm": 0.36})
 
 
 @pytest.mark.parametrize(

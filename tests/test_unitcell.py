@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from htasim.unitcell import (
-    CURVE_FREQUENCIES_GHZ,
     PhaseCurve,
     ScatterCoeffs,
     builtin_curve_library,
@@ -15,6 +14,9 @@ from htasim.unitcell import (
     pcr,
     uc1_scatter_model,
 )
+
+# the default band and the ends of the PCR model's 7..13 GHz range
+_FREQUENCIES_GHZ = (7.0, 9.0, 9.75, 10.5, 13.0)
 
 
 # --- conversion rate ---------------------------------------------------------
@@ -78,23 +80,24 @@ def test_builtin_curves_cover_both_families(curves):
     assert uc2.param_name == "W"
     assert uc2.param_range == (1.5, 4.0)
     with pytest.raises(KeyError):
-        curves.curve("uc1", 11.0)
+        curves.curve("uc3", 9.75)
 
 
 def test_curve_endpoint_span_180(curves):
     for kind in ("uc1", "uc2"):
-        for f in CURVE_FREQUENCIES_GHZ:
+        for f in _FREQUENCIES_GHZ:
             c = curves.curve(kind, f)
             assert abs(c.phases[-1] - c.phases[0]) == pytest.approx(180.0, abs=1e-12)
 
 
 def test_parallel_frequency_shift(curves):
-    # curves across the band share the design shape up to a constant offset
-    lo = curves.curve("uc1", 9.0)
+    # curves across the band, on the library's three points or off them,
+    # share the design shape up to a constant offset
     mid = curves.curve("uc1", 9.75)
-    hi = curves.curve("uc1", 10.5)
-    np.testing.assert_allclose(lo.phases - lo.phases[0], mid.phases - mid.phases[0])
-    np.testing.assert_allclose(hi.phases - hi.phases[0], mid.phases - mid.phases[0])
+    for f in (9.0, 10.5, 11.0):
+        c = curves.curve("uc1", f)
+        np.testing.assert_allclose(c.phases - c.phases[0], mid.phases - mid.phases[0])
+        assert c.phases[0] - mid.phases[0] == pytest.approx(40.0 * (f - 9.75))
 
 
 def test_rotation_adds_half_turn(curves):
@@ -248,8 +251,8 @@ def test_library_with_override(tmp_path, curves):
         for p, ph, mg in zip(ref.params, ref.phases, ref.mags):
             fh.write(f"{p},{ph},{mg}\n")
     lib = library_with_csv_overrides(uc2_csv=path)
-    # the loaded curve is reused at every library frequency
-    for f in CURVE_FREQUENCIES_GHZ:
+    # the loaded curve is reused at every frequency
+    for f in _FREQUENCIES_GHZ:
         np.testing.assert_allclose(lib.curve("uc2", f).phases, ref.phases)
     # uc1 still comes from the built-in set
     assert lib.curve("uc1", 9.0).phases[0] != lib.curve("uc1", 10.5).phases[0]
