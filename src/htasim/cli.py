@@ -190,18 +190,15 @@ def cmd_synthesize(args) -> int:
     freq = _design_frequency(cfg)
     out = _out_dir(cfg)
     maps = _cell_maps(layout, curves, freq)
-    try:
-        for side, (cm, _, pm) in maps.items():
-            name = side.value
-            write_phase_map_csv(pm, out / f"{name}_phase.csv")
-            write_cell_map_csv(pm, cm, out / f"{name}_cells.csv")
-            print(
-                f"{name}: {pm.aperture.nx}x{pm.aperture.ny} cells at {freq} GHz, "
-                f"max residual {cm.max_residual_deg:.2e} deg -> "
-                f"{name}_phase.csv, {name}_cells.csv"
-            )
-    except OSError as exc:
-        raise CommandError(EXIT_DOMAIN, f"write failed: {exc.filename}: {exc.strerror}") from exc
+    for side, (cm, _, pm) in maps.items():
+        name = side.value
+        write_phase_map_csv(pm, out / f"{name}_phase.csv")
+        write_cell_map_csv(pm, cm, out / f"{name}_cells.csv")
+        print(
+            f"{name}: {pm.aperture.nx}x{pm.aperture.ny} cells at {freq} GHz, "
+            f"max residual {cm.max_residual_deg:.2e} deg -> "
+            f"{name}_phase.csv, {name}_cells.csv"
+        )
     return EXIT_OK
 
 
@@ -236,12 +233,7 @@ def _write_cut_csv(pattern, peak_phi_deg, path):
 def cmd_simulate(args) -> int:
     cfg, curves, layout = _prepare(args)
     state = PolarizationState(args.state)
-    freq = args.freq
-    if freq not in cfg.frequencies_ghz:
-        raise CommandError(
-            EXIT_USAGE,
-            f"frequency {freq} GHz is not in the configured list {cfg.frequencies_ghz}",
-        )
+    (freq,) = cfg.frequencies_ghz
     settings = cfg.settings(freq, for_cuts=True)
     try:
         cell_maps = synthesize_cell_maps(layout, curves, freq)
@@ -315,7 +307,7 @@ def sweep_rows(cfg: RunConfig, curves: CurveLibrary, layout, out_dir: Path | Non
 
 def _sweep_side(layout, settings, cell_maps, side, beams, out_dir):
     """Rows of the (state, feed) beams on one side at one frequency, all
-    radiated through one steering operator."""
+    radiated through one steering operator unless its key is over budget."""
     if not beams:
         return []
     freq = settings.frequency_ghz
@@ -428,8 +420,15 @@ def load_reference_targets() -> dict:
 def cmd_report(args) -> int:
     cfg, _, layout = _prepare(args)
     table_path = Path(args.beam_table or Path(cfg.output_dir) / "beam_table.csv")
-    if not table_path.is_file():
-        raise CommandError(EXIT_USAGE, f"beam table not found: {table_path}")
+    try:
+        with open(table_path, newline="") as fh:
+            rows = list(reader := csv.DictReader(fh, restval=""))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise CommandError(EXIT_USAGE, f"beam table {table_path}: {exc}") from exc
+    used = ("state", "feed_id", "frequency_ghz", "hemisphere", "peak_theta_deg", "status")
+    missing = [column for column in used if column not in (reader.fieldnames or ())]
+    if missing:
+        raise CommandError(EXIT_USAGE, f"beam table lacks columns {missing}: {table_path}")
     targets = load_reference_targets()
     sides = {side.aperture(layout).hemisphere: side for side in Side}
     tol = max(2.0, cfg.sim.theta_step_deg)
@@ -437,34 +436,33 @@ def cmd_report(args) -> int:
         f"{'state':8s} {'feed':5s} {'freq':6s} {'hemi':4s} "
         f"{'achieved':>8s} {'geom':>6s} {'d_geo':>6s} {'meas':>6s} {'d_meas':>6s}  note"
     )
-    with open(table_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            if row["status"] != "ok":
-                print(f"{row['state']:8s} {row['feed_id']:5s} {row['frequency_ghz']:6s} "
-                      f"{row['hemisphere']:4s} {'':>8s} {'':>6s} {'':>6s} {'':>6s} {'':>6s}  {row['status']}")
-                continue
-            try:
-                feed = layout.feed(row["feed_id"])
-                focal = sides[row["hemisphere"]].focal_mm(layout)
-                ach = float(row["peak_theta_deg"])
-            except (KeyError, ValueError) as exc:
-                raise CommandError(EXIT_USAGE, f"beam table row unusable: {exc}") from exc
-            geo = math.degrees(math.atan(abs(feed.position.x) / focal))
-            d_geo = abs(ach - geo)
-            key = (row["state"], row["feed_id"], row["hemisphere"])
-            meas = targets.get(key)
-            d_meas = None if meas is None else abs(ach - meas)
-            notes = []
-            if d_geo > tol:
-                notes.append(f"beyond geometric tolerance {tol:g} deg")
-            if meas is not None and abs(geo - meas) > 1e-6:
-                notes.append("measured reference offset")
-            print(
-                f"{row['state']:8s} {row['feed_id']:5s} {row['frequency_ghz']:6s} "
-                f"{row['hemisphere']:4s} {ach:8.2f} {geo:6.2f} {d_geo:6.2f} "
-                f"{meas if meas is not None else float('nan'):6.1f} "
-                f"{d_meas if d_meas is not None else float('nan'):6.2f}  {'; '.join(notes)}"
-            )
+    for row in rows:
+        if row["status"] != "ok":
+            print(f"{row['state']:8s} {row['feed_id']:5s} {row['frequency_ghz']:6s} "
+                  f"{row['hemisphere']:4s} {'':>8s} {'':>6s} {'':>6s} {'':>6s} {'':>6s}  {row['status']}")
+            continue
+        try:
+            feed = layout.feed(row["feed_id"])
+            focal = sides[row["hemisphere"]].focal_mm(layout)
+            ach = float(row["peak_theta_deg"])
+        except (KeyError, ValueError) as exc:
+            raise CommandError(EXIT_USAGE, f"beam table row unusable: {exc}") from exc
+        geo = math.degrees(math.atan(abs(feed.position.x) / focal))
+        d_geo = abs(ach - geo)
+        key = (row["state"], row["feed_id"], row["hemisphere"])
+        meas = targets.get(key)
+        d_meas = None if meas is None else abs(ach - meas)
+        notes = []
+        if d_geo > tol:
+            notes.append(f"beyond geometric tolerance {tol:g} deg")
+        if meas is not None and abs(geo - meas) > 1e-6:
+            notes.append("measured reference offset")
+        print(
+            f"{row['state']:8s} {row['feed_id']:5s} {row['frequency_ghz']:6s} "
+            f"{row['hemisphere']:4s} {ach:8.2f} {geo:6.2f} {d_geo:6.2f} "
+            f"{meas if meas is not None else float('nan'):6.1f} "
+            f"{d_meas if d_meas is not None else float('nan'):6.2f}  {'; '.join(notes)}"
+        )
     return EXIT_OK
 
 
@@ -496,7 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p)
     p.add_argument("--state", required=True, choices=[s.value for s in PolarizationState])
     p.add_argument("--feed", required=True, help="feed id, e.g. A4")
-    p.add_argument("--freq", required=True, type=float, help="frequency in GHz")
+    p.add_argument("--freq", required=True, type=float, dest="frequencies", metavar="GHZ",
+                   help="overrides frequencies with one frequency")
     for flag, key in (
         ("--theta-step", "sampling.cut_theta_step_deg"),
         ("--phi-step", "sampling.cut_phi_step_deg"),
@@ -533,6 +532,9 @@ def main(argv=None) -> int:
         # The reader closed stdout early.  Point stdout at devnull so that
         # the flush at interpreter exit cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_DOMAIN
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

@@ -250,21 +250,17 @@ MAX_DIRECTIONS = 10**6
 #: most cells an aperture may hold a side: 720 (fta.period_mm = 0.5) fits,
 #: while the 24,000 of ta.period_mm = 0.01 would allocate gigabytes
 MAX_CELLS_PER_SIDE = 1000
-#: bytes a sweep's steering key for one side may hold; 1000 cells a side
-#: on the default metrics grid need 1.04e9
-MAX_STEERING_KEY_BYTES = 2**30
 
 
 def _validate(cfg: RunConfig):
     """Rules that tie several keys together."""
-    directions = {}
     for prefix, theta, phi in (
         ("sampling.", cfg.sim.theta_step_deg, cfg.sim.phi_step_deg),
         ("sampling.cut_", cfg.cut_theta_step_deg, cfg.cut_phi_step_deg),
     ):
         # the key rules made both steps whole
-        directions[prefix] = (whole_steps(90.0, theta) + 1) * whole_steps(360.0, phi)
-        if directions[prefix] > MAX_DIRECTIONS:
+        directions = (whole_steps(90.0, theta) + 1) * whole_steps(360.0, phi)
+        if directions > MAX_DIRECTIONS:
             raise ConfigError(
                 f"{prefix}theta_step_deg = {theta:g} and {prefix}phi_step_deg = {phi:g} "
                 f"make more than {MAX_DIRECTIONS:,} directions"
@@ -275,15 +271,6 @@ def _validate(cfg: RunConfig):
         sizes = f"{name}.size_mm = {aperture.size_mm:g} and {name}.period_mm = {aperture.period_mm:g}"
         if rounded >= MAX_CELLS_PER_SIDE + 1:
             raise ConfigError(f"{sizes} make more than {MAX_CELLS_PER_SIDE} cells a side")
-        cells = max(math.floor(rounded), 1)
-        # a sweep's steering key for this side holds a complex128 factor for
-        # every metrics-grid direction and each of its nx + ny cells
-        if directions["sampling."] * 2 * cells * 16 > MAX_STEERING_KEY_BYTES:
-            raise ConfigError(
-                f"sampling.theta_step_deg = {cfg.sim.theta_step_deg:g}, sampling.phi_step_deg = "
-                f"{cfg.sim.phi_step_deg:g}, {sizes} make a steering key of more than "
-                f"{MAX_STEERING_KEY_BYTES:,} bytes"
-            )
     configured = {fc.id for fc in cfg.layout.feeds}
     for key, ids in (
         ("feed.active_ids", cfg.feed_active_ids or ()),

@@ -35,8 +35,9 @@ columns and the other half holds the mirrored conjugates.  sin(theta)
 (x_{n-1-i} == -x_i), so this is exact.  Each direction's element
 reduction has a fixed shape in any block or thread, so results are
 bit-identical whatever the split, the BLAS thread count or the use of a
-prebuilt value.  A component that is zero over the whole aperture is
-not contracted; its pattern is exactly zero.
+prebuilt value.  `steering` builds no key over `MAX_STEERING_KEY_BYTES`:
+its beams radiate block by block.  A component that is zero over the
+whole aperture is not contracted; its pattern is exactly zero.
 
 A field and its pattern carry their aperture; the hemisphere a pattern
 covers is its aperture's (`ApertureSpec.hemisphere`, read off the
@@ -76,6 +77,8 @@ from .unitcell import DESIGN_FREQUENCY_GHZ, CurveLibrary, PhaseCurve
 BLOCK_ROWS = 8
 #: the most far-field workers: the count the split was measured at
 MAX_WORKERS = 2
+#: bytes a prebuilt steering key may hold; a default key holds about 40 MB
+MAX_STEERING_KEY_BYTES = 2**30
 
 
 class Side(str, Enum):
@@ -379,10 +382,12 @@ class Steering:
 
 def steering(
     aperture: ApertureSpec, k0: float, theta_step_deg: float, phi_step_deg: float
-) -> Steering:
+) -> Steering | None:
     """Build the steering operator that `radiate` reuses for every field
-    over `aperture` at wavenumber `k0` on the given hemisphere grid."""
+    over `aperture` at `k0` on the given grid, or None over MAX_STEERING_KEY_BYTES."""
     theta, phi = _grid(theta_step_deg, phi_step_deg)
+    if theta.size * phi.size * (aperture.nx + aperture.ny) * 16 > MAX_STEERING_KEY_BYTES:
+        return None
     pu = np.empty((theta.size * phi.size, aperture.nx), complex)
     pv = np.empty((theta.size * phi.size, aperture.ny), complex)
     fill = _steering_fill(aperture, k0, theta, phi)
@@ -672,8 +677,8 @@ def run_scenario(
     on one side, which the state must drive.
 
     `cell_maps` is the output of synthesize_cell_maps at the settings'
-    frequency; `steering`, if given, is the side's prebuilt operator at
-    that frequency and the settings' grid.
+    frequency; `steering` is the side's prebuilt operator at that
+    frequency and the settings' grid, or None to fill each block here.
     """
     feed = layout.feed(feed_id)
     legal = allowed_feed_ids(layout, state, settings)

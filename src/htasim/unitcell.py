@@ -186,10 +186,15 @@ _PARALLEL_SHIFT_DEG_PER_GHZ = 40.0
 DESIGN_FREQUENCY_GHZ = 9.75
 
 
-def _build_curve(param_name, knots, frequency_ghz):
+def _build_curve(cell_kind: str, frequency_ghz: float) -> PhaseCurve:
+    param_name, knots = _BUILTIN_FAMILIES[cell_kind]
     params, phases, mags = np.array(knots).T
     shift = _PARALLEL_SHIFT_DEG_PER_GHZ * (frequency_ghz - DESIGN_FREQUENCY_GHZ)
-    return PhaseCurve(param_name, params, phases + shift, mags)
+    try:
+        return PhaseCurve(param_name, params, phases + shift, mags)
+    except ValueError as exc:  # from about 1e16 GHz the shift rounds the knots together
+        shifted = f"{frequency_ghz:g} GHz, shifted {shift:g} deg from {DESIGN_FREQUENCY_GHZ:g} GHz"
+        raise ValueError(f"builtin {cell_kind} curve at {shifted}: {exc}") from exc
 
 
 _BUILTIN_FAMILIES = {"uc1": ("L", _UC1_KNOTS), "uc2": ("W", _UC2_KNOTS)}
@@ -211,7 +216,7 @@ class CurveLibrary:
     def curve(self, cell_kind: str, frequency_ghz: float) -> PhaseCurve:
         if cell_kind in self.loaded:
             return self.loaded[cell_kind]
-        return _build_curve(*_BUILTIN_FAMILIES[cell_kind], frequency_ghz)
+        return _build_curve(cell_kind, frequency_ghz)
 
 
 def builtin_curve_library() -> CurveLibrary:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import htasim
 import htasim.cli
+from htasim import farfield
 from htasim.cli import load_reference_targets, main, write_beam_table
 from htasim.config import (
     KEYS,
@@ -24,6 +26,8 @@ from htasim.config import (
     parse_config_text,
     with_overrides,
 )
+from htasim.geometry import build_layout
+from htasim.synthesis import wavenumber
 
 FAST_SAMPLING = """
 frequencies = 9.75
@@ -92,6 +96,16 @@ def test_defaults_match_design():
     assert cfg.frequencies_ghz == (9.0, 9.75, 10.5)
     assert cfg.sim.ta_feed_ids == ("A2", "A3", "A4", "A5", "A6")
     assert len(cfg.layout.feeds) == 7
+
+
+def test_readme_key_table_names_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| key | meaning |", 1)[1].split("\n\n", 1)[0]
+    named = set()
+    for row in table.splitlines()[2:]:
+        for name in re.findall(r"`([^`]+)`", row.split("|")[1]):
+            named.add(re.sub(r"\[k\]\..*", "", name))
+    assert named == set(KEYS)
 
 
 def test_unknown_keys_rejected():
@@ -460,6 +474,26 @@ def test_builtin_curves_serve_an_off_table_frequency(tmp_path):
         assert band == (tmp_path / "one" / "beams" / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("command", ["validate", "synthesize", "simulate", "sweep"])
+def test_builtin_curves_name_a_shift_that_rounds_their_knots(tmp_path, capsys, command):
+    # the frequency rule admits 1e16 GHz, but a 40 deg/GHz shift of 4e17 deg
+    # rounds the builtin knot phases together; CSV curves serve it
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(FAST_SAMPLING.replace("frequencies = 9.75", "frequencies = 1e16"))
+    argv = [command, "--config", str(cfg)]
+    if command != "validate":
+        argv += ["--out", str(tmp_path / "o")]
+    if command == "simulate":
+        argv += ["--state", "y", "--feed", "A4", "--freq", "1e16"]
+    assert main(argv) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(_NON_FINITE_PREFIX[command])
+    assert line.endswith(
+        "builtin uc1 curve at 1e+16 GHz, shifted 4e+17 deg from 9.75 GHz: "
+        "curve phase must be strictly monotone"
+    )
+
+
 @pytest.mark.parametrize("command", ["validate", "synthesize", "sweep"])
 def test_uncovered_frequency_is_a_config_error(tmp_path, command):
     # the frequency rule covers 9.75 GHz but not 1e200 GHz, whose squared
@@ -499,6 +533,12 @@ def test_unusable_frequency_is_a_config_error(tmp_path, capsys, command, freq, s
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith(f"config error: frequencies = {float(freq):g} must be positive")
     assert not out.exists()
+    if command == "simulate":
+        # --freq sets `frequencies`, so the same rule refuses it over a valid list
+        cfg.write_text(text.replace(f"frequencies = {freq}", "frequencies = 9.75"))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == line + "\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -544,18 +584,24 @@ def test_plain_feeds_value_is_a_config_error(tmp_path, capsys, line):
     assert message.startswith("config error: feeds: expected feeds[k].id and feeds[k].x_mm lines")
 
 
-def test_oversized_steering_key_is_a_config_error():
-    # 648,720 directions x 1,440 cells x 16 B = 14.9 GB for the folded side
+def test_oversized_steering_key_is_no_config_error(tmp_path):
+    # 648,720 directions x 1,440 cells x 16 B = 14.9 GB for the folded side:
+    # the engine builds no such key, and a sweep radiates that side block by
+    # block (never run one here: each beam is about 2.7 TFLOP)
     fine = {"fta.period_mm": 0.5, "sampling.theta_step_deg": 0.1, "sampling.phi_step_deg": 0.5}
-    with pytest.raises(ConfigError) as exc:
-        with_overrides(RunConfig(), fine)
-    assert str(exc.value) == (
-        "sampling.theta_step_deg = 0.1, sampling.phi_step_deg = 0.5, fta.size_mm = 360 and "
-        "fta.period_mm = 0.5 make a steering key of more than 1,073,741,824 bytes"
-    )
-    # on the default grid every aperture under the cell cap passes:
-    # 1000 cells a side need 1.04e9 bytes
-    with_overrides(RunConfig(), {"ta.period_mm": 0.24, "fta.period_mm": 0.36})
+    cfg = with_overrides(RunConfig(), fine)
+    text = "".join(f"{key} = {value}\n" for key, value in fine.items())
+    path = tmp_path / "fine.cfg"
+    path.write_text(text + "frequencies = 9.75\n")
+    assert main(["validate", "--config", str(path)]) == 0
+    assert main(["synthesize", "--config", str(path), "--out", str(tmp_path / "syn")]) == 0
+    layout = build_layout(cfg.layout)
+    assert (layout.fta.nx, layout.fta.ny) == (720, 720)
+    assert farfield.steering(layout.fta, wavenumber(9.75), 0.1, 0.5) is None
+    # the default keys, about 40 MB each, are built
+    default = build_layout(RunConfig().layout)
+    for aperture in (default.ta, default.fta):
+        assert farfield.steering(aperture, wavenumber(9.75), 0.5, 2.0) is not None
 
 
 @pytest.mark.parametrize(
@@ -648,14 +694,6 @@ def test_simulate_illegal_combination(tmp_path, fast_cfg, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "A2, A3, A4, A5, A6" in err
-
-
-def test_simulate_unlisted_frequency(tmp_path, fast_cfg, capsys):
-    code = main(
-        ["simulate", "--config", str(fast_cfg), "--state", "x", "--feed", "A4",
-         "--freq", "11.0", "--out", str(tmp_path / "x")]
-    )
-    assert code == 2
 
 
 def test_simulate_flag_overrides(tmp_path, fast_cfg):
@@ -806,20 +844,42 @@ def test_sweep_propagates_programming_errors(tmp_path, fast_cfg, monkeypatch):
         main(["sweep", "--config", str(fast_cfg), "--out", str(tmp_path / "swp")])
 
 
+def test_simulate_unlisted_frequency(tmp_path, fast_cfg):
+    # --freq sets `frequencies`, so a frequency that fast_cfg does not list
+    # radiates exactly as under a config that lists it
+    listed = tmp_path / "listed.cfg"
+    listed.write_text(FAST_SAMPLING.replace("frequencies = 9.75", "frequencies = 11.0"))
+    outs = {}
+    for name, cfg in (("unlisted", fast_cfg), ("listed", listed)):
+        outs[name] = tmp_path / name
+        assert main(["simulate", "--config", str(cfg), "--state", "x", "--feed", "A4",
+                     "--freq", "11.0", "--out", str(outs[name])]) == 0
+    names = sorted(path.name for path in outs["unlisted"].iterdir())
+    assert names and all("_11GHz_" in name for name in names)
+    assert names == sorted(path.name for path in outs["listed"].iterdir())
+    for name in names:
+        assert (outs["unlisted"] / name).read_bytes() == (outs["listed"] / name).read_bytes(), name
+
+
 def test_simulate_writes_the_sweep_beam(tmp_path, fast_cfg):
     # on FAST_SAMPLING the cut grid is the metrics grid, so a beam steered
-    # block by block in simulate must match the sweep's prebuilt operator
+    # block by block in simulate must match the sweep's prebuilt operator;
+    # --freq sets `frequencies`, so 11 GHz need not be listed in fast_cfg
+    band = tmp_path / "band.cfg"
+    band.write_text(FAST_SAMPLING.replace("frequencies = 9.75", "frequencies = 9.75, 11.0"))
     sweep = tmp_path / "swp"
-    assert main(["sweep", "--config", str(fast_cfg), "--out", str(sweep)]) == 0
+    assert main(["sweep", "--config", str(band), "--out", str(sweep)]) == 0
     compared = 0
-    for state, feed in (("x", "A4"), ("y", "A1"), ("slant45", "A7")):
-        sim = tmp_path / f"sim_{state}"
-        assert main(["simulate", "--config", str(fast_cfg), "--state", state, "--feed", feed,
-                     "--freq", "9.75", "--out", str(sim)]) == 0
-        for path in sim.iterdir():
-            assert path.read_bytes() == (sweep / "beams" / path.name).read_bytes(), path.name
-            compared += 1
-    assert compared == 8
+    for freq in ("9.75", "11.0"):
+        for state, feed in (("x", "A4"), ("y", "A1"), ("slant45", "A7")):
+            sim = tmp_path / f"sim_{state}_{freq}"
+            assert main(["simulate", "--config", str(fast_cfg), "--state", state, "--feed", feed,
+                         "--freq", freq, "--out", str(sim)]) == 0
+            for path in sim.iterdir():
+                assert f"_{float(freq):g}GHz_" in path.name
+                assert path.read_bytes() == (sweep / "beams" / path.name).read_bytes(), path.name
+                compared += 1
+    assert compared == 2 * 8
 
 
 def test_oblique_hook_config(tmp_path):
@@ -827,11 +887,17 @@ def test_oblique_hook_config(tmp_path):
     assert cfg.settings(9.75).oblique_phase_deg_per_deg == 0.25
 
 
-def test_sweep_deterministic(tmp_path, fast_cfg):
-    out1, out2 = tmp_path / "s1", tmp_path / "s2"
-    assert main(["sweep", "--config", str(fast_cfg), "--out", str(out1)]) == 0
-    assert main(["sweep", "--config", str(fast_cfg), "--out", str(out2)]) == 0
-    assert (out1 / "beam_table.csv").read_bytes() == (out2 / "beam_table.csv").read_bytes()
+def test_sweep_deterministic(tmp_path, fast_cfg, monkeypatch):
+    # the last run builds no steering key, so every side radiates block by block
+    trees = []
+    for run in ("s1", "s2", "blocks"):
+        if run == "blocks":
+            monkeypatch.setattr(farfield, "MAX_STEERING_KEY_BYTES", 0)
+        out = tmp_path / run
+        assert main(["sweep", "--config", str(fast_cfg), "--out", str(out)]) == 0
+        trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    assert len(trees[0]) == 1 + 2 * 26
+    assert trees[0] == trees[1] == trees[2]
 
 
 def test_report(tmp_path, fast_cfg, capsys):
@@ -883,6 +949,44 @@ def test_report_rejects_unusable_row(tmp_path, capsys, field, value):
         writer.writerow(row)
     assert main(["report", "--beam-table", str(table)]) == 2
     assert capsys.readouterr().err.startswith("beam table row unusable:")
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe not utf-8\n", "beam table "),
+        (b"state,feed_id,frequency_ghz,hemisphere,peak_theta_deg\ny,A1,9.75,-z,22.0\n",
+         "beam table lacks columns ['status']"),
+    ],
+    ids=["not-utf8", "no-status"],
+)
+def test_report_rejects_a_malformed_table(tmp_path, capsys, content, message):
+    table = tmp_path / "beam_table.csv"
+    table.write_bytes(content)
+    assert main(["report", "--beam-table", str(table)]) == 2
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith(message) and captured.out == ""
+
+
+def test_report_reads_a_short_row_as_blank_fields(tmp_path, capsys):
+    table = tmp_path / "beam_table.csv"
+    table.write_text("state,feed_id,frequency_ghz,hemisphere,peak_theta_deg,status\ny,A1\n")
+    assert main(["report", "--beam-table", str(table)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split() == ["y", "A1"]
+
+
+@pytest.mark.parametrize(
+    "command, out", [(c, "F/x") for c in ("sweep", "simulate", "synthesize")] + [("sweep", "F")]
+)
+def test_unusable_output_path_is_one_line(tmp_path, fast_cfg, capsys, command, out):
+    # F is a regular file, so no directory can be made at or under it
+    (tmp_path / "F").write_text("")
+    argv = [command, "--config", str(fast_cfg), "--out", str(tmp_path / out)]
+    assert main(argv + (_SCENARIO if command == "simulate" else [])) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("file error: ") and "Not a directory" in line
+    assert str(tmp_path / "F") in line
 
 
 def test_reference_targets_cover_all_beams():
