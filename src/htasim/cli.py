@@ -44,17 +44,11 @@ from .farfield import (
     allowed_feed_ids,
     principal_cut,
     run_scenario,
-    steering,
     synthesize_cell_maps,
 )
 from .geometry import build_layout
 from .polarization import PolarizationState
-from .synthesis import (
-    wavenumber,
-    wrap_deg,
-    write_cell_map_csv,
-    write_phase_map_csv,
-)
+from .synthesis import wrap_deg, write_cell_map_csv, write_phase_map_csv
 from .unitcell import (
     RESIDUAL_WARN_DEG,
     CurveLibrary,
@@ -102,10 +96,11 @@ def _prepare(args):
         raise CommandError(EXIT_DOMAIN, f"layout error: {exc}") from exc
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _out_dir(path: Path) -> Path:
+    """`path`, made if it is missing; called only once a file is written
+    into it, so a failed run leaves no empty directory behind."""
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _design_frequency(cfg: RunConfig) -> float:
@@ -188,8 +183,8 @@ def _cell_maps(layout, curves: CurveLibrary, freq: float):
 def cmd_synthesize(args) -> int:
     cfg, curves, layout = _prepare(args)
     freq = _design_frequency(cfg)
-    out = _out_dir(cfg)
     maps = _cell_maps(layout, curves, freq)
+    out = _out_dir(Path(cfg.output_dir))
     for side, (cm, _, pm) in maps.items():
         name = side.value
         write_phase_map_csv(pm, out / f"{name}_phase.csv")
@@ -206,6 +201,7 @@ def cmd_synthesize(args) -> int:
 
 
 def _emit_beam(out_dir: Path, state, feed_id, freq, pattern, metrics):
+    _out_dir(out_dir)
     aperture = pattern.aperture
     stem = f"{state.value}_{feed_id}_{freq:g}GHz_{'fwd' if aperture.normal_sign > 0 else 'back'}"
     _write_cut_csv(pattern, metrics.peak_phi_deg, out_dir / f"{stem}_cut.csv")
@@ -238,14 +234,13 @@ def cmd_simulate(args) -> int:
     try:
         cell_maps = synthesize_cell_maps(layout, curves, freq)
         result = [
-            run_scenario(layout, state, args.feed, settings, cell_maps, side)
+            run_scenario(layout, [(state, args.feed)], settings, cell_maps, side)[0]
             for side in active_sides(state)
         ]
     except (KeyError, ValueError) as exc:
         raise CommandError(EXIT_DOMAIN, f"scenario error: {exc}") from exc
-    out = _out_dir(cfg)
     for pattern, metrics in result:
-        stem = _emit_beam(out, state, args.feed, freq, pattern, metrics)
+        stem = _emit_beam(Path(cfg.output_dir), state, args.feed, freq, pattern, metrics)
         print(
             f"{stem}: peak ({metrics.peak_theta_deg:.2f}, {metrics.peak_phi_deg:.1f}) deg, "
             f"D {metrics.directivity_dbi:.2f} dBi, SLL {_fmt(metrics.sll_db, 2) or 'n/a'} dB"
@@ -278,11 +273,11 @@ BEAM_TABLE_COLUMNS = (
 def sweep_rows(cfg: RunConfig, curves: CurveLibrary, layout, out_dir: Path | None):
     """All legal (state, feed, frequency) beams, scan loss filled in.
 
-    Each frequency's sides run one after the other, every beam of a side
-    on one steering operator, so one operator is live at a time.  Rows
-    come out in deterministic (state, feed, frequency, +z before -z)
-    order; a hemisphere that fails yields a row with empty metrics and
-    status=failed, and the scenario's other hemisphere still runs.
+    Each frequency's sides run one after the other, and a side's beams
+    radiate together in one pass.  Rows come out in deterministic
+    (state, feed, frequency, +z before -z) order; a hemisphere that fails
+    yields a row with empty metrics and status=failed, and the
+    scenario's other hemisphere and the side's other beams still run.
     """
     rows = []
     feed_ids = cfg.feed_active_ids or layout.feed_ids
@@ -307,32 +302,31 @@ def sweep_rows(cfg: RunConfig, curves: CurveLibrary, layout, out_dir: Path | Non
 
 def _sweep_side(layout, settings, cell_maps, side, beams, out_dir):
     """Rows of the (state, feed) beams on one side at one frequency, all
-    radiated through one steering operator unless its key is over budget."""
-    if not beams:
-        return []
+    radiated in one `run_scenario` pass.  If that pass fails, each beam
+    runs alone, so a beam that fails on its own yields a failed row with
+    its reason and every other beam still yields its metrics."""
+    try:
+        results = run_scenario(layout, beams, settings, cell_maps, side)
+    except (KeyError, ValueError):
+        results = []
+        for beam in beams:
+            try:
+                results += run_scenario(layout, [beam], settings, cell_maps, side)
+            except (KeyError, ValueError) as exc:  # partial-failure policy: keep going
+                results.append(exc)
     freq = settings.frequency_ghz
-    aperture = side.aperture(layout)
-    operator = steering(
-        aperture, wavenumber(freq), settings.theta_step_deg, settings.phi_step_deg
-    )
+    hemisphere = side.aperture(layout).hemisphere
     rows = []
-    for state, feed_id in beams:
-        beam = {
-            "state": state.value,
-            "feed_id": feed_id,
-            "frequency_ghz": freq,
-            "hemisphere": aperture.hemisphere,
-        }
-        try:
-            pattern, metrics = run_scenario(
-                layout, state, feed_id, settings, cell_maps, side, steering=operator
-            )
-        except (KeyError, ValueError) as exc:  # partial-failure policy: keep going
-            rows.append({**beam, "status": f"failed: {exc}"})
-            continue
-        rows.append({**beam, "metrics": metrics, "status": "ok"})
-        if out_dir is not None:
-            _emit_beam(out_dir, state, feed_id, freq, pattern, metrics)
+    for (state, feed_id), result in zip(beams, results):
+        row = {"state": state.value, "feed_id": feed_id, "frequency_ghz": freq, "hemisphere": hemisphere}
+        if isinstance(result, Exception):
+            row["status"] = f"failed: {result}"
+        else:
+            pattern, metrics = result
+            row.update(metrics=metrics, status="ok")
+            if out_dir is not None:
+                _emit_beam(out_dir, state, feed_id, freq, pattern, metrics)
+        rows.append(row)
     return rows
 
 
@@ -380,10 +374,8 @@ def write_beam_table(rows, path):
 def cmd_sweep(args) -> int:
     cfg, curves, layout = _prepare(args)
     out = Path(cfg.output_dir)
-    beams_dir = out / "beams"
-    beams_dir.mkdir(parents=True, exist_ok=True)
-    rows = sweep_rows(cfg, curves, layout, beams_dir)
-    table_path = out / "beam_table.csv"
+    rows = sweep_rows(cfg, curves, layout, out / "beams")
+    table_path = _out_dir(out) / "beam_table.csv"
     write_beam_table(rows, table_path)
     failed = sum(1 for r in rows if r["status"] != "ok")
     print(f"{len(rows)} beams -> {table_path} ({failed} failed)")

@@ -254,6 +254,12 @@ MAX_CELLS_PER_SIDE = 1000
 
 def _validate(cfg: RunConfig):
     """Rules that tie several keys together."""
+    # file names and the beam table print a frequency as f"{f:g}"
+    labels = [f"{f:g}" for f in cfg.frequencies_ghz]
+    clashes = sorted({label for label in labels if labels.count(label) > 1})
+    if clashes:
+        listed = ", ".join(str(f) for f in cfg.frequencies_ghz)
+        raise ConfigError(f"frequencies = {listed} print alike as {', '.join(clashes)} GHz")
     for prefix, theta, phi in (
         ("sampling.", cfg.sim.theta_step_deg, cfg.sim.phi_step_deg),
         ("sampling.cut_", cfg.cut_theta_step_deg, cfg.cut_phi_step_deg),

@@ -13,31 +13,29 @@ and superposes the element contributions onto a hemisphere grid:
 
 accumulated separately for the co-polarized (y) and cross-polarized (x)
 components.  The sum separates into two steering factors,
-exp(+j k0 x_i u) and exp(+j k0 y_j v), one row per direction.  They
-depend only on the key (aperture, k0, theta step, phi step); a
-`Steering` value holds a key's factors as two arrays, `pu` and `pv`,
-theta-major, and serves every beam radiated on that key.  A block is a
-slice of theta rows, and so a row slice of the key.  `steering` and
-`radiate` share the blocks out in one contiguous run per worker: the
-calling thread takes the first, each other runs in a thread of its own,
-does numpy work only and writes only its own rows.  There is one worker
-per CPU the process may use, at most `MAX_WORKERS`, and one only unless
-the BLAS pool is one thread (`htasim.SERIAL_BLAS`); n workers take
-blocks of `BLOCK_ROWS` // n rows.  Without a prebuilt value, `radiate`
-fills each block into one buffer per worker, so it holds `BLOCK_ROWS`
-theta rows of factors over all workers.  A block's fill evaluates one
-exp table, a row per (theta, distinct |cos(phi)| or |sin(phi)|), shared
-by both factors when the x and y element coordinates are equal, and
-gathers each direction's row from it, conjugated where the cosine is
-negative; within a row exp runs on the first half of the element
-columns and the other half holds the mirrored conjugates.  sin(theta)
->= 0 and the element grid is antisymmetric bit for bit
-(x_{n-1-i} == -x_i), so this is exact.  Each direction's element
-reduction has a fixed shape in any block or thread, so results are
-bit-identical whatever the split, the BLAS thread count or the use of a
-prebuilt value.  `steering` builds no key over `MAX_STEERING_KEY_BYTES`:
-its beams radiate block by block.  A component that is zero over the
-whole aperture is not contracted; its pattern is exactly zero.
+exp(+j k0 x_i u) and exp(+j k0 y_j v), one row per direction.  A field
+may stack several beams over one aperture (a side's beams at one
+frequency), and `radiate` contracts them all in one pass: it fills each
+block of factors once and multiplies it into every beam.  A block is a
+slice of theta rows.  `radiate` shares the blocks out in one contiguous
+run per worker: the calling thread takes the first, each other runs in
+a thread of its own, does numpy work only and writes only its own rows.
+There is one worker per CPU the process may use, at most `MAX_WORKERS`,
+and one only unless the BLAS pool is one thread (`htasim.SERIAL_BLAS`);
+n workers take blocks of `BLOCK_ROWS` // n rows, each filled into one
+buffer per worker, so `BLOCK_ROWS` theta rows of factors are live over
+all workers.  A block's fill evaluates one exp table, a row per (theta,
+distinct |cos(phi)| or |sin(phi)|), shared by both factors when the x
+and y element coordinates are equal, and gathers each direction's row
+from it, conjugated where the cosine is negative; within a row exp runs
+on the first half of the element columns and the other half holds the
+mirrored conjugates.  sin(theta) >= 0 and the element grid is
+antisymmetric bit for bit (x_{n-1-i} == -x_i), so this is exact.  Each
+direction's element reduction has a fixed shape in any block, thread or
+stack, so results are bit-identical whatever the split, the BLAS thread
+count or the beams radiated beside it.  A component that is zero over
+the whole aperture in every beam is not contracted; its pattern is
+exactly zero.
 
 A field and its pattern carry their aperture; the hemisphere a pattern
 covers is its aperture's (`ApertureSpec.hemisphere`, read off the
@@ -48,7 +46,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -77,8 +75,6 @@ from .unitcell import DESIGN_FREQUENCY_GHZ, CurveLibrary, PhaseCurve
 BLOCK_ROWS = 8
 #: the most far-field workers: the count the split was measured at
 MAX_WORKERS = 2
-#: bytes a prebuilt steering key may hold; a default key holds about 40 MB
-MAX_STEERING_KEY_BYTES = 2**30
 
 
 class Side(str, Enum):
@@ -131,7 +127,8 @@ class BlockageMask:
 @dataclass(frozen=True)
 class ApertureField:
     """Outgoing (post-cell) field over one aperture: per-element Jones
-    components ex, ey as complex (nx, ny) grids."""
+    components ex, ey as complex (nx, ny) grids, or (beams, nx, ny)
+    stacks of several beams' grids."""
 
     aperture: ApertureSpec
     ex: np.ndarray
@@ -139,7 +136,7 @@ class ApertureField:
 
     def __post_init__(self):
         shape = (self.aperture.nx, self.aperture.ny)
-        if self.ex.shape != shape or self.ey.shape != shape:
+        if self.ex.shape != self.ey.shape or self.ex.shape[-2:] != shape or self.ex.ndim > 3:
             raise ValueError("aperture field grids do not match the aperture")
         if not (np.all(np.isfinite(self.ex)) and np.all(np.isfinite(self.ey))):
             raise ValueError("aperture field contains non-finite entries")
@@ -150,12 +147,14 @@ class PatternGrid:
     """Far-field samples over the hemisphere of the radiating aperture.
 
     theta is measured from the aperture's normal (+z or -z), so theta in
-    [0, 90] on either side; phi covers [0, 360) uniformly.
+    [0, 90] on either side; phi covers [0, 360) uniformly.  A stacked
+    field's pattern has the field's leading (beams,) shape before the
+    grid's; the metrics take one beam's pattern.
     """
 
     theta_deg: np.ndarray
     phi_deg: np.ndarray
-    e_co: np.ndarray  # (n_theta, n_phi) complex
+    e_co: np.ndarray  # ([beams,] n_theta, n_phi) complex
     e_cross: np.ndarray
     aperture: ApertureSpec
     frequency_ghz: float
@@ -369,95 +368,66 @@ def _over_theta(task, n_theta: int) -> None:
             future.result()
 
 
-@dataclass(frozen=True, eq=False)
-class Steering:
-    """The far-field steering factors of one key: `key` is (aperture, k0,
-    theta_step_deg, phi_step_deg), `pu` (directions, nx) and `pv`
-    (directions, ny) one row per direction, theta-major."""
-
-    key: tuple[ApertureSpec, float, float, float]
-    pu: np.ndarray
-    pv: np.ndarray
-
-
-def steering(
-    aperture: ApertureSpec, k0: float, theta_step_deg: float, phi_step_deg: float
-) -> Steering | None:
-    """Build the steering operator that `radiate` reuses for every field
-    over `aperture` at `k0` on the given grid, or None over MAX_STEERING_KEY_BYTES."""
-    theta, phi = _grid(theta_step_deg, phi_step_deg)
-    if theta.size * phi.size * (aperture.nx + aperture.ny) * 16 > MAX_STEERING_KEY_BYTES:
-        return None
-    pu = np.empty((theta.size * phi.size, aperture.nx), complex)
-    pv = np.empty((theta.size * phi.size, aperture.ny), complex)
-    fill = _steering_fill(aperture, k0, theta, phi)
-
-    def build(blocks: list[slice]):
-        for block in blocks:
-            rows = slice(block.start * phi.size, block.stop * phi.size)
-            fill(block, pu[rows], pv[rows])
-
-    _over_theta(build, theta.size)
-    return Steering(key=(aperture, k0, theta_step_deg, phi_step_deg), pu=pu, pv=pv)
-
-
 def radiate(
     field: ApertureField,
     theta_step_deg: float,
     phi_step_deg: float,
     k0: float,
-    steering: Steering | None = None,
 ) -> PatternGrid:
     """Superpose the aperture field onto a hemisphere grid.
 
     Steps must divide the 90-degree theta range and the 360-degree phi
     range evenly; theta includes both endpoints, phi omits the periodic
-    duplicate at 360.  `steering`, if given, must have been built for
-    this field's aperture, `k0` and steps; without it each block of
-    steering factors is built here, into one buffer per worker.
+    duplicate at 360.  Each block of steering factors is filled once,
+    into one buffer per worker, and contracted with every beam of a
+    stacked field; a beam that is zero in both components is a
+    ValueError.
     """
     theta, phi = _grid(theta_step_deg, phi_step_deg)
-    if not (np.any(field.ex) or np.any(field.ey)):
-        raise ValueError("aperture field is identically zero")
-    if steering is not None and steering.key != (field.aperture, k0, theta_step_deg, phi_step_deg):
-        raise ValueError("steering operator was built for another aperture, k0 or grid")
-
-    e_co = np.zeros((theta.size, phi.size), complex)
-    e_cross = np.zeros((theta.size, phi.size), complex)
-    # a component that is zero everywhere radiates exact zeros
-    lit = [(a, out) for a, out in ((field.ey, e_co), (field.ex, e_cross)) if np.any(a)]
-    element_factor = np.cos(np.radians(theta))[:, None]
     nx, ny = field.aperture.nx, field.aperture.ny
-    if steering is None:
-        fill = _steering_fill(field.aperture, k0, theta, phi)
+    ex, ey = (a.reshape(-1, nx, ny) for a in (field.ex, field.ey))
+    beams = ey.shape[0]
+    if not np.all(np.any(ex, axis=(1, 2)) | np.any(ey, axis=(1, 2))):
+        raise ValueError("aperture field is identically zero")
+
+    e_co = np.zeros((beams, theta.size, phi.size), complex)
+    e_cross = np.zeros((beams, theta.size, phi.size), complex)
+    # a component that is zero in every beam radiates exact zeros; beam b
+    # of a lit component is columns b*ny:(b+1)*ny of its (nx, beams*ny) matrix
+    lit = [
+        (a.transpose(1, 0, 2).reshape(nx, beams * ny), out)
+        for a, out in ((ey, e_co), (ex, e_cross))
+        if np.any(a)
+    ]
+    element_factor = np.cos(np.radians(theta))[:, None]
+    fill = _steering_fill(field.aperture, k0, theta, phi)
 
     def contract(blocks: list[slice]):
         """Fill the rows of `blocks` in every lit component's pattern."""
         # a run's first block is its largest
         size = (blocks[0].stop - blocks[0].start) * phi.size
-        partial = np.empty((size, ny), complex)
-        if steering is None:
-            buffers = np.empty((size, nx), complex), np.empty((size, ny), complex)
+        partial = np.empty((size, beams * ny), complex)
+        buffers = np.empty((size, nx), complex), np.empty((size, ny), complex)
         for block in blocks:
-            rows = slice(block.start * phi.size, block.stop * phi.size)
-            if steering is None:
-                pu, pv = (b[: rows.stop - rows.start] for b in buffers)
-                fill(block, pu, pv)
-            else:
-                pu, pv = steering.pu[rows], steering.pv[rows]
-            part = partial[: pu.shape[0]]  # (directions, ny)
+            n = (block.stop - block.start) * phi.size
+            pu, pv = (b[:n] for b in buffers)
+            fill(block, pu, pv)
+            part = partial[:n]  # (directions, beams * ny)
+            by_beam = part.reshape(n, beams, ny)
             for a, out in lit:
                 # Separable contraction: sum_i sum_j A_ij e^{jk0 x_i u} e^{jk0 y_j v}.
                 np.matmul(pu, a, out=part)
-                np.multiply(part, pv, out=part)
-                out[block] = part.sum(axis=1).reshape(-1, phi.size) * element_factor[block]
+                np.multiply(by_beam, pv[:, None, :], out=by_beam)
+                rows = by_beam.sum(axis=2).T.reshape(beams, -1, phi.size)
+                out[:, block] = rows * element_factor[block]
 
     _over_theta(contract, theta.size)
+    single = field.ey.ndim == 2  # one beam's grid, not a stack
     return PatternGrid(
         theta_deg=theta,
         phi_deg=phi,
-        e_co=e_co,
-        e_cross=e_cross,
+        e_co=e_co[0] if single else e_co,
+        e_cross=e_cross[0] if single else e_cross,
         aperture=field.aperture,
         frequency_ghz=k0 * C_MM_PER_NS / (2.0 * math.pi),
     )
@@ -666,49 +636,61 @@ def active_sides(state: PolarizationState) -> tuple[Side, ...]:
 
 def run_scenario(
     layout: SystemLayout,
-    state: PolarizationState,
-    feed_id: str,
+    beams: list[tuple[PolarizationState, str]],
     settings: SimulationSettings,
     cell_maps: dict[Side, tuple[CellMap, PhaseCurve, PhaseMap]],
     side: Side,
-    steering: Steering | None = None,
-) -> tuple[PatternGrid, BeamMetrics]:
-    """Full illuminate -> radiate -> metrics pipeline for one state/feed
-    on one side, which the state must drive.
+) -> list[tuple[PatternGrid, BeamMetrics]]:
+    """Full illuminate -> radiate -> metrics pipeline for the (state,
+    feed) beams on one side, which each state must drive: every beam is
+    illuminated, the stack is radiated in one pass, and each beam's
+    (pattern, metrics) comes back in order.
 
     `cell_maps` is the output of synthesize_cell_maps at the settings'
-    frequency; `steering` is the side's prebuilt operator at that
-    frequency and the settings' grid, or None to fill each block here.
+    frequency.
     """
-    feed = layout.feed(feed_id)
-    legal = allowed_feed_ids(layout, state, settings)
-    if feed_id not in legal:
-        raise ValueError(
-            f"feed {feed_id} is not allowed in state {state.value}; "
-            f"allowed feeds: {', '.join(legal)}"
-        )
     k0 = wavenumber(settings.frequency_ghz)
-    excitation = FeedExcitation(
-        placement=feed,
-        pattern=feed_pattern_for(layout, settings),
-        state=state,
-    )
     cm, curve, _ = cell_maps[side]
-    field = illuminate(
-        layout,
-        excitation,
-        side,
-        cm,
-        curve,
-        k0,
-        crosspol_leakage=settings.crosspol_leakage,
-        blockage=settings.blockage,
-        oblique_phase_deg_per_deg=settings.oblique_phase_deg_per_deg,
+    fields = []
+    for state, feed_id in beams:
+        feed = layout.feed(feed_id)
+        legal = allowed_feed_ids(layout, state, settings)
+        if feed_id not in legal:
+            raise ValueError(
+                f"feed {feed_id} is not allowed in state {state.value}; "
+                f"allowed feeds: {', '.join(legal)}"
+            )
+        excitation = FeedExcitation(
+            placement=feed,
+            pattern=feed_pattern_for(layout, settings),
+            state=state,
+        )
+        fields.append(
+            illuminate(
+                layout,
+                excitation,
+                side,
+                cm,
+                curve,
+                k0,
+                crosspol_leakage=settings.crosspol_leakage,
+                blockage=settings.blockage,
+                oblique_phase_deg_per_deg=settings.oblique_phase_deg_per_deg,
+            )
+        )
+    stack = ApertureField(
+        aperture=side.aperture(layout),
+        ex=np.stack([f.ex for f in fields]),
+        ey=np.stack([f.ey for f in fields]),
     )
-    pattern = radiate(field, settings.theta_step_deg, settings.phi_step_deg, k0, steering)
-    metrics = extract_metrics(
-        pattern,
-        gain_offset_db=settings.gain_offset_db,
-        reference_aperture_mm2=settings.reference_aperture_mm2,
-    )
-    return pattern, metrics
+    patterns = radiate(stack, settings.theta_step_deg, settings.phi_step_deg, k0)
+    out = []
+    for e_co, e_cross in zip(patterns.e_co, patterns.e_cross):
+        pattern = replace(patterns, e_co=e_co, e_cross=e_cross)
+        metrics = extract_metrics(
+            pattern,
+            gain_offset_db=settings.gain_offset_db,
+            reference_aperture_mm2=settings.reference_aperture_mm2,
+        )
+        out.append((pattern, metrics))
+    return out

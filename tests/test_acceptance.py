@@ -83,7 +83,7 @@ def sweep_975(layout, curves):
         )
         for fid in feed_ids:
             for side in active_sides(state):
-                pattern, metrics = run_scenario(layout, state, fid, settings, maps, side)
+                pattern, metrics = run_scenario(layout, [(state, fid)], settings, maps, side)[0]
                 rows.append((state, fid, pattern.aperture.hemisphere, pattern, metrics))
     return rows
 
@@ -350,8 +350,8 @@ def test_c08_hta_linearity_split(layout, curves):
         theta_step_deg=METRICS_STEPS[0],
         phi_step_deg=METRICS_STEPS[1],
     )
-    hta = run_scenario(layout, PolarizationState.SLANT45, "A4", settings, maps, Side.TA)
-    ta = run_scenario(layout, PolarizationState.X, "A4", settings, maps, Side.TA)
+    hta = run_scenario(layout, [(PolarizationState.SLANT45, "A4")], settings, maps, Side.TA)[0]
+    ta = run_scenario(layout, [(PolarizationState.X, "A4")], settings, maps, Side.TA)[0]
     d_dev = abs(
         hta[1].directivity_dbi - ta[1].directivity_dbi
     )
@@ -370,7 +370,7 @@ def test_c09_bifocal_benefit(layout, curves):
         frequency_ghz=DESIGN_FREQ, theta_step_deg=0.25, phi_step_deg=1.0
     )
     d_bif = {
-        fid: run_scenario(layout, PolarizationState.X, fid, settings, maps, Side.TA)
+        fid: run_scenario(layout, [(PolarizationState.X, fid)], settings, maps, Side.TA)[0]
         [1].directivity_dbi
         for fid in ("A4", "A6")
     }
@@ -423,7 +423,7 @@ def test_c11_polarization_purity(layout, curves):
         (PolarizationState.SLANT45, "A7"),
     ):
         for side in active_sides(state):
-            pattern, _ = run_scenario(layout, state, fid, ideal, maps, side)
+            pattern, _ = run_scenario(layout, [(state, fid)], ideal, maps, side)[0]
             purity.append(float(np.max(np.abs(pattern.e_cross))))
     all_dark = all(p == 0.0 for p in purity)
     leaky = SimulationSettings(
@@ -432,7 +432,7 @@ def test_c11_polarization_purity(layout, curves):
         phi_step_deg=METRICS_STEPS[1],
         crosspol_leakage=0.05,
     )
-    res = run_scenario(layout, PolarizationState.X, "A4", leaky, maps, Side.TA)
+    res = run_scenario(layout, [(PolarizationState.X, "A4")], leaky, maps, Side.TA)[0]
     cross = res[1].crosspol_peak_db
     leak_ok = -27.0 < cross < -25.0
     ok = all_dark and leak_ok

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import htasim
 import htasim.cli
-from htasim import farfield
 from htasim.cli import load_reference_targets, main, write_beam_table
 from htasim.config import (
     KEYS,
@@ -27,7 +26,6 @@ from htasim.config import (
     with_overrides,
 )
 from htasim.geometry import build_layout
-from htasim.synthesis import wavenumber
 
 FAST_SAMPLING = """
 frequencies = 9.75
@@ -492,6 +490,24 @@ def test_builtin_curves_name_a_shift_that_rounds_their_knots(tmp_path, capsys, c
         "builtin uc1 curve at 1e+16 GHz, shifted 4e+17 deg from 9.75 GHz: "
         "curve phase must be strictly monotone"
     )
+    # a directory is made only when a file is written into it
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("values", ["9.75, 9.750001", "9.75, 9.75"])
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+def test_frequencies_that_print_alike_are_a_config_error(tmp_path, capsys, command, values):
+    # file stems and the beam table print a frequency as f"{f:g}", so two
+    # such frequencies would write rows and files that cannot be told apart
+    cfg = tmp_path / "alike.cfg"
+    cfg.write_text(FAST_SAMPLING.replace("frequencies = 9.75", f"frequencies = {values}"))
+    argv = [command, "--config", str(cfg)]
+    if command == "sweep":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == f"config error: frequencies = {values} print alike as 9.75 GHz"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["validate", "synthesize", "sweep"])
@@ -585,9 +601,9 @@ def test_plain_feeds_value_is_a_config_error(tmp_path, capsys, line):
 
 
 def test_oversized_steering_key_is_no_config_error(tmp_path):
-    # 648,720 directions x 1,440 cells x 16 B = 14.9 GB for the folded side:
-    # the engine builds no such key, and a sweep radiates that side block by
-    # block (never run one here: each beam is about 2.7 TFLOP)
+    # 648,720 directions x 1,440 cells x 16 B = 14.9 GB of steering factors
+    # for the folded side: the engine fills them block by block and holds
+    # no such key (never radiate one here: each beam is about 2.7 TFLOP)
     fine = {"fta.period_mm": 0.5, "sampling.theta_step_deg": 0.1, "sampling.phi_step_deg": 0.5}
     cfg = with_overrides(RunConfig(), fine)
     text = "".join(f"{key} = {value}\n" for key, value in fine.items())
@@ -597,11 +613,6 @@ def test_oversized_steering_key_is_no_config_error(tmp_path):
     assert main(["synthesize", "--config", str(path), "--out", str(tmp_path / "syn")]) == 0
     layout = build_layout(cfg.layout)
     assert (layout.fta.nx, layout.fta.ny) == (720, 720)
-    assert farfield.steering(layout.fta, wavenumber(9.75), 0.1, 0.5) is None
-    # the default keys, about 40 MB each, are built
-    default = build_layout(RunConfig().layout)
-    for aperture in (default.ta, default.fta):
-        assert farfield.steering(aperture, wavenumber(9.75), 0.5, 2.0) is not None
 
 
 @pytest.mark.parametrize(
@@ -821,6 +832,24 @@ def test_sweep_failed_rows(tmp_path):
     assert rows["slant45", "-z"]["status"] == "failed: aperture field is identically zero"
 
 
+def test_sweep_fails_only_the_dark_beams_of_a_side(tmp_path):
+    # a steep taper leaves the outer feeds' transmit apertures exactly dark
+    # (cos^q underflows at their cells) while the inner feeds still radiate:
+    # the side's other beams keep their rows, as when each beam ran alone
+    cfg = tmp_path / "steep.cfg"
+    cfg.write_text(FAST_SAMPLING + "feed.q = 30000\n")
+    out = tmp_path / "swp"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    with open(out / "beam_table.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    failed = {(r["state"], r["feed_id"], r["hemisphere"]) for r in rows if r["status"] != "ok"}
+    assert failed == {("slant45", "A1", "+z"), ("slant45", "A7", "+z")}
+    assert {r["status"] for r in rows if r["status"] != "ok"} == {
+        "failed: aperture field is identically zero"
+    }
+    assert len(rows) == 26 and len(list((out / "beams").iterdir())) == 2 * 24
+
+
 def test_beam_table_quotes_failure_status(tmp_path):
     # a failure message may hold the delimiter and the quote character;
     # report reads the table back with csv.DictReader
@@ -862,8 +891,8 @@ def test_simulate_unlisted_frequency(tmp_path, fast_cfg):
 
 
 def test_simulate_writes_the_sweep_beam(tmp_path, fast_cfg):
-    # on FAST_SAMPLING the cut grid is the metrics grid, so a beam steered
-    # block by block in simulate must match the sweep's prebuilt operator;
+    # on FAST_SAMPLING the cut grid is the metrics grid, so a beam radiated
+    # alone in simulate must match the same beam in the sweep's stacked pass;
     # --freq sets `frequencies`, so 11 GHz need not be listed in fast_cfg
     band = tmp_path / "band.cfg"
     band.write_text(FAST_SAMPLING.replace("frequencies = 9.75", "frequencies = 9.75, 11.0"))
@@ -887,17 +916,14 @@ def test_oblique_hook_config(tmp_path):
     assert cfg.settings(9.75).oblique_phase_deg_per_deg == 0.25
 
 
-def test_sweep_deterministic(tmp_path, fast_cfg, monkeypatch):
-    # the last run builds no steering key, so every side radiates block by block
+def test_sweep_deterministic(tmp_path, fast_cfg):
     trees = []
-    for run in ("s1", "s2", "blocks"):
-        if run == "blocks":
-            monkeypatch.setattr(farfield, "MAX_STEERING_KEY_BYTES", 0)
+    for run in ("s1", "s2"):
         out = tmp_path / run
         assert main(["sweep", "--config", str(fast_cfg), "--out", str(out)]) == 0
         trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
     assert len(trees[0]) == 1 + 2 * 26
-    assert trees[0] == trees[1] == trees[2]
+    assert trees[0] == trees[1]
 
 
 def test_report(tmp_path, fast_cfg, capsys):

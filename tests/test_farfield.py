@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -29,7 +30,6 @@ from htasim.farfield import (
     radiate,
     radiated_power_integral,
     run_scenario,
-    steering,
     synthesize_cell_maps,
 )
 from htasim.feed import FeedExcitation, FeedPattern, illumination_grid
@@ -60,6 +60,17 @@ def _uniform_field(n=16, period=6.0):
 
 
 # --- radiate -------------------------------------------------------------
+
+
+def test_a_field_is_one_grid_or_a_stack_of_grids():
+    one = _uniform_field(4)
+    for shape in ((3, 4, 4), (1, 4, 4)):
+        pat = radiate(replace(one, ex=np.zeros(shape, complex), ey=np.ones(shape, complex)), 30.0, 90.0, K0)
+        assert pat.e_co.shape == (shape[0], 4, 4)
+    assert radiate(one, 30.0, 90.0, K0).e_co.shape == (4, 4)
+    for shape in ((2, 1, 4, 4), (4,), (4, 5), (3, 5, 4)):
+        with pytest.raises(ValueError, match="do not match"):
+            replace(one, ex=np.zeros(shape, complex), ey=np.ones(shape, complex))
 
 
 def test_uniform_aperture_peaks_broadside():
@@ -218,14 +229,22 @@ _SPLIT_WORKERS = (1, 2, 3, 16)
 
 
 def _split_patterns(fld, theta_step, phi_step):
-    """The patterns of `fld` built with a prebuilt and without a steering
-    value, each under every count of `_SPLIT_WORKERS`, whatever the
-    host's CPUs."""
+    """The pattern of `fld` radiated on its own and as the middle beam of
+    a stack beside a field with a zero ex and another field, each under
+    every count of `_SPLIT_WORKERS`, whatever the host's CPUs."""
+    dark_x = replace(fld, ex=np.zeros_like(fld.ex), ey=2.0 * fld.ey)
+    swapped = replace(fld, ex=fld.ey, ey=fld.ex)
+    stack = [dark_x, fld, swapped]
+    stacked = ApertureField(
+        aperture=fld.aperture,
+        ex=np.stack([f.ex for f in stack]),
+        ey=np.stack([f.ey for f in stack]),
+    )
     for workers in _SPLIT_WORKERS:
         with mock.patch.object(farfield, "_workers", lambda: workers):
-            op = steering(fld.aperture, K0, theta_step, phi_step)
-            yield radiate(fld, theta_step, phi_step, K0, op)
             yield radiate(fld, theta_step, phi_step, K0)
+            pat = radiate(stacked, theta_step, phi_step, K0)
+            yield replace(pat, e_co=pat.e_co[1], e_cross=pat.e_cross[1])
 
 
 @pytest.mark.parametrize("theta_step, phi_step", _SPLIT_GRIDS)
@@ -237,25 +256,13 @@ def test_blocked_radiate_equals_one_shot_formula(layout, curves, theta_step, phi
             assert np.array_equal(pat.e_cross, e_cross)
 
 
-@pytest.mark.parametrize("built, used", [(1, 2), (2, 1), (1, 3), (3, 1)])
-def test_a_steering_value_radiates_alike_under_any_worker_count(layout, curves, built, used):
-    # a value is the whole key, so the split it was built under does not
-    # fix the blocks it is contracted in
-    for fld in _hybrid_fields(layout, curves):
-        with mock.patch.object(farfield, "_workers", lambda: built):
-            op = steering(fld.aperture, K0, 3.0, 10.0)
-            ref = radiate(fld, 3.0, 10.0, K0, op)
-        with mock.patch.object(farfield, "_workers", lambda: used):
-            pat = radiate(fld, 3.0, 10.0, K0, op)
-        assert np.array_equal(pat.e_co, ref.e_co)
-        assert np.array_equal(pat.e_cross, ref.e_cross)
-
-
-@pytest.mark.parametrize("build", ["radiate", "steering"])
-def test_a_failing_range_raises_from_the_call(monkeypatch, build):
+@pytest.mark.parametrize("beams", [(), (3,)], ids=["radiate", "radiate_stack"])
+def test_a_failing_range_raises_from_the_call(monkeypatch, beams):
     # the calling thread takes the first theta range; the error comes from
     # the second, in a worker thread, and must not be lost or hang the call
-    fld = _uniform_field(10)
+    one = _uniform_field(10)
+    fld = replace(one, ex=np.broadcast_to(one.ex, beams + one.ex.shape),
+                  ey=np.broadcast_to(one.ey, beams + one.ey.shape))
     table = farfield._signed_table
     caller = []
 
@@ -271,10 +278,7 @@ def test_a_failing_range_raises_from_the_call(monkeypatch, build):
     def call():
         caller.append(threading.current_thread())
         try:
-            if build == "radiate":
-                radiate(fld, 3.0, 10.0, K0)
-            else:
-                steering(fld.aperture, K0, 3.0, 10.0)
+            radiate(fld, 3.0, 10.0, K0)
         except FloatingPointError as exc:
             raised.append(str(exc))
 
@@ -332,20 +336,6 @@ def test_the_engine_splits_only_beside_a_one_thread_blas():
     # a pool size the user set wins
     assert _workers_in_child("import htasim", OPENBLAS_NUM_THREADS="2") == ["1", "2"]
     assert _workers_in_child("import numpy, htasim", OPENBLAS_NUM_THREADS="1") == [str(cpus), "1"]
-
-
-def test_steering_key_must_match(layout, curves):
-    ta, fta = _hybrid_fields(layout, curves)
-    op = steering(ta.aperture, K0, 3.0, 10.0)
-    radiate(ta, 3.0, 10.0, K0, op)
-    for args in (
-        (fta, 3.0, 10.0, K0),
-        (ta, 3.0, 10.0, wavenumber(9.0)),
-        (ta, 1.5, 10.0, K0),
-        (ta, 3.0, 5.0, K0),
-    ):
-        with pytest.raises(ValueError, match="another aperture"):
-            radiate(*args, op)
 
 
 def test_zero_component_radiates_exact_zeros(layout, curves):
@@ -417,14 +407,24 @@ def test_steering_factors_equal_the_whole_grid_exponential(
         plane_z=0.0, size_x=nx * period, size_y=ny * period, period=period, nx=nx, ny=ny
     )
     k0 = wavenumber(freq)
-    with mock.patch.object(farfield, "_workers", lambda: workers):
-        op = steering(ap, k0, theta_step, phi_step)
     theta = np.arange(round(90.0 / theta_step) + 1) * theta_step
     phi = np.arange(round(360.0 / phi_step)) * phi_step
+    # the whole grid's factors, filled block by block as radiate fills them
+    pu = np.empty((theta.size * phi.size, nx), complex)
+    pv = np.empty((theta.size * phi.size, ny), complex)
+    fill = farfield._steering_fill(ap, k0, theta, phi)
+
+    def build(blocks):
+        for block in blocks:
+            rows = slice(block.start * phi.size, block.stop * phi.size)
+            fill(block, pu[rows], pv[rows])
+
+    with mock.patch.object(farfield, "_workers", lambda: workers):
+        farfield._over_theta(build, theta.size)
     s = np.sin(np.radians(theta))[:, None]
     for got, cosine, coord in (
-        (op.pu, np.cos(np.radians(phi)), ap.x_centers()),
-        (op.pv, np.sin(np.radians(phi)), ap.y_centers()),
+        (pu, np.cos(np.radians(phi)), ap.x_centers()),
+        (pv, np.sin(np.radians(phi)), ap.y_centers()),
     ):
         w = (s * cosine[None, :]).reshape(-1)
         whole = np.exp(1j * k0 * w[:, None] * coord[None, :])
@@ -694,17 +694,17 @@ def test_run_scenario_feed_legality(layout, curves):
         assert allowed_feed_ids(layout, state, s) == layout.feed_ids
     maps = synthesize_cell_maps(layout, curves, 9.75)
     with pytest.raises(ValueError, match="allowed feeds"):
-        run_scenario(layout, PolarizationState.X, "A1", s, maps, Side.TA)
+        run_scenario(layout, [(PolarizationState.X, "A1")], s, maps, Side.TA)
     with pytest.raises(KeyError):
-        run_scenario(layout, PolarizationState.X, "Z9", s, maps, Side.TA)
+        run_scenario(layout, [(PolarizationState.X, "Z9")], s, maps, Side.TA)
 
 
 def test_hta_fields_are_exact_half_power_split(layout, curves):
     maps = synthesize_cell_maps(layout, curves, 9.75)
     s = _settings(theta_step_deg=0.5, phi_step_deg=2.0)
-    hta = {side: run_scenario(layout, PolarizationState.SLANT45, "A4", s, maps, side) for side in Side}
-    ta = run_scenario(layout, PolarizationState.X, "A4", s, maps, Side.TA)
-    fta = run_scenario(layout, PolarizationState.Y, "A4", s, maps, Side.FTA)
+    hta = {side: run_scenario(layout, [(PolarizationState.SLANT45, "A4")], s, maps, side)[0] for side in Side}
+    ta = run_scenario(layout, [(PolarizationState.X, "A4")], s, maps, Side.TA)[0]
+    fta = run_scenario(layout, [(PolarizationState.Y, "A4")], s, maps, Side.FTA)[0]
     sq = math.sqrt(0.5)
     # pattern level: identical shapes up to the common scale (the field-level
     # identity is bit-exact, see test_illuminate_slant_is_scaled_unidirectional)
@@ -744,8 +744,8 @@ def test_mirrored_feeds_mirror_the_pattern(layout, curves, x, y, state, blocked)
         ta_feed_ids=("P", "M"),
     )
     for side in active_sides(state):
-        plus = run_scenario(lay, state, "P", s, maps, side)[0]
-        minus = run_scenario(lay, state, "M", s, maps, side)[0]
+        # both feeds radiate in one stacked pass, as a sweep's side does
+        (plus, _), (minus, _) = run_scenario(lay, [(state, "P"), (state, "M")], s, maps, side)
         idx = (np.round((180.0 - plus.phi_deg) % 360.0 / 10.0)).astype(int)
         np.testing.assert_allclose(
             np.abs(plus.e_co),
@@ -764,7 +764,7 @@ def test_fta_beam_pointing_oracle(layout, curves):
     s = _settings(theta_step_deg=0.5, phi_step_deg=2.0)
     tol = max(2.0, 0.5)
     for fid in ("A1", "A2", "A3", "A4", "A5", "A6", "A7"):
-        m = run_scenario(layout, PolarizationState.Y, fid, s, maps, Side.FTA)[1]
+        m = run_scenario(layout, [(PolarizationState.Y, fid)], s, maps, Side.FTA)[0][1]
         geo = math.degrees(math.atan(abs(layout.feed(fid).position.x) / layout.F))
         assert abs(m.peak_theta_deg - geo) <= tol
 
@@ -800,7 +800,7 @@ def test_scan_loss_flattening_benefit(layout, curves):
     maps = synthesize_cell_maps(layout, curves, 9.75)
     s = _settings(theta_step_deg=0.5, phi_step_deg=2.0)
     d_bif = {
-        fid: run_scenario(layout, PolarizationState.X, fid, s, maps, Side.TA)
+        fid: run_scenario(layout, [(PolarizationState.X, fid)], s, maps, Side.TA)[0]
         [1].directivity_dbi
         for fid in ("A4", "A6")
     }
@@ -827,11 +827,10 @@ def test_scan_loss_flattening_benefit(layout, curves):
 def test_blockage_costs_directivity(layout, curves):
     maps = synthesize_cell_maps(layout, curves, 9.75)
     s = _settings(theta_step_deg=0.5, phi_step_deg=2.0)
-    clear = run_scenario(layout, PolarizationState.Y, "A4", s, maps, Side.FTA)
+    clear = run_scenario(layout, [(PolarizationState.Y, "A4")], s, maps, Side.FTA)[0]
     shadowed = run_scenario(
         layout,
-        PolarizationState.Y,
-        "A4",
+        [(PolarizationState.Y, "A4")],
         SimulationSettings(
             frequency_ghz=9.75,
             theta_step_deg=0.5,
@@ -840,7 +839,7 @@ def test_blockage_costs_directivity(layout, curves):
         ),
         maps,
         Side.FTA,
-    )
+    )[0]
     assert shadowed[1].directivity_dbi < clear[1].directivity_dbi
 
 
@@ -849,13 +848,13 @@ def test_crosspol_metric_with_leakage(layout, curves):
     s = SimulationSettings(
         frequency_ghz=9.75, theta_step_deg=0.5, phi_step_deg=2.0, crosspol_leakage=0.05
     )
-    m = run_scenario(layout, PolarizationState.X, "A4", s, maps, Side.TA)[1]
+    m = run_scenario(layout, [(PolarizationState.X, "A4")], s, maps, Side.TA)[0][1]
     assert m.crosspol_peak_db == pytest.approx(20.0 * math.log10(0.05), abs=1e-6)
 
 
 def test_ideal_model_has_zero_crosspol(layout, curves):
     maps = synthesize_cell_maps(layout, curves, 9.75)
-    pat, m = run_scenario(layout, PolarizationState.X, "A4", _settings(), maps, Side.TA)
+    pat, m = run_scenario(layout, [(PolarizationState.X, "A4")], _settings(), maps, Side.TA)[0]
     assert np.all(pat.e_cross == 0.0)
     assert m.crosspol_peak_db == -math.inf
 

@@ -75,19 +75,25 @@ _LAUNCHER = (
 )
 
 
-def test_simulate_on_the_cut_grid_is_pinned_and_small(tmp_path):
-    # a two-hemisphere scenario on the 0.25 x 1 deg cut grid: the steering
-    # factors are built and contracted one theta block at a time, never
-    # whole (the whole pair took 373 MiB of peak RSS)
-    out = tmp_path / "sim"
+def _launched(argv) -> tuple[int, int]:
+    """The exit code and ru_maxrss (KiB) of `htasim <argv>` in a child."""
     src = str(Path(htasim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    argv = ["simulate", "--state", "slant45", "--feed", "A7", "--freq", "9.75", "--out", str(out)]
     launched = subprocess.run(
         [sys.executable, "-c", _LAUNCHER, sys.executable, "-m", "htasim.cli", *argv],
         capture_output=True, text=True, env=env, check=True,
     )
     code, maxrss_kib = map(int, launched.stdout.split())
+    return code, maxrss_kib
+
+
+def test_simulate_on_the_cut_grid_is_pinned_and_small(tmp_path):
+    # a two-hemisphere scenario on the 0.25 x 1 deg cut grid: the steering
+    # factors are built and contracted one theta block at a time, never
+    # whole (the whole pair took 373 MiB of peak RSS)
+    out = tmp_path / "sim"
+    argv = ["simulate", "--state", "slant45", "--feed", "A7", "--freq", "9.75", "--out", str(out)]
+    code, maxrss_kib = _launched(argv)
     assert code == 0
     pinned = json.loads(GOLDEN_SHA256.read_text())["simulate_cuts"]
     files = sorted(out.iterdir())
@@ -95,3 +101,14 @@ def test_simulate_on_the_cut_grid_is_pinned_and_small(tmp_path):
     for path in files:
         assert _sha256(path) == pinned[path.name], path.name
     assert maxrss_kib < 100 * 1024
+
+
+def test_sweep_holds_no_steering_key(tmp_path):
+    # each side's beams radiate in one pass that fills the steering factors
+    # a theta block at a time; a whole prebuilt key, about 40 MB a side,
+    # took the sweep to 76 MiB of peak RSS
+    cfg = tmp_path / "two_feeds.cfg"
+    cfg.write_text("feed.active_ids = A1, A4\n")
+    code, maxrss_kib = _launched(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")])
+    assert code == 0
+    assert maxrss_kib < 60 * 1024
