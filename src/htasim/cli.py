@@ -237,7 +237,9 @@ def cmd_simulate(args) -> int:
             run_scenario(layout, [(state, args.feed)], settings, cell_maps, side)[0]
             for side in active_sides(state)
         ]
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:  # str() of a KeyError quotes its message
+        raise CommandError(EXIT_DOMAIN, f"scenario error: {exc.args[0]}") from exc
+    except ValueError as exc:
         raise CommandError(EXIT_DOMAIN, f"scenario error: {exc}") from exc
     for pattern, metrics in result:
         stem = _emit_beam(Path(cfg.output_dir), state, args.feed, freq, pattern, metrics)

@@ -16,26 +16,27 @@ components.  The sum separates into two steering factors,
 exp(+j k0 x_i u) and exp(+j k0 y_j v), one row per direction.  A field
 may stack several beams over one aperture (a side's beams at one
 frequency), and `radiate` contracts them all in one pass: it fills each
-block of factors once and multiplies it into every beam.  A block is a
-slice of theta rows.  `radiate` shares the blocks out in one contiguous
-run per worker: the calling thread takes the first, each other runs in
-a thread of its own, does numpy work only and writes only its own rows.
-There is one worker per CPU the process may use, at most `MAX_WORKERS`,
-and one only unless the BLAS pool is one thread (`htasim.SERIAL_BLAS`);
-n workers take blocks of `BLOCK_ROWS` // n rows, each filled into one
-buffer per worker, so `BLOCK_ROWS` theta rows of factors are live over
-all workers.  A block's fill evaluates one exp table, a row per (theta,
-distinct |cos(phi)| or |sin(phi)|), shared by both factors when the x
-and y element coordinates are equal, and gathers each direction's row
-from it, conjugated where the cosine is negative; within a row exp runs
-on the first half of the element columns and the other half holds the
-mirrored conjugates.  sin(theta) >= 0 and the element grid is
-antisymmetric bit for bit (x_{n-1-i} == -x_i), so this is exact.  Each
-direction's element reduction has a fixed shape in any block, thread or
-stack, so results are bit-identical whatever the split, the BLAS thread
-count or the beams radiated beside it.  A component that is zero over
-the whole aperture in every beam is not contracted; its pattern is
-exactly zero.
+block of factors once and contracts that block with one beam at a time.
+A block is a slice of theta rows.  `radiate` shares the blocks out in
+one contiguous run per worker: the calling thread takes the first, each
+other runs in a thread of its own, does numpy work only and writes only
+its own rows.  There is one worker per CPU the process may use, at most
+`MAX_WORKERS`, and one only unless the BLAS pool is one thread
+(`htasim.SERIAL_BLAS`); n workers take blocks of `BLOCK_ROWS` // n rows,
+each filled into one buffer per worker beside one beam's products, so
+`BLOCK_ROWS` theta rows of factors and of one beam's products are live
+over all workers, whatever the number of beams.  A block's fill
+evaluates one exp table, a row per (theta, distinct |cos(phi)| or
+|sin(phi)|), shared by both factors when the x and y element coordinates
+are equal, and gathers each direction's row from it, conjugated where
+the cosine is negative; within a row exp runs on the first half of the
+element columns and the other half holds the mirrored conjugates.
+sin(theta) >= 0 and the element grid is antisymmetric bit for bit
+(x_{n-1-i} == -x_i), so this is exact.  Each direction's element
+reduction has a fixed shape in any block, thread or stack, so results
+are bit-identical whatever the split, the BLAS thread count or the beams
+radiated beside it.  A component that is zero over the whole aperture in
+every beam is not contracted; its pattern is exactly zero.
 
 A field and its pattern carry their aperture; the hemisphere a pattern
 covers is its aperture's (`ApertureSpec.hemisphere`, read off the
@@ -215,15 +216,17 @@ def illuminate(
     )
 
     comp_phase = curve.phase_at(cell_map.params_mm, cell_map.rotated)
-    if oblique_phase_deg_per_deg != 0.0:
-        dx = x[:, None] - feed_pos.x
-        dy = y[None, :] - feed_pos.y
-        dz = aperture.plane_z - feed_pos.z
-        r = np.sqrt(dx * dx + dy * dy + dz * dz)
-        incidence_deg = np.degrees(np.arccos(np.clip(abs(dz) / r, -1.0, 1.0)))
-        comp_phase = comp_phase + oblique_phase_deg_per_deg * incidence_deg
-    mag = 10.0 ** (curve.magnitude_at(cell_map.params_mm) / 20.0)
-    cell_factor = mag * np.exp(1j * np.radians(comp_phase))
+    # an overflowing phase leaves a non-finite field, which ApertureField rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        if oblique_phase_deg_per_deg != 0.0:
+            dx = x[:, None] - feed_pos.x
+            dy = y[None, :] - feed_pos.y
+            dz = aperture.plane_z - feed_pos.z
+            r = np.sqrt(dx * dx + dy * dy + dz * dz)
+            incidence_deg = np.degrees(np.arccos(np.clip(abs(dz) / r, -1.0, 1.0)))
+            comp_phase = comp_phase + oblique_phase_deg_per_deg * incidence_deg
+        mag = 10.0 ** (curve.magnitude_at(cell_map.params_mm) / 20.0)
+        cell_factor = mag * np.exp(1j * np.radians(comp_phase))
     amplitude = incident * cell_factor
 
     if blockage is not None and side is Side.FTA:
@@ -379,9 +382,10 @@ def radiate(
     Steps must divide the 90-degree theta range and the 360-degree phi
     range evenly; theta includes both endpoints, phi omits the periodic
     duplicate at 360.  Each block of steering factors is filled once,
-    into one buffer per worker, and contracted with every beam of a
-    stacked field; a beam that is zero in both components is a
-    ValueError.
+    into one buffer per worker, and contracted with each beam of a
+    stacked field in turn, into one product buffer per worker that
+    holds one beam's block; a beam that is zero in both components is
+    a ValueError.
     """
     theta, phi = _grid(theta_step_deg, phi_step_deg)
     nx, ny = field.aperture.nx, field.aperture.ny
@@ -392,13 +396,8 @@ def radiate(
 
     e_co = np.zeros((beams, theta.size, phi.size), complex)
     e_cross = np.zeros((beams, theta.size, phi.size), complex)
-    # a component that is zero in every beam radiates exact zeros; beam b
-    # of a lit component is columns b*ny:(b+1)*ny of its (nx, beams*ny) matrix
-    lit = [
-        (a.transpose(1, 0, 2).reshape(nx, beams * ny), out)
-        for a, out in ((ey, e_co), (ex, e_cross))
-        if np.any(a)
-    ]
+    # a component that is zero in every beam radiates exact zeros
+    lit = [(a, out) for a, out in ((ey, e_co), (ex, e_cross)) if np.any(a)]
     element_factor = np.cos(np.radians(theta))[:, None]
     fill = _steering_fill(field.aperture, k0, theta, phi)
 
@@ -406,20 +405,19 @@ def radiate(
         """Fill the rows of `blocks` in every lit component's pattern."""
         # a run's first block is its largest
         size = (blocks[0].stop - blocks[0].start) * phi.size
-        partial = np.empty((size, beams * ny), complex)
-        buffers = np.empty((size, nx), complex), np.empty((size, ny), complex)
+        buffers = [np.empty((size, cols), complex) for cols in (nx, ny, ny)]
         for block in blocks:
             n = (block.stop - block.start) * phi.size
-            pu, pv = (b[:n] for b in buffers)
+            pu, pv, part = (b[:n] for b in buffers)
             fill(block, pu, pv)
-            part = partial[:n]  # (directions, beams * ny)
-            by_beam = part.reshape(n, beams, ny)
             for a, out in lit:
-                # Separable contraction: sum_i sum_j A_ij e^{jk0 x_i u} e^{jk0 y_j v}.
-                np.matmul(pu, a, out=part)
-                np.multiply(by_beam, pv[:, None, :], out=by_beam)
-                rows = by_beam.sum(axis=2).T.reshape(beams, -1, phi.size)
-                out[:, block] = rows * element_factor[block]
+                # Separable contraction: sum_i sum_j A_ij e^{jk0 x_i u} e^{jk0 y_j v},
+                # one beam at a time.
+                for beam, pattern in zip(a, out):
+                    np.matmul(pu, beam, out=part)
+                    np.multiply(part, pv, out=part)
+                    rows = part.sum(axis=1).reshape(-1, phi.size)
+                    pattern[block] = rows * element_factor[block]
 
     _over_theta(contract, theta.size)
     single = field.ey.ndim == 2  # one beam's grid, not a stack

@@ -916,6 +916,31 @@ def test_oblique_hook_config(tmp_path):
     assert cfg.settings(9.75).oblique_phase_deg_per_deg == 0.25
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_overflowing_oblique_phase_fails_without_numpy_warnings(tmp_path, command):
+    # a huge oblique slope overflows the cell phase to inf; the non-finite
+    # field fails the beam, and numpy's overflow warnings are silenced
+    cfg = tmp_path / "oblique.cfg"
+    cfg.write_text(FAST_SAMPLING + "feed.active_ids = A1, A4\noblique.phase_deg_per_deg = 1e308\n")
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    if command == "simulate":
+        argv += ["--state", "x", "--feed", "A4", "--freq", "9.75"]
+    proc = _cli_child(argv)
+    assert proc.returncode == 1
+    assert "RuntimeWarning" not in proc.stderr
+    if command == "simulate":
+        assert proc.stderr.splitlines() == [
+            "scenario error: aperture field contains non-finite entries"
+        ]
+
+
+def test_unknown_feed_is_quoted_once(tmp_path, fast_cfg, capsys):
+    argv = ["simulate", "--config", str(fast_cfg), "--out", str(tmp_path / "o"),
+            "--state", "x", "--feed", "A9", "--freq", "9.75"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == ["scenario error: unknown feed id 'A9'"]
+
+
 def test_sweep_deterministic(tmp_path, fast_cfg):
     trees = []
     for run in ("s1", "s2"):

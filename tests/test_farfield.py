@@ -310,6 +310,20 @@ def test_many_workers_hold_no_more_steering_rows_than_one(layout, curves):
     assert peaks[16] < 1.1 * peaks[1]
 
 
+def test_radiate_working_set_does_not_grow_with_the_stack(layout, curves):
+    # beyond its two output stacks, radiate holds the workers' steering
+    # blocks and one beam's products, whatever the number of beams; a
+    # (directions, beams * ny) product per worker grew it 10 MB here
+    ta, _ = _hybrid_fields(layout, curves)
+    beyond = {}
+    for beams in (1, 12):
+        stack = replace(ta, ex=np.stack([ta.ex] * beams), ey=np.stack([ta.ey] * beams))
+        outputs = 2 * beams * 181 * 180 * np.dtype(complex).itemsize
+        with mock.patch.object(farfield, "_workers", lambda: 2):
+            beyond[beams] = _traced_peak(lambda: radiate(stack, 0.5, 2.0, K0)) - outputs
+    assert beyond[12] - beyond[1] < 1_000_000
+
+
 def _workers_in_child(code: str, **env_vars) -> list[str]:
     """`code`, then the far-field worker count and the process's
     OPENBLAS_NUM_THREADS, as printed by a child process."""
