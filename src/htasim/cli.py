@@ -237,8 +237,9 @@ def cmd_simulate(args) -> int:
             run_scenario(layout, [(state, args.feed)], settings, cell_maps, side)[0]
             for side in active_sides(state)
         ]
-    except KeyError as exc:  # str() of a KeyError quotes its message
-        raise CommandError(EXIT_DOMAIN, f"scenario error: {exc.args[0]}") from exc
+        for outcome in result:
+            if isinstance(outcome, ValueError):
+                raise outcome
     except ValueError as exc:
         raise CommandError(EXIT_DOMAIN, f"scenario error: {exc}") from exc
     for pattern, metrics in result:
@@ -272,7 +273,7 @@ BEAM_TABLE_COLUMNS = (
 )
 
 
-def sweep_rows(cfg: RunConfig, curves: CurveLibrary, layout, out_dir: Path | None):
+def sweep_rows(cfg: RunConfig, curves: CurveLibrary, layout, out_dir: Path):
     """All legal (state, feed, frequency) beams, scan loss filled in.
 
     Each frequency's sides run one after the other, and a side's beams
@@ -304,30 +305,20 @@ def sweep_rows(cfg: RunConfig, curves: CurveLibrary, layout, out_dir: Path | Non
 
 def _sweep_side(layout, settings, cell_maps, side, beams, out_dir):
     """Rows of the (state, feed) beams on one side at one frequency, all
-    radiated in one `run_scenario` pass.  If that pass fails, each beam
-    runs alone, so a beam that fails on its own yields a failed row with
-    its reason and every other beam still yields its metrics."""
-    try:
-        results = run_scenario(layout, beams, settings, cell_maps, side)
-    except (KeyError, ValueError):
-        results = []
-        for beam in beams:
-            try:
-                results += run_scenario(layout, [beam], settings, cell_maps, side)
-            except (KeyError, ValueError) as exc:  # partial-failure policy: keep going
-                results.append(exc)
+    radiated in one `run_scenario` pass: a beam that fails yields a
+    failed row with its reason, and every other beam its metrics."""
+    results = run_scenario(layout, beams, settings, cell_maps, side)
     freq = settings.frequency_ghz
     hemisphere = side.aperture(layout).hemisphere
     rows = []
     for (state, feed_id), result in zip(beams, results):
         row = {"state": state.value, "feed_id": feed_id, "frequency_ghz": freq, "hemisphere": hemisphere}
-        if isinstance(result, Exception):
+        if isinstance(result, ValueError):
             row["status"] = f"failed: {result}"
         else:
             pattern, metrics = result
             row.update(metrics=metrics, status="ok")
-            if out_dir is not None:
-                _emit_beam(out_dir, state, feed_id, freq, pattern, metrics)
+            _emit_beam(out_dir, state, feed_id, freq, pattern, metrics)
         rows.append(row)
     return rows
 
@@ -424,7 +415,7 @@ def cmd_report(args) -> int:
     if missing:
         raise CommandError(EXIT_USAGE, f"beam table lacks columns {missing}: {table_path}")
     targets = load_reference_targets()
-    sides = {side.aperture(layout).hemisphere: side for side in Side}
+    focal_mm = {side.aperture(layout).hemisphere: side.focal_mm(layout) for side in Side}
     tol = max(2.0, cfg.sim.theta_step_deg)
     print(
         f"{'state':8s} {'feed':5s} {'freq':6s} {'hemi':4s} "
@@ -437,11 +428,12 @@ def cmd_report(args) -> int:
             continue
         try:
             feed = layout.feed(row["feed_id"])
-            focal = sides[row["hemisphere"]].focal_mm(layout)
             ach = float(row["peak_theta_deg"])
-        except (KeyError, ValueError) as exc:
+            if row["hemisphere"] not in focal_mm:
+                raise ValueError(f"unknown hemisphere {row['hemisphere']!r}")
+        except ValueError as exc:
             raise CommandError(EXIT_USAGE, f"beam table row unusable: {exc}") from exc
-        geo = math.degrees(math.atan(abs(feed.position.x) / focal))
+        geo = math.degrees(math.atan(abs(feed.position.x) / focal_mm[row["hemisphere"]]))
         d_geo = abs(ach - geo)
         key = (row["state"], row["feed_id"], row["hemisphere"])
         meas = targets.get(key)

@@ -285,6 +285,9 @@ def _validate(cfg: RunConfig):
         unknown = [i for i in ids if i not in configured]
         if unknown:
             raise ConfigError(f"{key} names feeds that are not configured: {unknown}")
+    twice = [i for i in cfg.feed_active_ids or () if cfg.feed_active_ids.count(i) > 1]
+    if twice:
+        raise ConfigError(f"feed.active_ids names feed {twice[0]} more than once")
 
 
 def load_config(path) -> RunConfig:

@@ -129,7 +129,8 @@ class BlockageMask:
 class ApertureField:
     """Outgoing (post-cell) field over one aperture: per-element Jones
     components ex, ey as complex (nx, ny) grids, or (beams, nx, ny)
-    stacks of several beams' grids."""
+    stacks of several beams' grids; a non-finite entry or a dark beam
+    (zero in both components) is a ValueError."""
 
     aperture: ApertureSpec
     ex: np.ndarray
@@ -141,6 +142,8 @@ class ApertureField:
             raise ValueError("aperture field grids do not match the aperture")
         if not (np.all(np.isfinite(self.ex)) and np.all(np.isfinite(self.ey))):
             raise ValueError("aperture field contains non-finite entries")
+        if not np.all(np.any(self.ex, axis=(-2, -1)) | np.any(self.ey, axis=(-2, -1))):
+            raise ValueError("aperture field is identically zero")
 
 
 @dataclass(frozen=True)
@@ -384,16 +387,12 @@ def radiate(
     duplicate at 360.  Each block of steering factors is filled once,
     into one buffer per worker, and contracted with each beam of a
     stacked field in turn, into one product buffer per worker that
-    holds one beam's block; a beam that is zero in both components is
-    a ValueError.
+    holds one beam's block; no beam of an `ApertureField` is dark.
     """
     theta, phi = _grid(theta_step_deg, phi_step_deg)
     nx, ny = field.aperture.nx, field.aperture.ny
     ex, ey = (a.reshape(-1, nx, ny) for a in (field.ex, field.ey))
     beams = ey.shape[0]
-    if not np.all(np.any(ex, axis=(1, 2)) | np.any(ey, axis=(1, 2))):
-        raise ValueError("aperture field is identically zero")
-
     e_co = np.zeros((beams, theta.size, phi.size), complex)
     e_cross = np.zeros((beams, theta.size, phi.size), complex)
     # a component that is zero in every beam radiates exact zeros
@@ -638,57 +637,63 @@ def run_scenario(
     settings: SimulationSettings,
     cell_maps: dict[Side, tuple[CellMap, PhaseCurve, PhaseMap]],
     side: Side,
-) -> list[tuple[PatternGrid, BeamMetrics]]:
+) -> list[tuple[PatternGrid, BeamMetrics] | ValueError]:
     """Full illuminate -> radiate -> metrics pipeline for the (state,
-    feed) beams on one side, which each state must drive: every beam is
-    illuminated, the stack is radiated in one pass, and each beam's
-    (pattern, metrics) comes back in order.
-
-    `cell_maps` is the output of synthesize_cell_maps at the settings'
-    frequency.
-    """
+    feed) beams on one side: each comes back in order as its (pattern,
+    metrics) or as the ValueError it raised at the feed lookup, the
+    legality check, `illuminate` or `extract_metrics`.  The beams that
+    illuminate radiate together in one pass (none if none does), so no
+    beam fails another.  `cell_maps` is synthesize_cell_maps' output at
+    the settings' frequency."""
     k0 = wavenumber(settings.frequency_ghz)
     cm, curve, _ = cell_maps[side]
-    fields = []
+    outcomes = []
     for state, feed_id in beams:
-        feed = layout.feed(feed_id)
-        legal = allowed_feed_ids(layout, state, settings)
-        if feed_id not in legal:
-            raise ValueError(
-                f"feed {feed_id} is not allowed in state {state.value}; "
-                f"allowed feeds: {', '.join(legal)}"
+        try:
+            feed = layout.feed(feed_id)
+            legal = allowed_feed_ids(layout, state, settings)
+            if feed_id not in legal:
+                raise ValueError(
+                    f"feed {feed_id} is not allowed in state {state.value}; "
+                    f"allowed feeds: {', '.join(legal)}"
+                )
+            excitation = FeedExcitation(
+                placement=feed,
+                pattern=feed_pattern_for(layout, settings),
+                state=state,
             )
-        excitation = FeedExcitation(
-            placement=feed,
-            pattern=feed_pattern_for(layout, settings),
-            state=state,
-        )
-        fields.append(
-            illuminate(
-                layout,
-                excitation,
-                side,
-                cm,
-                curve,
-                k0,
-                crosspol_leakage=settings.crosspol_leakage,
-                blockage=settings.blockage,
-                oblique_phase_deg_per_deg=settings.oblique_phase_deg_per_deg,
+            outcomes.append(
+                illuminate(
+                    layout,
+                    excitation,
+                    side,
+                    cm,
+                    curve,
+                    k0,
+                    crosspol_leakage=settings.crosspol_leakage,
+                    blockage=settings.blockage,
+                    oblique_phase_deg_per_deg=settings.oblique_phase_deg_per_deg,
+                )
             )
+        except ValueError as exc:
+            outcomes.append(exc)
+    lit = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, ApertureField)]
+    if lit:
+        stack = ApertureField(
+            aperture=side.aperture(layout),
+            ex=np.stack([outcomes[i].ex for i in lit]),
+            ey=np.stack([outcomes[i].ey for i in lit]),
         )
-    stack = ApertureField(
-        aperture=side.aperture(layout),
-        ex=np.stack([f.ex for f in fields]),
-        ey=np.stack([f.ey for f in fields]),
-    )
-    patterns = radiate(stack, settings.theta_step_deg, settings.phi_step_deg, k0)
-    out = []
-    for e_co, e_cross in zip(patterns.e_co, patterns.e_cross):
-        pattern = replace(patterns, e_co=e_co, e_cross=e_cross)
-        metrics = extract_metrics(
-            pattern,
-            gain_offset_db=settings.gain_offset_db,
-            reference_aperture_mm2=settings.reference_aperture_mm2,
-        )
-        out.append((pattern, metrics))
-    return out
+        patterns = radiate(stack, settings.theta_step_deg, settings.phi_step_deg, k0)
+        for i, e_co, e_cross in zip(lit, patterns.e_co, patterns.e_cross):
+            pattern = replace(patterns, e_co=e_co, e_cross=e_cross)
+            try:
+                metrics = extract_metrics(
+                    pattern,
+                    gain_offset_db=settings.gain_offset_db,
+                    reference_aperture_mm2=settings.reference_aperture_mm2,
+                )
+                outcomes[i] = (pattern, metrics)
+            except ValueError as exc:
+                outcomes[i] = exc
+    return outcomes

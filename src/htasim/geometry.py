@@ -133,7 +133,7 @@ class SystemLayout:
         for fd in self.feeds:
             if fd.id == feed_id:
                 return fd
-        raise KeyError(f"unknown feed id {feed_id!r}")
+        raise ValueError(f"unknown feed id {feed_id!r}")
 
     @property
     def feed_ids(self) -> tuple[str, ...]:

@@ -580,13 +580,15 @@ def test_nonpositive_key_is_a_config_error(tmp_path, command, line):
     assert proc.stderr == f"config error: {line} must be > 0\n"
 
 
-@pytest.mark.parametrize("line", ["feed.active_ids = A9", "ta_feed_ids = Z1"])
+@pytest.mark.parametrize("line", ["feed.active_ids = A9", "ta_feed_ids = Z1", "feed.active_ids = A1, A1"])
 def test_feed_id_lists_name_configured_feeds(tmp_path, capsys, line):
+    # an unknown feed, or an active feed named twice: one line names the key and the id
     cfg = tmp_path / "ids.cfg"
     cfg.write_text(FAST_SAMPLING + line + "\n")
     out = tmp_path / "swp"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
-    assert line.split()[0] in capsys.readouterr().err
+    [message] = capsys.readouterr().err.splitlines()
+    assert line.split()[0] in message and line.split()[-1] in message
     assert not (out / "beam_table.csv").exists()
 
 
@@ -832,14 +834,24 @@ def test_sweep_failed_rows(tmp_path):
     assert rows["slant45", "-z"]["status"] == "failed: aperture field is identically zero"
 
 
-def test_sweep_fails_only_the_dark_beams_of_a_side(tmp_path):
+def _count_radiate(monkeypatch) -> list:
+    """Patch `farfield.radiate` to record each call; the list it fills."""
+    calls = []
+    real = htasim.farfield.radiate
+    monkeypatch.setattr(htasim.farfield, "radiate", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_sweep_fails_only_the_dark_beams_of_a_side(tmp_path, monkeypatch):
     # a steep taper leaves the outer feeds' transmit apertures exactly dark
     # (cos^q underflows at their cells) while the inner feeds still radiate:
-    # the side's other beams keep their rows, as when each beam ran alone
+    # the side's other beams keep their rows in the side's one radiate call
     cfg = tmp_path / "steep.cfg"
     cfg.write_text(FAST_SAMPLING + "feed.q = 30000\n")
     out = tmp_path / "swp"
+    calls = _count_radiate(monkeypatch)
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert len(calls) == 2  # one per side at the one frequency
     with open(out / "beam_table.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     failed = {(r["state"], r["feed_id"], r["hemisphere"]) for r in rows if r["status"] != "ok"}
@@ -848,6 +860,53 @@ def test_sweep_fails_only_the_dark_beams_of_a_side(tmp_path):
         "failed: aperture field is identically zero"
     }
     assert len(rows) == 26 and len(list((out / "beams").iterdir())) == 2 * 24
+
+
+def test_sweep_fails_a_beam_whose_metrics_fail(tmp_path, monkeypatch):
+    # the second beam of the transmit side (slant45 A1) fails in
+    # extract_metrics: only its row fails, its side radiates once, and
+    # every other row equals the unpatched sweep's
+    cfg = tmp_path / "two_feeds.cfg"
+    cfg.write_text(FAST_SAMPLING + "feed.active_ids = A1, A4\n")
+    clean = tmp_path / "clean"
+    assert main(["sweep", "--config", str(cfg), "--out", str(clean)]) == 0
+    metrics = []
+    real = htasim.farfield.extract_metrics
+
+    def failing(*args, **kwargs):
+        metrics.append(args)
+        if len(metrics) == 2:
+            raise ValueError("pattern has no resolvable main lobe")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(htasim.farfield, "extract_metrics", failing)
+    calls = _count_radiate(monkeypatch)
+    out = tmp_path / "swp"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert [c[0].ex.shape[0] for c in calls] == [3, 4]  # one call per side
+    rows = (out / "beam_table.csv").read_text().splitlines()
+    expected = (clean / "beam_table.csv").read_text().splitlines()
+    [changed] = [i for i, (a, b) in enumerate(zip(rows, expected)) if a != b]
+    assert len(rows) == len(expected) == 1 + 7
+    assert rows[changed] == "slant45,A1,9.75,+z,,,,,,,,failed: pattern has no resolvable main lobe"
+    assert sorted(p.name for p in (out / "beams").iterdir()) == sorted(
+        p.name for p in (clean / "beams").iterdir() if not p.name.startswith("slant45_A1_9.75GHz_fwd")
+    )
+
+
+def test_simulate_fails_whole_when_one_hemisphere_fails(tmp_path, capsys):
+    # a shadow wider than the FTA darkens the folded side: the lit
+    # transmit side is not written either
+    cfg = tmp_path / "blocked.cfg"
+    cfg.write_text(
+        FAST_SAMPLING + "blockage.enabled = true\nblockage.width_mm = 400\nblockage.depth_mm = 400\n"
+    )
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--state", "slant45", "--feed", "A4",
+                 "--freq", "9.75", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["scenario error: aperture field is identically zero"]
+    assert captured.out == "" and not out.exists()
 
 
 def test_beam_table_quotes_failure_status(tmp_path):
@@ -999,7 +1058,12 @@ def test_report_rejects_unusable_row(tmp_path, capsys, field, value):
         writer.writeheader()
         writer.writerow(row)
     assert main(["report", "--beam-table", str(table)]) == 2
-    assert capsys.readouterr().err.startswith("beam table row unusable:")
+    reason = {
+        "hemisphere": "unknown hemisphere '+x'",
+        "feed_id": "unknown feed id 'A9'",
+        "peak_theta_deg": "could not convert string to float: ''",
+    }[field]
+    assert capsys.readouterr().err == f"beam table row unusable: {reason}\n"
 
 
 @pytest.mark.parametrize(

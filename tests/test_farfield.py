@@ -170,14 +170,16 @@ def test_radiate_validates_steps():
 
 
 def test_radiate_rejects_dark_aperture():
+    # the field type rejects a beam that is zero in both components, alone
+    # or in a stack, so radiate never sees one
     ap = ApertureSpec(plane_z=0.0, size_x=12.0, size_y=12.0, period=6.0, nx=2, ny=2)
-    fld = ApertureField(
-        aperture=ap,
-        ex=np.zeros((2, 2), complex),
-        ey=np.zeros((2, 2), complex),
-    )
-    with pytest.raises(ValueError, match="zero"):
-        radiate(fld, 15.0, 60.0, K0)
+    lit = np.ones((2, 2), complex)
+    for ex, ey in (
+        (np.zeros((2, 2), complex), np.zeros((2, 2), complex)),
+        (np.zeros((2, 2, 2), complex), np.stack([lit, np.zeros((2, 2), complex)])),
+    ):
+        with pytest.raises(ValueError, match="^aperture field is identically zero$"):
+            ApertureField(aperture=ap, ex=ex, ey=ey)
 
 
 def test_radiate_deterministic():
@@ -707,10 +709,41 @@ def test_run_scenario_feed_legality(layout, curves):
     for state in (PolarizationState.Y, PolarizationState.SLANT45):
         assert allowed_feed_ids(layout, state, s) == layout.feed_ids
     maps = synthesize_cell_maps(layout, curves, 9.75)
-    with pytest.raises(ValueError, match="allowed feeds"):
-        run_scenario(layout, [(PolarizationState.X, "A1")], s, maps, Side.TA)
-    with pytest.raises(KeyError):
-        run_scenario(layout, [(PolarizationState.X, "Z9")], s, maps, Side.TA)
+    [illegal] = run_scenario(layout, [(PolarizationState.X, "A1")], s, maps, Side.TA)
+    assert isinstance(illegal, ValueError) and "allowed feeds" in str(illegal)
+    [unknown] = run_scenario(layout, [(PolarizationState.X, "Z9")], s, maps, Side.TA)
+    assert isinstance(unknown, ValueError) and str(unknown) == "unknown feed id 'Z9'"
+
+
+def test_run_scenario_fails_each_beam_alone(layout, curves, monkeypatch):
+    # failed beams come back as their errors, in order; the lit beams
+    # radiate in one pass and equal each beam radiated alone
+    s = _settings(theta_step_deg=3.0, phi_step_deg=10.0)
+    maps = synthesize_cell_maps(layout, curves, 9.75)
+    calls = []
+    real = farfield.radiate
+    monkeypatch.setattr(farfield, "radiate", lambda *a: calls.append(a) or real(*a))
+    beams = [
+        (PolarizationState.X, "A1"),  # not allowed in state x
+        (PolarizationState.X, "A4"),
+        (PolarizationState.Y, "A4"),  # does not drive the transmit side
+        (PolarizationState.SLANT45, "Z9"),
+        (PolarizationState.SLANT45, "A7"),
+    ]
+    out = run_scenario(layout, beams, s, maps, Side.TA)
+    assert len(calls) == 1 and calls[0][0].ex.shape[0] == 2
+    assert [isinstance(o, ValueError) for o in out] == [True, False, True, True, False]
+    assert str(out[2]) == "state y does not drive the TA side"
+    for beam, got in zip(beams, out):
+        if not isinstance(got, ValueError):
+            [(alone, metrics)] = run_scenario(layout, [beam], s, maps, Side.TA)
+            np.testing.assert_array_equal(got[0].e_co, alone.e_co)
+            np.testing.assert_array_equal(got[0].e_cross, alone.e_cross)
+            assert got[1] == metrics
+    # no beam illuminates: nothing radiates
+    calls.clear()
+    out = run_scenario(layout, beams[:1] + beams[2:4], s, maps, Side.TA)
+    assert calls == [] and all(isinstance(o, ValueError) for o in out)
 
 
 def test_hta_fields_are_exact_half_power_split(layout, curves):

@@ -66,7 +66,7 @@ def test_default_feed_line(layout):
     assert [fd.position.x for fd in layout.feeds] == [
         -160.0, -110.0, -50.0, 0.0, 50.0, 110.0, 160.0,
     ]
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^unknown feed id 'B9'$"):
         layout.feed("B9")
 
 
