@@ -22,10 +22,10 @@ one contiguous run per worker: the calling thread takes the first, each
 other runs in a thread of its own, does numpy work only and writes only
 its own rows.  There is one worker per CPU the process may use, at most
 `MAX_WORKERS`, and one only unless the BLAS pool is one thread
-(`htasim.SERIAL_BLAS`); n workers take blocks of `BLOCK_ROWS` // n rows,
-each filled into one buffer per worker beside one beam's products, so
-`BLOCK_ROWS` theta rows of factors and of one beam's products are live
-over all workers, whatever the number of beams.  A block's fill
+(`htasim.SERIAL_BLAS`); n workers take blocks of `BLOCK_DIRECTIONS` //
+(n * phi samples) theta rows, at least one, each filled into one buffer
+per worker beside one beam's products, so `BLOCK_DIRECTIONS` directions
+are live over all workers, whatever the number of beams.  A block's fill
 evaluates one exp table, a row per (theta, distinct |cos(phi)| or
 |sin(phi)|), shared by both factors when the x and y element coordinates
 are equal, and gathers each direction's row from it, conjugated where
@@ -71,9 +71,9 @@ from .synthesis import (
 )
 from .unitcell import DESIGN_FREQUENCY_GHZ, CurveLibrary, PhaseCurve
 
-#: theta rows of steering factors live at once over all workers: n
-#: workers each hold blocks of BLOCK_ROWS // n rows
-BLOCK_ROWS = 8
+#: steering directions live at once over all workers: n workers each
+#: hold blocks of BLOCK_DIRECTIONS // (n * phi samples) theta rows
+BLOCK_DIRECTIONS = 1440
 #: the most far-field workers: the count the split was measured at
 MAX_WORKERS = 2
 
@@ -198,7 +198,8 @@ def illuminate(
     folded-side elements shadowed by the feed board;
     `oblique_phase_deg_per_deg` is a sensitivity hook adding a linear
     cell-phase deviation per degree of incidence (zero by default: the
-    cells are insensitive to oblique illumination).
+    cells are insensitive to oblique illumination).  Subnormal parts are
+    zeroed in a component whose largest part is 2**-970 or more (`_flushed`).
     """
     side = Side(side)
     path_jones = side.routed(route(excitation.state))
@@ -240,7 +241,18 @@ def illuminate(
 
     ex = amplitude * (path_jones.ex + crosspol_leakage * path_jones.ey)
     ey = amplitude * path_jones.ey
-    return ApertureField(aperture=aperture, ex=ex, ey=ey)
+    return ApertureField(aperture=aperture, ex=_flushed(ex), ey=_flushed(ey))
+
+
+def _flushed(a: np.ndarray) -> np.ndarray:
+    """`a`, its subnormal real and imaginary parts zeroed in place when its
+    largest part is at least 2**52 times the least normal float, so below
+    that part's rounding: subnormals slow the contraction manyfold."""
+    tiny = np.finfo(float).tiny
+    if max(np.abs(a.real).max(), np.abs(a.imag).max()) >= tiny / np.finfo(float).eps:
+        a.real[np.abs(a.real) < tiny] = 0.0
+        a.imag[np.abs(a.imag) < tiny] = 0.0
+    return a
 
 
 def whole_steps(full_range: float, step: float, least: int = 1) -> int | None:
@@ -349,15 +361,15 @@ def _workers() -> int:
     return min(cpus, MAX_WORKERS)
 
 
-def _over_theta(task, n_theta: int) -> None:
-    """Run task(blocks) once per worker: `blocks` is a contiguous run of
-    slices of range(n_theta), each of BLOCK_ROWS // workers rows but
-    the last, so that the workers' blocks hold BLOCK_ROWS rows at once;
-    the runs cover the rows in order.  The first run goes on this thread,
-    each other on a thread of its own; a task's exception is raised here.
+def _over_theta(task, n_theta: int, n_phi: int) -> None:
+    """Run task(blocks) once per worker, at most max(BLOCK_DIRECTIONS //
+    n_phi, MAX_WORKERS): the runs `blocks` cover range(n_theta) in order,
+    in slices of BLOCK_DIRECTIONS // (workers * n_phi) rows, one at least
+    and an even share at most, but the last.  The first run goes on this
+    thread, each other on its own; a task's exception is raised here.
     """
-    workers = min(_workers(), BLOCK_ROWS)
-    rows = BLOCK_ROWS // workers
+    workers = min(_workers(), max(BLOCK_DIRECTIONS // n_phi, MAX_WORKERS))
+    rows = max(min(BLOCK_DIRECTIONS // (workers * n_phi), -(-n_theta // workers)), 1)
     blocks = [slice(s, min(s + rows, n_theta)) for s in range(0, n_theta, rows)]
     n = min(workers, len(blocks))
     runs = [blocks[len(blocks) * k // n : len(blocks) * (k + 1) // n] for k in range(n)]
@@ -418,7 +430,7 @@ def radiate(
                     rows = part.sum(axis=1).reshape(-1, phi.size)
                     pattern[block] = rows * element_factor[block]
 
-    _over_theta(contract, theta.size)
+    _over_theta(contract, theta.size, phi.size)
     single = field.ey.ndim == 2  # one beam's grid, not a stack
     return PatternGrid(
         theta_deg=theta,

@@ -219,14 +219,21 @@ def _hybrid_fields(layout, curves, leakage=0.05):
     ]
 
 
-#: (theta step, phi step): 181 and 31 theta rows are no multiple of any
-#: block; 4 rows are one block of two workers' 4 rows, fewer blocks than
-#: workers; 10 rows are three such blocks, which two workers split
-#: unevenly, and five blocks of three workers' 2 rows
-_SPLIT_GRIDS = [(0.5, 2.0), (3.0, 10.0), (30.0, 10.0), (10.0, 20.0)]
+#: (theta step, phi step).  The sweep grid's 181 rows of 180 directions
+#: run in blocks of 8, 4, 2 and 1 rows under 1, 2, 3 and 16 workers (16
+#: capped to 8), the last block short, and three or more workers split
+#: them unevenly.  A small grid's blocks are each worker's even share of
+#: its rows: 31 rows are 16 + 15 or 11 + 11 + 9, 4 rows are fewer blocks
+#: than three workers and 10 rows are 4 + 4 + 2.  1440 and 1800 phi
+#: samples hold BLOCK_DIRECTIONS or more in one row, so every worker
+#: count runs one-row blocks on at most MAX_WORKERS workers.
+_SPLIT_GRIDS = [
+    (0.5, 2.0), (3.0, 10.0), (30.0, 10.0), (10.0, 20.0), (10.0, 0.25), (30.0, 0.2),
+]
 
-#: far-field worker counts: 16 is more than BLOCK_ROWS, so 8 workers run
-#: blocks of one row
+#: far-field worker counts: 16 is capped to BLOCK_DIRECTIONS // phi
+#: samples, at least MAX_WORKERS, and runs blocks of one row on every
+#: grid of more than BLOCK_DIRECTIONS // 16 = 90 phi samples
 _SPLIT_WORKERS = (1, 2, 3, 16)
 
 
@@ -302,14 +309,31 @@ def _traced_peak(call) -> int:
 
 
 def test_many_workers_hold_no_more_steering_rows_than_one(layout, curves):
-    # the lazy cut-grid radiate of `simulate`: however many workers, their
-    # live blocks hold BLOCK_ROWS theta rows, as one worker's block does
+    # the cut-grid radiate of `simulate`: however many workers, their
+    # live blocks hold BLOCK_DIRECTIONS directions, as one worker's do;
+    # 16 workers run as BLOCK_DIRECTIONS // 360 = 4 of one row each
     ta, _ = _hybrid_fields(layout, curves)
     peaks = {}
-    for workers in (1, 16):
+    for workers in (1, 2, 16):
         with mock.patch.object(farfield, "_workers", lambda: workers):
             peaks[workers] = _traced_peak(lambda: radiate(ta, 0.25, 1.0, K0))
-    assert peaks[16] < 1.1 * peaks[1]
+    assert max(peaks.values()) < 1.1 * peaks[1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_radiate_working_set_is_the_same_on_the_cut_grid(layout, curves, workers):
+    # beyond its two output grids, radiate holds BLOCK_DIRECTIONS
+    # directions of steering blocks and products on either grid; blocks
+    # of a fixed count of theta rows held twice the sweep grid's 5.6 MB
+    # on the cut grid's 360 phi samples.  Two workers' peak varies with
+    # how their transients overlap, so the sweep grid's is one worker's
+    ta, _ = _hybrid_fields(layout, curves)
+    beyond = {}
+    for steps, grid, n in (((0.5, 2.0), (181, 180), 1), ((0.25, 1.0), (361, 360), workers)):
+        outputs = 2 * grid[0] * grid[1] * np.dtype(complex).itemsize
+        with mock.patch.object(farfield, "_workers", lambda: n):
+            beyond[steps] = _traced_peak(lambda: radiate(ta, *steps, K0)) - outputs
+    assert beyond[(0.25, 1.0)] <= 1.1 * beyond[(0.5, 2.0)]
 
 
 def test_radiate_working_set_does_not_grow_with_the_stack(layout, curves):
@@ -406,16 +430,17 @@ def test_odd_grid_radiate_equals_one_shot_formula(theta_step, phi_step):
     st.integers(1, 41),
     st.sampled_from([0.5, 6.0, 7.3, 10.0]),
     st.sampled_from([9.0, 9.75, 10.5, 30.0]),
-    # 31, 19, 10 and 7 theta rows are no multiple of the 8- or 4-row
-    # block; 4 rows are fewer blocks than two workers
+    # 31, 19, 10, 7 and 4 theta rows split into each worker's share, the
+    # last block short where the workers do not divide them
     st.sampled_from([3.0, 5.0, 10.0, 15.0, 30.0]),
     st.sampled_from([10.0, 20.0, 45.0, 120.0, 180.0]),
     st.sampled_from(_SPLIT_WORKERS),
 )
-# two workers split 10 rows' three blocks unevenly; three split 31 rows' 16
-@example(nx=5, ny=4, period=6.0, freq=9.75, theta_step=10.0, phi_step=20.0, workers=2)
+# three workers split five 2-row blocks of 180 directions unevenly; 31
+# rows are blocks of 11, 11 and 9; 4 rows are fewer than 16 workers
+@example(nx=5, ny=4, period=6.0, freq=9.75, theta_step=10.0, phi_step=2.0, workers=3)
 @example(nx=5, ny=4, period=6.0, freq=9.75, theta_step=3.0, phi_step=20.0, workers=3)
-@example(nx=5, ny=4, period=6.0, freq=9.75, theta_step=30.0, phi_step=20.0, workers=2)
+@example(nx=5, ny=4, period=6.0, freq=9.75, theta_step=30.0, phi_step=20.0, workers=16)
 def test_steering_factors_equal_the_whole_grid_exponential(
     nx, ny, period, freq, theta_step, phi_step, workers
 ):
@@ -436,7 +461,7 @@ def test_steering_factors_equal_the_whole_grid_exponential(
             fill(block, pu[rows], pv[rows])
 
     with mock.patch.object(farfield, "_workers", lambda: workers):
-        farfield._over_theta(build, theta.size)
+        farfield._over_theta(build, theta.size, phi.size)
     s = np.sin(np.radians(theta))[:, None]
     for got, cosine, coord in (
         (pu, np.cos(np.radians(phi)), ap.x_centers()),
@@ -690,6 +715,51 @@ def test_illuminate_blockage_shadows_fta(layout, curves):
     )
     ta = illuminate(layout, exc_x, "ta", cm_ta, curve_ta, K0, blockage=mask)
     assert np.all(np.abs(ta.ey) > 0.0)
+
+
+def _subnormal_parts(fld) -> int:
+    parts = np.abs(np.stack([fld.ex.real, fld.ex.imag, fld.ey.real, fld.ey.imag]))
+    return int(np.count_nonzero((parts > 0.0) & (parts < np.finfo(float).tiny)))
+
+
+def test_illuminate_flushes_subnormal_parts(layout, curves):
+    # a steep feed taper underflows through the subnormal range, which
+    # slows the contraction manyfold; the flushed field radiates the
+    # metrics of the unflushed one far below their printed precision
+    cm, curve, _ = synthesize_cell_maps(layout, curves, 9.75)["fta"]
+    exc = FeedExcitation(
+        placement=layout.feed("A4"),
+        pattern=FeedPattern(q=30000.0),
+        state=PolarizationState.SLANT45,
+    )
+    fld = illuminate(layout, exc, "fta", cm, curve, K0)
+    with mock.patch.object(farfield, "_flushed", lambda a: a):
+        raw = illuminate(layout, exc, "fta", cm, curve, K0)
+    assert _subnormal_parts(fld) == 0
+    assert _subnormal_parts(raw) > 0
+    got, ref = (extract_metrics(radiate(f, 0.5, 2.0, K0)) for f in (fld, raw))
+    for name, value in vars(ref).items():
+        assert getattr(got, name) == pytest.approx(value, rel=1e-12, abs=1e-12), name
+
+
+@pytest.mark.parametrize("q", [22000.0, 23000.0])
+def test_illuminate_keeps_a_field_whose_peak_underflows(layout, curves, q):
+    # TA beam A1's largest part is 1.8e-297 at q = 22000, below 2**52
+    # times the least normal float, and subnormal at q = 23000: flushing
+    # would drop parts above its rounding or darken it, so the field
+    # stays as computed and fails in the metrics, for want of power
+    cm, curve, _ = synthesize_cell_maps(layout, curves, 9.75)["ta"]
+    exc = FeedExcitation(
+        placement=layout.feed("A1"),
+        pattern=FeedPattern(q=q),
+        state=PolarizationState.SLANT45,
+    )
+    fld = illuminate(layout, exc, "ta", cm, curve, K0)
+    with mock.patch.object(farfield, "_flushed", lambda a: a):
+        raw = illuminate(layout, exc, "ta", cm, curve, K0)
+    assert np.array_equal(fld.ey, raw.ey) and np.any(fld.ey != 0.0)
+    with pytest.raises(ValueError, match="^pattern carries no power$"):
+        extract_metrics(radiate(fld, 3.0, 10.0, K0))
 
 
 # --- scenarios ---------------------------------------------------------------

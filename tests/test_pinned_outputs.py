@@ -89,8 +89,9 @@ def _launched(argv) -> tuple[int, int]:
 
 def test_simulate_on_the_cut_grid_is_pinned_and_small(tmp_path):
     # a two-hemisphere scenario on the 0.25 x 1 deg cut grid: the steering
-    # factors are built and contracted one theta block at a time, never
-    # whole (the whole pair took 373 MiB of peak RSS)
+    # factors are built and contracted one block of BLOCK_DIRECTIONS
+    # directions at a time, never whole (the whole pair took 373 MiB of
+    # peak RSS; blocks of 8 theta rows, twice the directions, 45.7 MiB)
     out = tmp_path / "sim"
     argv = ["simulate", "--state", "slant45", "--feed", "A7", "--freq", "9.75", "--out", str(out)]
     code, maxrss_kib = _launched(argv)
@@ -100,7 +101,7 @@ def test_simulate_on_the_cut_grid_is_pinned_and_small(tmp_path):
     assert len(files) == 4
     for path in files:
         assert _sha256(path) == pinned[path.name], path.name
-    assert maxrss_kib < 100 * 1024
+    assert maxrss_kib < 48 * 1024
 
 
 def test_sweep_holds_no_steering_key(tmp_path):
