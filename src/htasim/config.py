@@ -159,11 +159,9 @@ KEYS = {
     "blockage.enabled": Key("blockage_enabled", _flag),
     "blockage.width_mm": Key("blockage.width_x_mm", _real),
     "blockage.depth_mm": Key("blockage.width_y_mm", _real),
-    "oblique.phase_deg_per_deg": Key("sim.oblique_phase_deg_per_deg", _real),
     "gain_offset_db": Key(
         "sim.gain_offset_db", _real, lambda v: v <= 0.0, "is a loss budget and must be <= 0"
     ),
-    "reference_aperture_mm2": Key("sim.reference_aperture_mm2", _real, *_POSITIVE),
     "curves.uc1_csv": Key("uc1_curve_csv", str),
     "curves.uc2_csv": Key("uc2_curve_csv", str),
     "output_dir": Key("output_dir", str),

@@ -76,6 +76,10 @@ from .unitcell import DESIGN_FREQUENCY_GHZ, CurveLibrary, PhaseCurve
 BLOCK_DIRECTIONS = 1440
 #: the most far-field workers: the count the split was measured at
 MAX_WORKERS = 2
+#: the metrics use a pattern whose peak |E| lies within 2**(+-this) as it
+#: is: its intensities and their hemisphere sums stay normal floats, and a
+#: scaled copy would add to the cut grid's peak RSS
+MAX_PEAK_EXPONENT = 256
 
 
 class Side(str, Enum):
@@ -185,7 +189,6 @@ def illuminate(
     k0: float,
     crosspol_leakage: float = 0.0,
     blockage: BlockageMask | None = None,
-    oblique_phase_deg_per_deg: float = 0.0,
 ) -> ApertureField:
     """Outgoing aperture field on one side of the stack.
 
@@ -195,10 +198,7 @@ def illuminate(
     magnitude and its realized compensation phase.  `crosspol_leakage`
     adds that fraction of the co-polarized output into the orthogonal
     component (an unconverted transmission residue); `blockage` zeroes
-    folded-side elements shadowed by the feed board;
-    `oblique_phase_deg_per_deg` is a sensitivity hook adding a linear
-    cell-phase deviation per degree of incidence (zero by default: the
-    cells are insensitive to oblique illumination).  Subnormal parts are
+    folded-side elements shadowed by the feed board.  Subnormal parts are
     zeroed in a component whose largest part is 2**-970 or more (`_flushed`).
     """
     side = Side(side)
@@ -220,17 +220,8 @@ def illuminate(
     )
 
     comp_phase = curve.phase_at(cell_map.params_mm, cell_map.rotated)
-    # an overflowing phase leaves a non-finite field, which ApertureField rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        if oblique_phase_deg_per_deg != 0.0:
-            dx = x[:, None] - feed_pos.x
-            dy = y[None, :] - feed_pos.y
-            dz = aperture.plane_z - feed_pos.z
-            r = np.sqrt(dx * dx + dy * dy + dz * dz)
-            incidence_deg = np.degrees(np.arccos(np.clip(abs(dz) / r, -1.0, 1.0)))
-            comp_phase = comp_phase + oblique_phase_deg_per_deg * incidence_deg
-        mag = 10.0 ** (curve.magnitude_at(cell_map.params_mm) / 20.0)
-        cell_factor = mag * np.exp(1j * np.radians(comp_phase))
+    mag = 10.0 ** (curve.magnitude_at(cell_map.params_mm) / 20.0)
+    cell_factor = mag * np.exp(1j * np.radians(comp_phase))
     amplitude = incident * cell_factor
 
     if blockage is not None and side is Side.FTA:
@@ -535,19 +526,25 @@ def _beamwidth_3db_deg(theta, power, peak_idx) -> float:
     return float(abs(right - left))
 
 
-def extract_metrics(
-    pattern: PatternGrid,
-    gain_offset_db: float = 0.0,
-    reference_aperture_mm2: float | None = None,
-) -> BeamMetrics:
+def extract_metrics(pattern: PatternGrid, gain_offset_db: float = 0.0) -> BeamMetrics:
     """Scalar beam metrics from a hemisphere pattern.
 
     The sidelobe level and 3 dB beamwidth are evaluated on the beam-plane
     cut (the great circle through the peak and its antipodal azimuth); the
     main lobe is excluded down to the first local minimum at least 3 dB
     below the peak.  Aperture efficiency references the pattern's aperture
-    area unless an explicit reference is passed.
+    area.  Every metric is a ratio, so a pattern whose peak |E| lies
+    beyond 2**(+-MAX_PEAK_EXPONENT) is first scaled by a power of two,
+    exactly, to a peak in [0.5, 1): a beam whose intensity would
+    underflow or overflow still gets metrics.
     """
+    e = math.frexp(max(np.abs(pattern.e_co).max(), np.abs(pattern.e_cross).max()))[1]
+    if abs(e) > MAX_PEAK_EXPONENT:
+        # in two steps: 2.0 ** 1030 alone, for a subnormal peak, overflows
+        first, second = 2.0 ** -(e // 2), 2.0 ** -(e - e // 2)
+        pattern = replace(
+            pattern, e_co=pattern.e_co * first * second, e_cross=pattern.e_cross * first * second
+        )
     d_dbi, peak_dbi = directivity(pattern)
     co = np.abs(pattern.e_co) ** 2
     flat_idx = int(np.argmax(co))
@@ -569,10 +566,8 @@ def extract_metrics(
         10.0 * math.log10(cross_max / co_max) if cross_max > 0.0 else -math.inf
     )
 
-    if reference_aperture_mm2 is None:
-        reference_aperture_mm2 = pattern.aperture.area_mm2
     lam = C_MM_PER_NS / pattern.frequency_ghz
-    d_max = 4.0 * math.pi * reference_aperture_mm2 / lam**2
+    d_max = 4.0 * math.pi * pattern.aperture.area_mm2 / lam**2
     efficiency = 10.0 ** (peak_dbi / 10.0) / d_max
 
     return BeamMetrics(
@@ -597,9 +592,7 @@ class SimulationSettings:
     feed_q: float | None = None  # None -> derived from the layout geometry
     crosspol_leakage: float = 0.0
     blockage: BlockageMask | None = None
-    oblique_phase_deg_per_deg: float = 0.0
     gain_offset_db: float = 0.0
-    reference_aperture_mm2: float | None = None
     # feeds the transmit-only state may use (the outermost pair would steer
     # beyond the transmit side's scan range)
     ta_feed_ids: tuple[str, ...] = ("A2", "A3", "A4", "A5", "A6")
@@ -684,7 +677,6 @@ def run_scenario(
                     k0,
                     crosspol_leakage=settings.crosspol_leakage,
                     blockage=settings.blockage,
-                    oblique_phase_deg_per_deg=settings.oblique_phase_deg_per_deg,
                 )
             )
         except ValueError as exc:
@@ -700,11 +692,7 @@ def run_scenario(
         for i, e_co, e_cross in zip(lit, patterns.e_co, patterns.e_cross):
             pattern = replace(patterns, e_co=e_co, e_cross=e_cross)
             try:
-                metrics = extract_metrics(
-                    pattern,
-                    gain_offset_db=settings.gain_offset_db,
-                    reference_aperture_mm2=settings.reference_aperture_mm2,
-                )
+                metrics = extract_metrics(pattern, gain_offset_db=settings.gain_offset_db)
                 outcomes[i] = (pattern, metrics)
             except ValueError as exc:
                 outcomes[i] = exc

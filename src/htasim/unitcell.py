@@ -29,6 +29,9 @@ BASE_SPAN_DEG = 180.0
 SPAN_TOLERANCE_DEG = 10.0
 #: Realized-phase residual above which quantization is reported as coarse.
 RESIDUAL_WARN_DEG = 5.0
+#: Most power a cell may scatter per unit drive: 1 % slack, since digitized
+#: magnitude sets routinely overshoot unity.
+PASSIVE_POWER = 1.01
 
 
 @dataclass(frozen=True)
@@ -52,8 +55,7 @@ class ScatterCoeffs:
             + abs(self.r_yx) ** 2
             + abs(self.r_xx) ** 2
         )
-        # 1% slack: digitized magnitude sets routinely overshoot unity
-        if total > 1.01:
+        if total > PASSIVE_POWER:
             raise ValueError(f"scattering coefficients not passive: power {total}")
 
 
@@ -91,6 +93,13 @@ class PhaseCurve:
             raise ValueError("phase curve needs at least two samples")
         if phases.shape != params.shape or mags.shape != params.shape:
             raise ValueError("phase curve arrays must have matching lengths")
+        if not all(np.all(np.isfinite(a)) for a in (params, phases, mags)):
+            raise ValueError("curve values must be finite")
+        passive_db = 10.0 * math.log10(PASSIVE_POWER)
+        if np.any(mags > passive_db):
+            raise ValueError(
+                f"curve magnitude {mags.max():g} dB is not passive: above {passive_db:.4f} dB"
+            )
         if not np.all(np.diff(params) > 0):
             raise ValueError("curve parameter values must be strictly increasing")
         steps = np.diff(phases)

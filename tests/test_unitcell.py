@@ -187,6 +187,20 @@ def test_span_validated():
         PhaseCurve("L", [0.5, 4.6], [0.0, 120.0], [0.0, 0.0])
 
 
+def test_curve_values_are_finite_and_passive():
+    good = ([0.5, 4.6], [0.0, 180.0], [0.0, 0.0])
+    for column in range(3):
+        for bad in (math.inf, -math.inf, math.nan):
+            values = [list(v) for v in good]
+            values[column][1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                PhaseCurve("L", *values)
+    # the passivity slack of ScatterCoeffs: 1 % power, 0.0432 dB
+    PhaseCurve("L", [0.5, 4.6], [0.0, 180.0], [0.0, 0.0432])
+    with pytest.raises(ValueError, match="not passive"):
+        PhaseCurve("L", [0.5, 4.6], [0.0, 180.0], [0.0, 0.0433])
+
+
 def test_decreasing_curve_supported():
     c = PhaseCurve("W", [1.0, 2.0, 3.0], [180.0, 70.0, 0.0], [0.0, -0.5, 0.0])
     for target in (35.0, 300.0):
