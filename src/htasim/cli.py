@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -42,7 +41,6 @@ from .farfield import (
     Side,
     active_sides,
     allowed_feed_ids,
-    principal_cut,
     run_scenario,
     synthesize_cell_maps,
 )
@@ -117,7 +115,7 @@ def _fmt(value: float, nd: int = 4) -> str:
 def _metrics_dict(state, feed_id, frequency, hemisphere, m: BeamMetrics) -> dict:
     metrics = {
         name: None if isinstance(v, float) and not math.isfinite(v) else v
-        for name, v in dataclasses.asdict(m).items()
+        for name, v in m.figures().items()
     }
     return {
         "state": state.value,
@@ -200,30 +198,37 @@ def cmd_synthesize(args) -> int:
 # --- simulate ---------------------------------------------------------------
 
 
-def _emit_beam(out_dir: Path, state, feed_id, freq, pattern, metrics):
+def _emit_beam(out_dir: Path, state, feed_id, freq, aperture, metrics):
     _out_dir(out_dir)
-    aperture = pattern.aperture
     stem = f"{state.value}_{feed_id}_{freq:g}GHz_{'fwd' if aperture.normal_sign > 0 else 'back'}"
-    _write_cut_csv(pattern, metrics.peak_phi_deg, out_dir / f"{stem}_cut.csv")
+    _write_cut_csv(metrics, out_dir / f"{stem}_cut.csv")
     payload = _metrics_dict(state, feed_id, freq, aperture.hemisphere, metrics)
     (out_dir / f"{stem}_metrics.json").write_text(json.dumps(payload, indent=2) + "\n")
     return stem
 
 
-def _write_cut_csv(pattern, peak_phi_deg, path):
-    """Beam-plane cut through the co-polar peak, signed theta, in dB of
-    the co-polar peak."""
-    theta, phi, co, cross = principal_cut(pattern, peak_phi_deg)
-    peak = np.abs(pattern.e_co).max()
+def _write_cut_csv(metrics: BeamMetrics, path):
+    """The beam-plane cut the metrics were read on, signed theta, in dB
+    of the co-polar peak."""
+    cut, reference = metrics.cut, metrics.e_co_max
     with np.errstate(divide="ignore"):
-        co_db = 20.0 * np.log10(np.abs(co) / peak)
-        cx_db = 20.0 * np.log10(np.abs(cross) / peak)
+        co_db = 20.0 * np.log10(np.abs(cut.e_co) / reference)
+        cx_db = 20.0 * np.log10(np.abs(cut.e_cross) / reference)
+    columns = (cut.theta_deg, cut.phi_deg, co_db, cx_db)
     row = "{:.4f},{:.4f},{:.4f},{:.4f}\n".format
     with open(path, "w", newline="") as fh:
         fh.write("theta_deg,phi_deg,e_co_db,e_cross_db\n")
-        fh.writelines(
-            [row(*r) for r in zip(theta.tolist(), phi.tolist(), co_db.tolist(), cx_db.tolist())]
-        )
+        fh.writelines([row(*r) for r in zip(*(c.tolist() for c in columns))])
+
+
+def _simulate_side(layout, beam, settings, cell_maps, side):
+    """The aperture and metrics of one side of a `simulate` scenario: what
+    it writes, without the hemisphere, which goes when this returns."""
+    outcome = run_scenario(layout, [beam], settings, cell_maps, side)[0]
+    if isinstance(outcome, ValueError):
+        raise outcome
+    pattern, metrics = outcome
+    return pattern.aperture, metrics
 
 
 def cmd_simulate(args) -> int:
@@ -234,16 +239,13 @@ def cmd_simulate(args) -> int:
     try:
         cell_maps = synthesize_cell_maps(layout, curves, freq)
         result = [
-            run_scenario(layout, [(state, args.feed)], settings, cell_maps, side)[0]
+            _simulate_side(layout, (state, args.feed), settings, cell_maps, side)
             for side in active_sides(state)
         ]
-        for outcome in result:
-            if isinstance(outcome, ValueError):
-                raise outcome
     except ValueError as exc:
         raise CommandError(EXIT_DOMAIN, f"scenario error: {exc}") from exc
-    for pattern, metrics in result:
-        stem = _emit_beam(Path(cfg.output_dir), state, args.feed, freq, pattern, metrics)
+    for aperture, metrics in result:
+        stem = _emit_beam(Path(cfg.output_dir), state, args.feed, freq, aperture, metrics)
         print(
             f"{stem}: peak ({metrics.peak_theta_deg:.2f}, {metrics.peak_phi_deg:.1f}) deg, "
             f"D {metrics.directivity_dbi:.2f} dBi, SLL {_fmt(metrics.sll_db, 2) or 'n/a'} dB"
@@ -253,7 +255,7 @@ def cmd_simulate(args) -> int:
 
 # --- sweep ------------------------------------------------------------------
 
-#: the beam table's metric columns, each with the BeamMetrics attribute it shows
+#: the beam table's metric columns, each with the BeamMetrics figure it shows
 _METRIC_COLUMNS = (
     ("peak_theta_deg", "peak_theta_deg"),
     ("peak_phi_deg", "peak_phi_deg"),
@@ -317,8 +319,9 @@ def _sweep_side(layout, settings, cell_maps, side, beams, out_dir):
             row["status"] = f"failed: {result}"
         else:
             pattern, metrics = result
-            row.update(metrics=metrics, status="ok")
-            _emit_beam(out_dir, state, feed_id, freq, pattern, metrics)
+            _emit_beam(out_dir, state, feed_id, freq, pattern.aperture, metrics)
+            # the figures alone: the rows outlive every beam's cut
+            row.update(metrics=metrics.figures(), status="ok")
         rows.append(row)
     return rows
 
@@ -333,7 +336,7 @@ def _fill_scan_loss(rows, layout):
         feed = layout.feed(row["feed_id"])
         if feed.position.x == 0.0 and feed.position.y == 0.0:
             key = (row["state"], row["frequency_ghz"], row["hemisphere"])
-            boresight[key] = row["metrics"].directivity_dbi
+            boresight[key] = row["metrics"]["directivity_dbi"]
     for row in rows:
         if row["status"] != "ok":
             row["scan_loss_db"] = None
@@ -341,7 +344,7 @@ def _fill_scan_loss(rows, layout):
         key = (row["state"], row["frequency_ghz"], row["hemisphere"])
         ref = boresight.get(key)
         row["scan_loss_db"] = (
-            None if ref is None else ref - row["metrics"].directivity_dbi
+            None if ref is None else ref - row["metrics"]["directivity_dbi"]
         )
 
 
@@ -357,7 +360,7 @@ def write_beam_table(rows, path):
                     row["feed_id"],
                     f"{row['frequency_ghz']:g}",
                     row["hemisphere"],
-                    *(_fmt(getattr(m, attr)) if m else "" for _, attr in _METRIC_COLUMNS),
+                    *(_fmt(m[name]) if m else "" for _, name in _METRIC_COLUMNS),
                     _fmt(row.get("scan_loss_db")),
                     row["status"],
                 ]

@@ -26,13 +26,14 @@ its own rows.  There is one worker per CPU the process may use, at most
 (n * phi samples) theta rows, at least one, each filled into one buffer
 per worker beside one beam's products, so `BLOCK_DIRECTIONS` directions
 are live over all workers, whatever the number of beams.  A block's fill
-evaluates one exp table, a row per (theta, distinct |cos(phi)| or
-|sin(phi)|), shared by both factors when the x and y element coordinates
-are equal, and gathers each direction's row from it, conjugated where
-the cosine is negative; within a row exp runs on the first half of the
-element columns and the other half holds the mirrored conjugates.
-sin(theta) >= 0 and the element grid is antisymmetric bit for bit
-(x_{n-1-i} == -x_i), so this is exact.  Each direction's element
+evaluates one table of exp(j k0 w x_i), a row per (theta, distinct
+|cos(phi)| or |sin(phi)|), shared by both factors when the x and y
+element coordinates are equal, and gathers each direction's row from
+it, conjugated where the cosine is negative; within a row cos and sin
+run on the first half of the element columns and the other half holds
+the mirrored conjugates.  sin(theta) >= 0 and the element grid is
+antisymmetric bit for bit (x_{n-1-i} == -x_i), so this is exact.  Each
+direction's element
 reduction has a fixed shape in any block, thread or stack, so results
 are bit-identical whatever the split, the BLAS thread count or the beams
 radiated beside it.  A component that is zero over the whole aperture in
@@ -41,13 +42,25 @@ every beam is not contracted; its pattern is exactly zero.
 A field and its pattern carry their aperture; the hemisphere a pattern
 covers is its aperture's (`ApertureSpec.hemisphere`, read off the
 normal).
+
+The metrics read a beam's pattern once.  Three producers read the
+hemisphere: `peak` (the co-polar peak), `cut` (the great circle through
+an azimuth and its antipode) and `power` (the trapezoid hemisphere
+integral); `beam_metrics` computes the figures from what they return,
+the sidelobe level and beamwidth from the cut alone.  `extract_metrics`
+composes them over one intensity pass, |E_co|^2 and |E_x|^2 squared in
+place, and its `BeamMetrics` keep the cut and the 0 dB reference, so a
+beam's cut file is written without its hemisphere.  `directivity` and
+`radiated_power_integral` are the hemisphere-wide oracles they equal bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -169,7 +182,35 @@ class PatternGrid:
 
 
 @dataclass(frozen=True)
+class Peak:
+    """A pattern's co-polar peak: the first sample in flat grid order
+    (np.argmax's rule) of the largest |E_co|^2, that intensity, and the
+    largest |E_co|, which is its cut file's 0 dB."""
+
+    theta_deg: float
+    phi_deg: float
+    intensity: float
+    e_co_max: float
+
+
+@dataclass(frozen=True)
+class Cut:
+    """Signed-theta great-circle cut through an azimuth and its antipode:
+    the negative branch runs along phi + 180 from the horizon inward, the
+    positive branch along phi from the axis outward."""
+
+    theta_deg: np.ndarray
+    phi_deg: np.ndarray
+    e_co: np.ndarray
+    e_cross: np.ndarray
+
+
+@dataclass(frozen=True)
 class BeamMetrics:
+    """A beam's figures of merit, and what its cut file is written from:
+    the cut they were read on and the pattern's largest |E_co| (its 0 dB),
+    so the file needs no hemisphere."""
+
     peak_theta_deg: float
     peak_phi_deg: float
     directivity_dbi: float
@@ -178,6 +219,12 @@ class BeamMetrics:
     beamwidth_3db_deg: float
     crosspol_peak_db: float
     aperture_efficiency: float
+    cut: Cut = field(repr=False, compare=False)
+    e_co_max: float = field(repr=False, compare=False)
+
+    def figures(self) -> dict[str, float]:
+        """The figures of merit by name, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
 
 
 def illuminate(
@@ -279,22 +326,22 @@ def _signed_table(k0: float, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """exp(j k0 w x_i) for every w >= +0 of the (rows, m) array `w`,
     followed by exp(-j k0 w x_i), as a (rows, 2m, elements) array.
 
-    exp is evaluated on the first ceil(n/2) element columns of the first
-    m entries only.  The element grid is antisymmetric bit for bit
-    (x[n-1-i] == -x[i]) and exp(-jt) == conj(exp(jt)) bit for bit, so
+    cos and sin of the real angle k0 w x_i are evaluated into the real
+    and imaginary parts of the first ceil(n/2) element columns of the
+    first m entries only.  The element grid is antisymmetric bit for bit
+    (x[n-1-i] == -x[i]), and cos is even and sin odd bit for bit, so
     the other n//2 columns are the mirrored conjugates and the last m
     entries the conjugates of the first; an odd grid's middle column is
     evaluated."""
     n = x.size
     h = n - n // 2
     rows, m = w.shape
-    # exp runs in place over a contiguous half: into the table's strided
-    # left half it would loop h elements at a time
-    half = 1j * k0 * w[:, :, None] * x[:h]
-    np.exp(half, out=half)
+    angle = (k0 * w)[:, :, None] * x[:h]
     out = np.empty((rows, 2 * m, n), complex)
-    out[:, :m, :h] = half
-    np.conjugate(half[:, :, : n // 2][:, :, ::-1], out=out[:, :m, h:])
+    left = out[:, :m, :h]
+    np.cos(angle, out=left.real)
+    np.sin(angle, out=left.imag)
+    np.conjugate(left[:, :, : n // 2][:, :, ::-1], out=out[:, :m, h:])
     np.conjugate(out[:, :m], out=out[:, m:])
     return out
 
@@ -364,17 +411,25 @@ def _over_theta(task, n_theta: int, n_phi: int) -> None:
     blocks = [slice(s, min(s + rows, n_theta)) for s in range(0, n_theta, rows)]
     n = min(workers, len(blocks))
     runs = [blocks[len(blocks) * k // n : len(blocks) * (k + 1) // n] for k in range(n)]
-    if n == 1:
-        task(runs[0])
-        return
-    # imported on first use: it loads `logging`, which start-up need not pay
-    from concurrent.futures import ThreadPoolExecutor
+    errors = [None] * n
 
-    with ThreadPoolExecutor(n - 1) as pool:
-        rest = [pool.submit(task, run) for run in runs[1:]]
+    def run(k: int) -> None:
+        try:
+            task(runs[k])
+        except BaseException as exc:  # raised from the call below
+            errors[k] = exc
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, n)]
+    for thread in threads:
+        thread.start()
+    try:
         task(runs[0])
-        for future in rest:
-            future.result()
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def radiate(
@@ -433,18 +488,23 @@ def radiate(
     )
 
 
-def radiated_power_integral(pattern: PatternGrid) -> float:
-    """Hemisphere integral of |E|^2 (both polarizations) with the
-    trapezoid-on-sphere rule: trapezoid in theta with sin(theta) weight,
-    periodic rectangle rule in phi."""
-    intensity = np.abs(pattern.e_co) ** 2 + np.abs(pattern.e_cross) ** 2
+def _ring_integral(pattern: PatternGrid, rings: np.ndarray) -> float:
+    """The trapezoid-on-sphere rule over the per-theta sums of an
+    intensity grid: trapezoid in theta with sin(theta) weight, periodic
+    rectangle rule in phi."""
     theta_rad = np.radians(pattern.theta_deg)
     d_theta = theta_rad[1] - theta_rad[0]
     weights = np.full(theta_rad.size, d_theta)
     weights[0] = weights[-1] = d_theta / 2.0
     d_phi = math.radians(pattern.phi_deg[1] - pattern.phi_deg[0])
-    ring = np.sum(intensity, axis=1) * d_phi
-    return float(np.sum(ring * np.sin(theta_rad) * weights))
+    return float(np.sum(rings * d_phi * np.sin(theta_rad) * weights))
+
+
+def radiated_power_integral(pattern: PatternGrid) -> float:
+    """Hemisphere integral of |E|^2 (both polarizations) with the
+    trapezoid-on-sphere rule; the oracle of `power`."""
+    intensity = np.abs(pattern.e_co) ** 2 + np.abs(pattern.e_cross) ** 2
+    return _ring_integral(pattern, np.sum(intensity, axis=1))
 
 
 def directivity(pattern: PatternGrid) -> tuple[np.ndarray, float]:
@@ -458,8 +518,30 @@ def directivity(pattern: PatternGrid) -> tuple[np.ndarray, float]:
         raise ValueError("pattern carries no power")
     u_co = np.abs(pattern.e_co) ** 2
     with np.errstate(divide="ignore"):
-        d_dbi = 10.0 * np.log10(4.0 * math.pi * u_co / total)
+        d_dbi = _directivity_dbi(u_co, total)
     return d_dbi, float(d_dbi.max())
+
+
+def _directivity_dbi(u_co, total: float):
+    return 10.0 * np.log10(4.0 * math.pi * u_co / total)
+
+
+def _peak(pattern: PatternGrid, co: np.ndarray, e_co_max: float) -> Peak:
+    """The peak of the |E_co|^2 grid `co`."""
+    it, ip = np.unravel_index(int(np.argmax(co)), co.shape)
+    return Peak(
+        theta_deg=float(pattern.theta_deg[it]),
+        phi_deg=float(pattern.phi_deg[ip]),
+        intensity=float(co[it, ip]),
+        e_co_max=e_co_max,
+    )
+
+
+def peak(pattern: PatternGrid) -> Peak:
+    """The pattern's co-polar peak."""
+    co = np.abs(pattern.e_co)
+    e_co_max = float(co.max())
+    return _peak(pattern, np.square(co, out=co), e_co_max)
 
 
 def _nearest_phi_index(phi_deg: np.ndarray, target_deg: float) -> int:
@@ -467,21 +549,35 @@ def _nearest_phi_index(phi_deg: np.ndarray, target_deg: float) -> int:
     return int(np.argmin(circ))
 
 
-def principal_cut(pattern: PatternGrid, phi_peak_deg: float):
-    """Signed-theta great-circle cut through phi_peak and its antipode.
-
-    Returns (theta_signed_deg, phi_deg, e_co, e_cross) along the cut: the
-    negative branch runs along phi_peak + 180 from the horizon inward, the
-    positive branch along phi_peak from the axis outward.
-    """
+def cut(pattern: PatternGrid, phi_deg: float) -> Cut:
+    """The pattern along the great circle through phi_deg and its
+    antipode, each read at the circularly nearest phi sample."""
     phi = pattern.phi_deg
-    i_pos = _nearest_phi_index(phi, phi_peak_deg)
-    i_neg = _nearest_phi_index(phi, phi_peak_deg + 180.0)
+    i_pos = _nearest_phi_index(phi, phi_deg)
+    i_neg = _nearest_phi_index(phi, phi_deg + 180.0)
     n = pattern.theta_deg.size
     rows = np.concatenate([np.arange(n - 1, 0, -1), np.arange(n)])
     cols = np.concatenate([np.full(n - 1, i_neg), np.full(n, i_pos)])
-    theta = np.concatenate([-pattern.theta_deg[:0:-1], pattern.theta_deg])
-    return theta, phi[cols], pattern.e_co[rows, cols], pattern.e_cross[rows, cols]
+    return Cut(
+        theta_deg=np.concatenate([-pattern.theta_deg[:0:-1], pattern.theta_deg]),
+        phi_deg=phi[cols],
+        e_co=pattern.e_co[rows, cols],
+        e_cross=pattern.e_cross[rows, cols],
+    )
+
+
+def _power(pattern: PatternGrid, co: np.ndarray, cross: np.ndarray) -> float:
+    """`radiated_power_integral` from the intensity grids; adds `cross`
+    into `co`."""
+    co += cross
+    return _ring_integral(pattern, np.sum(co, axis=1))
+
+
+def power(pattern: PatternGrid) -> float:
+    """Hemisphere integral of |E|^2 (both polarizations), trapezoid on
+    the sphere."""
+    co, cross = np.abs(pattern.e_co), np.abs(pattern.e_cross)
+    return _power(pattern, np.square(co, out=co), np.square(cross, out=cross))
 
 
 def _main_lobe_bounds(power: np.ndarray, peak_idx: int, peak_power: float):
@@ -526,59 +622,88 @@ def _beamwidth_3db_deg(theta, power, peak_idx) -> float:
     return float(abs(right - left))
 
 
-def extract_metrics(pattern: PatternGrid, gain_offset_db: float = 0.0) -> BeamMetrics:
-    """Scalar beam metrics from a hemisphere pattern.
+def beam_metrics(
+    top: Peak,
+    beam_cut: Cut,
+    total_power: float,
+    cross_peak: float,
+    aperture: ApertureSpec,
+    frequency_ghz: float,
+    gain_offset_db: float = 0.0,
+) -> BeamMetrics:
+    """Scalar beam metrics from a pattern's peak, its cut through the
+    peak's azimuth, its power and its largest cross-polar intensity.
 
-    The sidelobe level and 3 dB beamwidth are evaluated on the beam-plane
-    cut (the great circle through the peak and its antipodal azimuth); the
+    The sidelobe level and 3 dB beamwidth are read on the cut alone; the
     main lobe is excluded down to the first local minimum at least 3 dB
-    below the peak.  Aperture efficiency references the pattern's aperture
-    area.  Every metric is a ratio, so a pattern whose peak |E| lies
-    beyond 2**(+-MAX_PEAK_EXPONENT) is first scaled by a power of two,
-    exactly, to a peak in [0.5, 1): a beam whose intensity would
-    underflow or overflow still gets metrics.
+    below the cut's peak.  Aperture efficiency references the aperture's
+    area.
     """
-    e = math.frexp(max(np.abs(pattern.e_co).max(), np.abs(pattern.e_cross).max()))[1]
-    if abs(e) > MAX_PEAK_EXPONENT:
-        # in two steps: 2.0 ** 1030 alone, for a subnormal peak, overflows
-        first, second = 2.0 ** -(e // 2), 2.0 ** -(e - e // 2)
-        pattern = replace(
-            pattern, e_co=pattern.e_co * first * second, e_cross=pattern.e_cross * first * second
-        )
-    d_dbi, peak_dbi = directivity(pattern)
-    co = np.abs(pattern.e_co) ** 2
-    flat_idx = int(np.argmax(co))
-    it, ip = np.unravel_index(flat_idx, co.shape)
-    peak_theta = float(pattern.theta_deg[it])
-    peak_phi = float(pattern.phi_deg[ip])
-
-    theta_cut, _, co_cut, _ = principal_cut(pattern, peak_phi)
-    power_cut = np.abs(co_cut) ** 2
+    if total_power <= 0.0:
+        raise ValueError("pattern carries no power")
+    power_cut = np.abs(beam_cut.e_co) ** 2
     peak_idx = int(np.argmax(power_cut))
     if power_cut[peak_idx] <= 0.0:
         raise ValueError("pattern has no resolvable main lobe")
-    sll = _sidelobe_level_db(theta_cut, power_cut, peak_idx)
-    bw = _beamwidth_3db_deg(theta_cut, power_cut, peak_idx)
-
-    cross_max = float(np.max(np.abs(pattern.e_cross) ** 2))
-    co_max = float(co.max())
+    sll = _sidelobe_level_db(beam_cut.theta_deg, power_cut, peak_idx)
+    bw = _beamwidth_3db_deg(beam_cut.theta_deg, power_cut, peak_idx)
+    # directivity's own expression at the peak intensity alone
+    peak_dbi = float(_directivity_dbi(top.intensity, total_power))
     crosspol_db = (
-        10.0 * math.log10(cross_max / co_max) if cross_max > 0.0 else -math.inf
+        10.0 * math.log10(cross_peak / top.intensity) if cross_peak > 0.0 else -math.inf
     )
-
-    lam = C_MM_PER_NS / pattern.frequency_ghz
-    d_max = 4.0 * math.pi * pattern.aperture.area_mm2 / lam**2
-    efficiency = 10.0 ** (peak_dbi / 10.0) / d_max
-
+    lam = C_MM_PER_NS / frequency_ghz
+    d_max = 4.0 * math.pi * aperture.area_mm2 / lam**2
     return BeamMetrics(
-        peak_theta_deg=peak_theta,
-        peak_phi_deg=peak_phi,
+        peak_theta_deg=top.theta_deg,
+        peak_phi_deg=top.phi_deg,
         directivity_dbi=peak_dbi,
         peak_gain_dbi=peak_dbi + gain_offset_db,
         sll_db=sll,
         beamwidth_3db_deg=bw,
         crosspol_peak_db=crosspol_db,
-        aperture_efficiency=efficiency,
+        aperture_efficiency=10.0 ** (peak_dbi / 10.0) / d_max,
+        cut=beam_cut,
+        e_co_max=top.e_co_max,
+    )
+
+
+def extract_metrics(pattern: PatternGrid, gain_offset_db: float = 0.0) -> BeamMetrics:
+    """`beam_metrics` of the pattern's peak, its cut through the peak's
+    azimuth, its power and its largest cross-polar intensity, read in
+    one pass: |E_co| and |E_x| are taken once and squared in place.
+
+    Every metric is a ratio, so a pattern whose peak |E| lies beyond
+    2**(+-MAX_PEAK_EXPONENT) is first scaled by a power of two, exactly,
+    to a peak in [0.5, 1), and read again: a beam whose intensity would
+    underflow or overflow still gets metrics.  The metrics' cut and
+    0 dB reference come from the scaled pattern, like the rest.
+    """
+    co, cross = np.abs(pattern.e_co), np.abs(pattern.e_cross)
+    e_co_max = float(co.max())
+    e = math.frexp(max(e_co_max, float(cross.max())))[1]
+    if abs(e) > MAX_PEAK_EXPONENT:
+        del co, cross
+        # in two steps: 2.0 ** 1030 alone, for a subnormal peak, overflows
+        first, second = 2.0 ** -(e // 2), 2.0 ** -(e - e // 2)
+        scaled = [a * first for a in (pattern.e_co, pattern.e_cross)]
+        for a in scaled:
+            a *= second
+        pattern = replace(pattern, e_co=scaled[0], e_cross=scaled[1])
+        co, cross = np.abs(pattern.e_co), np.abs(pattern.e_cross)
+        e_co_max = float(co.max())
+    np.square(co, out=co)
+    np.square(cross, out=cross)
+    top = _peak(pattern, co, e_co_max)
+    cross_peak = float(cross.max())
+    return beam_metrics(
+        top,
+        cut(pattern, top.phi_deg),
+        _power(pattern, co, cross),
+        cross_peak,
+        pattern.aperture,
+        pattern.frequency_ghz,
+        gain_offset_db,
     )
 
 

@@ -208,7 +208,9 @@ def build_layout(config: LayoutConfig) -> SystemLayout:
     if config.h_mm is not None:
         h = float(config.h_mm)
         if h < 0:
-            raise ValueError(f"aperture separation h must be nonnegative, got {h}")
+            raise ValueError(
+                f"distance h from the feed plane to the folded aperture must be nonnegative, got {h}"
+            )
         F = 2 * f + h
         if config.F_mm is not None and abs(float(config.F_mm) - F) > 1e-9:
             raise ValueError(

@@ -411,6 +411,36 @@ def test_malformed_config_exits_without_traceback(tmp_path, text, code):
 _SCENARIO = ["--state", "y", "--feed", "A4", "--freq", "9.75"]
 
 
+def test_negative_h_names_the_distance_it_is(tmp_path):
+    # h is the distance from the feed plane to the folded aperture (the
+    # FTA lies at z = -h), not the apertures' separation, which is f + h
+    cfg = tmp_path / "h.cfg"
+    cfg.write_text("h_mm = -1\n")
+    proc = _cli_child(["validate", "--config", str(cfg)])
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "layout error: distance h from the feed plane to the folded aperture"
+        " must be nonnegative, got -1.0"
+    ]
+
+
+def test_a_split_radiate_loads_no_executor(tmp_path):
+    # two engine workers run in plain threads: `concurrent.futures` would
+    # load `logging` as well, which no command needs
+    code = (
+        "import sys; from htasim import cli, farfield\n"
+        "farfield._workers = lambda: 2\n"
+        f"code = cli.main(['simulate', *{_SCENARIO!r}, '--out', {str(tmp_path / 'o')!r}])\n"
+        "print(code, sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n"
+    )
+    src = str(Path(htasim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 @pytest.mark.parametrize("line", ["F_mm = 1e300", "h_mm = 1e300"])
 @pytest.mark.parametrize("command", ["synthesize", "simulate", "sweep"])
 def test_unsquarable_stack_is_a_layout_error(tmp_path, command, line):

@@ -24,9 +24,12 @@ from htasim.farfield import (
     SimulationSettings,
     active_sides,
     allowed_feed_ids,
+    cut,
     directivity,
     extract_metrics,
     illuminate,
+    peak,
+    power,
     radiate,
     radiated_power_integral,
     run_scenario,
@@ -583,6 +586,92 @@ def test_gain_offset():
     assert m.peak_gain_dbi == pytest.approx(m.directivity_dbi - 1.7)
 
 
+def _unit_peak(pat):
+    """The pattern scaled exactly as `extract_metrics` scales it: by a
+    power of two, in two steps, to a peak |E| in [0.5, 1) when its peak
+    lies beyond 2**(+-MAX_PEAK_EXPONENT)."""
+    e = math.frexp(max(np.abs(pat.e_co).max(), np.abs(pat.e_cross).max()))[1]
+    if abs(e) <= farfield.MAX_PEAK_EXPONENT:
+        return pat
+    first, second = 2.0 ** -(e // 2), 2.0 ** -(e - e // 2)
+    return replace(pat, e_co=pat.e_co * first * second, e_cross=pat.e_cross * first * second)
+
+
+def _assert_one_pass_equals_the_oracles(pat):
+    # the one-pass metrics read what the hemisphere-wide oracles read, bit
+    # for bit, and so do the standalone producers
+    m = extract_metrics(pat)
+    unit = _unit_peak(pat)
+    assert m.directivity_dbi == directivity(unit)[1]
+    assert power(unit) == radiated_power_integral(unit)
+    top = peak(unit)
+    assert (m.peak_theta_deg, m.peak_phi_deg) == (top.theta_deg, top.phi_deg)
+    assert m.e_co_max == top.e_co_max == np.abs(unit.e_co).max()
+    assert np.array_equal(m.cut.e_co, cut(unit, top.phi_deg).e_co)
+
+
+_METRIC_GRIDS = [(3.0, 10.0), (2.0, 8.0), (1.0, 4.0), (5.0, 45.0), (9.0, 120.0)]
+
+
+@settings(database=None, max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(_METRIC_GRIDS),
+    st.sampled_from([0.0, 0.05, 1.0]),
+    st.sampled_from([0, -600, 600]),
+)
+def test_one_pass_metrics_equal_the_oracles(seed, steps, leakage, exponent):
+    rng = np.random.default_rng(seed)
+    shape = (_SMALL_APERTURE.nx, _SMALL_APERTURE.ny)
+    ey = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 2.0**exponent
+    fld = ApertureField(_SMALL_APERTURE, ex=leakage * ey, ey=ey)
+    _assert_one_pass_equals_the_oracles(radiate(fld, *steps, K0))
+
+
+def test_one_pass_metrics_equal_the_oracles_on_an_underflowing_beam(layout, curves):
+    # TA beam A1 at q = 22000: its intensity underflows, so the metrics
+    # read the pattern scaled to a unit peak
+    cm, curve, _ = synthesize_cell_maps(layout, curves, 9.75)["ta"]
+    exc = FeedExcitation(
+        placement=layout.feed("A1"),
+        pattern=FeedPattern(q=22000.0),
+        state=PolarizationState.SLANT45,
+    )
+    pat = radiate(illuminate(layout, exc, "ta", cm, curve, K0), 3.0, 10.0, K0)
+    assert _unit_peak(pat) is not pat
+    _assert_one_pass_equals_the_oracles(pat)
+
+
+def test_peak_takes_the_first_of_equal_maxima():
+    # np.argmax's rule: the lowest flat index, here (2, 7) before (3, 5)
+    # and (5, 1)
+    th = np.arange(0.0, 91.0, 10.0)
+    ph = np.arange(0.0, 360.0, 10.0)
+    e_co = np.full((th.size, ph.size), 0.01 + 0j)
+    e_co[3, 5], e_co[2, 7], e_co[5, 1] = 1.0, -1j, -1.0
+    pat = PatternGrid(
+        theta_deg=th,
+        phi_deg=ph,
+        e_co=e_co,
+        e_cross=np.zeros_like(e_co),
+        aperture=_SMALL_APERTURE,
+        frequency_ghz=10.0,
+    )
+    top = peak(pat)
+    assert (top.theta_deg, top.phi_deg, top.intensity, top.e_co_max) == (20.0, 70.0, 1.0, 1.0)
+    m = extract_metrics(pat)
+    assert (m.peak_theta_deg, m.peak_phi_deg) == (20.0, 70.0)
+
+
+def test_metrics_hold_two_intensity_grids(layout, curves):
+    # |E_co|^2 and |E_x|^2 are the metrics' only hemisphere-sized arrays;
+    # seven abs passes and a dB grid took 3.04 grids
+    ta, _ = _hybrid_fields(layout, curves)
+    pat = radiate(ta, 0.25, 1.0, K0)
+    grid = pat.theta_deg.size * pat.phi_deg.size * np.dtype(float).itemsize
+    assert _traced_peak(lambda: extract_metrics(pat)) <= 2.2 * grid
+
+
 # --- illuminate ------------------------------------------------------------
 
 
@@ -738,7 +827,7 @@ def test_illuminate_flushes_subnormal_parts(layout, curves):
     assert _subnormal_parts(fld) == 0
     assert _subnormal_parts(raw) > 0
     got, ref = (extract_metrics(radiate(f, 0.5, 2.0, K0)) for f in (fld, raw))
-    for name, value in vars(ref).items():
+    for name, value in ref.figures().items():
         assert getattr(got, name) == pytest.approx(value, rel=1e-12, abs=1e-12), name
 
 
@@ -764,7 +853,7 @@ def test_illuminate_keeps_a_field_whose_peak_underflows(layout, curves, q):
     # of the subnormal one keeps about 13 significant digits
     lifted = ApertureField(fld.aperture, fld.ex * 2.0**600, fld.ey * 2.0**600)
     ref = extract_metrics(radiate(lifted, 3.0, 10.0, K0))
-    for name, value in vars(ref).items():
+    for name, value in ref.figures().items():
         assert getattr(got, name) == pytest.approx(value, rel=1e-9), name
 
 
@@ -1008,6 +1097,16 @@ def test_principal_cut_with_offgrid_antipode():
     pat = radiate(fld, 2.0, 8.0, K0)
     m = extract_metrics(pat)
     assert m.peak_theta_deg == 0.0
+    n = pat.theta_deg.size
+    i_neg = _nearest_phi_index(phi, 180.0)
+    c = cut(pat, 0.0)
+    assert np.array_equal(c.theta_deg, np.concatenate([-pat.theta_deg[:0:-1], pat.theta_deg]))
+    assert np.all(c.phi_deg[: n - 1] == phi[i_neg]) and np.all(c.phi_deg[n - 1 :] == 0.0)
+    assert np.array_equal(c.e_co[: n - 1], pat.e_co[:0:-1, i_neg])
+    assert np.array_equal(c.e_co[n - 1 :], pat.e_co[:, 0])
+    assert np.array_equal(c.e_cross[n - 1 :], pat.e_cross[:, 0])
+    assert np.all(cut(pat, 356.5).phi_deg[n - 1 :] == 0.0)
+    assert np.array_equal(m.cut.e_co, c.e_co)
 
 
 def test_directivity_rejects_dark_pattern():
