@@ -26,14 +26,15 @@ its own rows.  There is one worker per CPU the process may use, at most
 (n * phi samples) theta rows, at least one, each filled into one buffer
 per worker beside one beam's products, so `BLOCK_DIRECTIONS` directions
 are live over all workers, whatever the number of beams.  A block's fill
-evaluates one table of exp(j k0 w x_i), a row per (theta, distinct
+evaluates one table of exp(j k0 w x_i), one entry per (theta, distinct
 |cos(phi)| or |sin(phi)|), shared by both factors when the x and y
 element coordinates are equal, and gathers each direction's row from
-it, conjugated where the cosine is negative; within a row cos and sin
-run on the first half of the element columns and the other half holds
-the mirrored conjugates.  sin(theta) >= 0 and the element grid is
-antisymmetric bit for bit (x_{n-1-i} == -x_i), so this is exact.  Each
-direction's element
+it by its magnitude alone; a direction whose cosine is negative reads
+that entry's conjugate, applied in place on its run of phi samples.
+Within an entry cos and sin run on the first half of the element
+columns and the other half holds the mirrored conjugates.
+sin(theta) >= 0 and the element grid is antisymmetric bit for bit
+(x_{n-1-i} == -x_i), so this is exact.  Each direction's element
 reduction has a fixed shape in any block, thread or stack, so results
 are bit-identical whatever the split, the BLAS thread count or the beams
 radiated beside it.  A component that is zero over the whole aperture in
@@ -323,27 +324,31 @@ def _grid(theta_step_deg: float, phi_step_deg: float):
 
 
 def _signed_table(k0: float, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """exp(j k0 w x_i) for every w >= +0 of the (rows, m) array `w`,
-    followed by exp(-j k0 w x_i), as a (rows, 2m, elements) array.
+    """exp(j k0 w x_i) for every w >= +0 of the (rows, m) array `w`, as a
+    (rows, m, elements) array: one entry per distinct magnitude, whose
+    conjugate is exp(-j k0 w x_i).
 
     cos and sin of the real angle k0 w x_i are evaluated into the real
-    and imaginary parts of the first ceil(n/2) element columns of the
-    first m entries only.  The element grid is antisymmetric bit for bit
-    (x[n-1-i] == -x[i]), and cos is even and sin odd bit for bit, so
-    the other n//2 columns are the mirrored conjugates and the last m
-    entries the conjugates of the first; an odd grid's middle column is
-    evaluated."""
+    and imaginary parts of the first ceil(n/2) element columns only.  The
+    element grid is antisymmetric bit for bit (x[n-1-i] == -x[i]), and
+    cos is even and sin odd bit for bit, so the other n//2 columns are
+    the mirrored conjugates; an odd grid's middle column is evaluated."""
     n = x.size
     h = n - n // 2
     rows, m = w.shape
     angle = (k0 * w)[:, :, None] * x[:h]
-    out = np.empty((rows, 2 * m, n), complex)
-    left = out[:, :m, :h]
+    out = np.empty((rows, m, n), complex)
+    left = out[:, :, :h]
     np.cos(angle, out=left.real)
     np.sin(angle, out=left.imag)
-    np.conjugate(left[:, :, : n // 2][:, :, ::-1], out=out[:, :m, h:])
-    np.conjugate(out[:, :m], out=out[:, m:])
+    np.conjugate(left[:, :, : n // 2][:, :, ::-1], out=out[:, :, h:])
     return out
+
+
+def _negative_runs(cosine: np.ndarray) -> list[slice]:
+    """The contiguous runs of `cosine` whose sign bit is set, as slices."""
+    edges = np.flatnonzero(np.diff(np.signbit(cosine), prepend=False, append=False))
+    return [slice(int(a), int(b)) for a, b in zip(edges[::2], edges[1::2])]
 
 
 def _steering_fill(aperture: ApertureSpec, k0: float, theta: np.ndarray, phi: np.ndarray):
@@ -355,30 +360,33 @@ def _steering_fill(aperture: ApertureSpec, k0: float, theta: np.ndarray, phi: np
     pu and sin(theta) sin(phi) for pv.  sin(theta) >= +0, so
     |w| == sin(theta) |cos(phi)|, and the magnitudes |cos(phi)| and
     |sin(phi)| repeat across the grid: each fill evaluates one table
-    row per (theta, distinct magnitude), shared by pu and pv when the
-    element coordinates are equal, and gathers a direction's row from
-    it, conjugated where the cosine is negative.  A direction whose w
-    is zero is evaluated from w itself, which keeps its signed zeros.
+    entry per (theta, distinct magnitude), shared by pu and pv when the
+    element coordinates are equal, and gathers each direction's row from
+    it; the runs of phi whose cosine is negative are then conjugated in
+    place.  A direction whose w is zero is evaluated from w itself, which
+    keeps its signed zeros.
     """
     x = aperture.x_centers()
     y = aperture.y_centers()
     cos_phi, sin_phi = np.cos(np.radians(phi)), np.sin(np.radians(phi))
-    cosines = np.concatenate([cos_phi, sin_phi])
-    mags, entry = np.unique(np.abs(cosines), return_inverse=True)
-    # a negative cosine reads the conjugate half of the table
-    entry += mags.size * np.signbit(cosines)
+    mags, entry = np.unique(np.abs(np.concatenate([cos_phi, sin_phi])), return_inverse=True)
+    # a negative cosine reads its magnitude's conjugate
+    runs_u, runs_v = _negative_runs(cos_phi), _negative_runs(sin_phi)
     shared = np.array_equal(x, y)
 
     def fill(block: slice, pu: np.ndarray, pv: np.ndarray) -> None:
         st = np.sin(np.radians(theta[block]))[:, None]
         table_x = _signed_table(k0, st * mags, x)
         table_y = table_x if shared else _signed_table(k0, st * mags, y)
-        for table, entries, cosine, coord, factor in (
-            (table_x, entry[: phi.size], cos_phi, x, pu),
-            (table_y, entry[phi.size :], sin_phi, y, pv),
+        for table, entries, runs, cosine, coord, factor in (
+            (table_x, entry[: phi.size], runs_u, cos_phi, x, pu),
+            (table_y, entry[phi.size :], runs_v, sin_phi, y, pv),
         ):
+            rows = factor.reshape(st.size, phi.size, -1)
             # every entry is a valid index; mode "raise" would buffer `out`
-            np.take(table, entries, axis=1, out=factor.reshape(st.size, phi.size, -1), mode="clip")
+            np.take(table, entries, axis=1, out=rows, mode="clip")
+            for run in runs:
+                np.conjugate(rows[:, run], out=rows[:, run])
             w = (st * cosine).reshape(-1)
             zero = w == 0.0
             factor[zero] = np.exp(1j * k0 * w[zero][:, None] * coord)

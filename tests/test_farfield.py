@@ -339,6 +339,26 @@ def test_radiate_working_set_is_the_same_on_the_cut_grid(layout, curves, workers
     assert beyond[(0.25, 1.0)] <= 1.1 * beyond[(0.5, 2.0)]
 
 
+def test_radiate_holds_one_positive_magnitude_table(layout, curves):
+    # beyond its two output grids, one worker holds three block buffers of
+    # BLOCK_DIRECTIONS rows and one steering table of its block's theta
+    # rows, an entry per distinct |cos(phi)| or |sin(phi)|.  The slack is
+    # half a table, for the real angle grid (a quarter) and small
+    # transients, and 256 KiB for numpy's buffers on the strided writes.
+    # A table that also held each entry's conjugate read 5.3 MB here,
+    # 0.8 MB over the bound
+    ta, _ = _hybrid_fields(layout, curves)
+    phi = np.arange(180) * 2.0
+    mags = np.unique(np.abs(np.concatenate([np.cos(np.radians(phi)), np.sin(np.radians(phi))])))
+    nx, item = ta.aperture.nx, np.dtype(complex).itemsize
+    buffers = 3 * farfield.BLOCK_DIRECTIONS * nx * item
+    table = farfield.BLOCK_DIRECTIONS // phi.size * mags.size * nx * item
+    outputs = 2 * 181 * phi.size * item
+    with mock.patch.object(farfield, "_workers", lambda: 1):
+        beyond = _traced_peak(lambda: radiate(ta, 0.5, 2.0, K0)) - outputs
+    assert beyond <= buffers + table + table // 2 + 256 * 1024
+
+
 def test_radiate_working_set_does_not_grow_with_the_stack(layout, curves):
     # beyond its two output stacks, radiate holds the workers' steering
     # blocks and one beam's products, whatever the number of beams; a
@@ -436,7 +456,9 @@ def test_odd_grid_radiate_equals_one_shot_formula(theta_step, phi_step):
     # 31, 19, 10, 7 and 4 theta rows split into each worker's share, the
     # last block short where the workers do not divide them
     st.sampled_from([3.0, 5.0, 10.0, 15.0, 30.0]),
-    st.sampled_from([10.0, 20.0, 45.0, 120.0, 180.0]),
+    # 72 and 24 deg have no sample at 90 or 270 deg, so their negative
+    # cosine and sine runs start and end between samples
+    st.sampled_from([10.0, 20.0, 24.0, 45.0, 72.0, 120.0, 180.0]),
     st.sampled_from(_SPLIT_WORKERS),
 )
 # three workers split five 2-row blocks of 180 directions unevenly; 31
@@ -444,6 +466,8 @@ def test_odd_grid_radiate_equals_one_shot_formula(theta_step, phi_step):
 @example(nx=5, ny=4, period=6.0, freq=9.75, theta_step=10.0, phi_step=2.0, workers=3)
 @example(nx=5, ny=4, period=6.0, freq=9.75, theta_step=3.0, phi_step=20.0, workers=3)
 @example(nx=5, ny=4, period=6.0, freq=9.75, theta_step=30.0, phi_step=20.0, workers=16)
+@example(nx=6, ny=5, period=6.0, freq=9.75, theta_step=5.0, phi_step=72.0, workers=2)
+@example(nx=7, ny=7, period=7.3, freq=10.5, theta_step=10.0, phi_step=24.0, workers=1)
 def test_steering_factors_equal_the_whole_grid_exponential(
     nx, ny, period, freq, theta_step, phi_step, workers
 ):

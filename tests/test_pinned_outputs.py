@@ -1,11 +1,13 @@
 """Byte identity of CLI outputs against digests pinned from earlier code.
 
-The per-beam sweep and simulate files are checked against the
-benchmark's golden digest list (``bench/golden/sha256.json``, read only);
-a two-feed subset of the default sweep keeps the test to a few seconds
-while still covering every state, both hemispheres and all three
-frequencies.  The same subset of the leakage sweep covers the path where
-both polarization components are contracted.
+The sweep and simulate files are checked against the benchmark's golden
+digest list (``bench/golden/sha256.json``, read only).  The default
+sweep and the leakage sweep, where both polarization components are
+contracted, are checked whole, all 157 files each, in the child runs
+that also bound their peak RSS; a two-feed subset of the default sweep
+runs in process beside `synthesize`.  Nine `simulate` runs, one feed per
+state at each frequency, and one child run pin the 0.25 x 1 degree cut
+grid, the grid with the most conjugated steering rows.
 """
 
 import hashlib
@@ -32,6 +34,16 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _assert_pinned(out: Path, workload: str) -> None:
+    """Every file below `out` has the digest pinned for it under
+    `workload`, and every pinned file is there."""
+    pinned = json.loads(GOLDEN_SHA256.read_text())[workload]
+    written = {p.relative_to(out).as_posix(): p for p in out.rglob("*") if p.is_file()}
+    assert sorted(written) == sorted(pinned)
+    for name, path in written.items():
+        assert _sha256(path) == pinned[name], name
+
+
 def test_sweep_and_synthesize_outputs_are_byte_identical(tmp_path):
     cfg = tmp_path / "two_feeds.cfg"
     cfg.write_text("feed.active_ids = A1, A4\n")
@@ -47,20 +59,6 @@ def test_sweep_and_synthesize_outputs_are_byte_identical(tmp_path):
     syn = tmp_path / "synthesize"
     assert main(["synthesize", "--out", str(syn)]) == 0
     assert {p.name: _sha256(p) for p in syn.iterdir()} == SYNTHESIZE_SHA256
-
-
-def test_two_component_sweep_is_pinned(tmp_path):
-    # a cross-polar residue and the feed-board shadow: every beam has a
-    # nonzero cross-polar field, so both components are contracted
-    cfg = tmp_path / "two_feeds_leakage.cfg"
-    cfg.write_text("feed.active_ids = A1, A4\ncrosspol.leakage = 0.05\nblockage.enabled = true\n")
-    out = tmp_path / "sweep"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-    pinned = json.loads(GOLDEN_SHA256.read_text())["sweep_leakage"]
-    beams = sorted((out / "beams").iterdir())
-    assert len(beams) == 42
-    for path in beams:
-        assert _sha256(path) == pinned[f"beams/{path.name}"], path.name
 
 
 #: Runs its arguments as a child and prints the child's exit code and
@@ -85,6 +83,21 @@ def _launched(argv) -> tuple[int, int]:
     )
     code, maxrss_kib = map(int, launched.stdout.split())
     return code, maxrss_kib
+
+
+def test_cut_grid_simulate_is_pinned_in_every_state_and_band(tmp_path):
+    # one feed per state at each frequency: the transmit-only, folded and
+    # hybrid scenarios on the cut grid's 360 phi samples
+    pinned = json.loads(GOLDEN_SHA256.read_text())["simulate_cuts"]
+    for state, feed_id in (("x", "A3"), ("y", "A1"), ("slant45", "A5")):
+        for freq in ("9.0", "9.75", "10.5"):
+            out = tmp_path / f"{state}_{feed_id}_{freq}"
+            argv = ["--state", state, "--feed", feed_id, "--freq", freq, "--out", str(out)]
+            assert main(["simulate", *argv]) == 0
+            files = sorted(out.iterdir())
+            assert len(files) == (4 if state == "slant45" else 2)
+            for path in files:
+                assert _sha256(path) == pinned[path.name], path.name
 
 
 def test_simulate_on_the_cut_grid_is_pinned_and_small(tmp_path):
@@ -121,6 +134,22 @@ def test_default_sweep_contracts_one_beam_at_a_time(tmp_path):
     # each filled steering block is contracted with one beam at a time; a
     # product buffer over a side's whole stack of beams took the default
     # sweep to 57.6 MiB of peak RSS
-    code, maxrss_kib = _launched(["sweep", "--out", str(tmp_path / "sweep")])
+    out = tmp_path / "sweep"
+    code, maxrss_kib = _launched(["sweep", "--out", str(out)])
     assert code == 0
+    _assert_pinned(out, "sweep_default")
     assert maxrss_kib < 52 * 1024
+
+
+def test_two_component_sweep_is_pinned(tmp_path):
+    # a cross-polar residue and the feed-board shadow: every beam has a
+    # nonzero cross-polar field, so both components are contracted.  The
+    # sweep reads about 51 MiB of peak RSS; a product buffer over a side's
+    # whole stack of beams took it to 64.0 MiB
+    cfg = tmp_path / "leakage.cfg"
+    cfg.write_text("crosspol.leakage = 0.05\nblockage.enabled = true\n")
+    out = tmp_path / "sweep"
+    code, maxrss_kib = _launched(["sweep", "--config", str(cfg), "--out", str(out)])
+    assert code == 0
+    _assert_pinned(out, "sweep_leakage")
+    assert maxrss_kib < 56 * 1024
