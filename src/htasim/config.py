@@ -135,7 +135,6 @@ _PHI_STEP = (
 KEYS = {
     "f_mm": Key("layout.f_mm", _real),
     "h_mm": Key("layout.h_mm", _real),
-    "F_mm": Key("layout.F_mm", _real),
     "d_mm": Key("layout.d_mm", _real),
     "ta.size_mm": Key("layout.ta.size_mm", _real),
     "ta.period_mm": Key("layout.ta.period_mm", _real, *_POSITIVE),
@@ -237,8 +236,6 @@ def with_overrides(cfg: RunConfig, values: dict) -> RunConfig:
         if not spec.ok(value):
             raise ConfigError(f"{key} = {raw} {spec.rule}")
         cfg = _set(cfg, spec.attr, value)
-    if "h_mm" in values and "F_mm" not in values:
-        cfg = _set(cfg, "layout.F_mm", None)  # F derives from h
     _validate(cfg)
     return cfg
 

@@ -602,7 +602,7 @@ def _main_lobe_bounds(power: np.ndarray, peak_idx: int, peak_power: float):
     return lo, hi
 
 
-def _sidelobe_level_db(theta, power, peak_idx) -> float:
+def _sidelobe_level_db(power, peak_idx) -> float:
     lo, hi = _main_lobe_bounds(power, peak_idx, power[peak_idx])
     outside = np.concatenate([power[:lo], power[hi + 1 :]])
     if outside.size == 0 or outside.max() <= 0.0:
@@ -653,7 +653,7 @@ def beam_metrics(
     peak_idx = int(np.argmax(power_cut))
     if power_cut[peak_idx] <= 0.0:
         raise ValueError("pattern has no resolvable main lobe")
-    sll = _sidelobe_level_db(beam_cut.theta_deg, power_cut, peak_idx)
+    sll = _sidelobe_level_db(power_cut, peak_idx)
     bw = _beamwidth_3db_deg(beam_cut.theta_deg, power_cut, peak_idx)
     # directivity's own expression at the peak intensity alone
     peak_dbi = float(_directivity_dbi(top.intensity, total_power))

@@ -6,7 +6,8 @@ and +z is the forward radiation direction.  With that choice the folded
 focal length reads directly off the geometry as F = 2f + h: a ray launched
 at the feed plane, reflected at the TA plane and received on the FTA plane
 travels the same distance as a straight ray from the feed's mirror image
-about the TA plane.
+about the TA plane.  F is therefore never configured: f, h and d are the
+stack's only lengths, and the layout derives F from the first two.
 
 All lengths are millimeters, all angles degrees unless a name says
 otherwise.
@@ -15,7 +16,7 @@ otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,25 +105,24 @@ class FeedPlacement:
 
 @dataclass(frozen=True)
 class SystemLayout:
-    """Full folded-optics system: feed plane, both apertures, virtual feeds."""
+    """Full folded-optics system; F and the virtual feeds derive from f, h, d."""
 
     f: float
     h: float
-    F: float
     d: float
     ta: ApertureSpec
     fta: ApertureSpec
     feeds: tuple[FeedPlacement, ...]
-    virtual_feeds: tuple[Point3, Point3] = field(init=False)
 
-    def __post_init__(self):
-        if abs(self.F - (2 * self.f + self.h)) > 1e-9:
-            raise ValueError(
-                f"focal relation violated: F = {self.F}, 2f + h = {2 * self.f + self.h}"
-            )
-        vf1 = Point3(self.d / 2.0, 0.0, 0.0)
-        vf2 = Point3(-self.d / 2.0, 0.0, 0.0)
-        object.__setattr__(self, "virtual_feeds", (vf1, vf2))
+    @property
+    def F(self) -> float:
+        """Folded focal length: the mirrored feed plane to the FTA."""
+        return 2 * self.f + self.h
+
+    @property
+    def virtual_feeds(self) -> tuple[Point3, Point3]:
+        """The two virtual feeds, d apart about the axis on the feed plane."""
+        return Point3(self.d / 2.0, 0.0, 0.0), Point3(-self.d / 2.0, 0.0, 0.0)
 
     @property
     def offset_angle_deg(self) -> float:
@@ -167,13 +167,11 @@ DEFAULT_FEEDS = tuple(
 class LayoutConfig:
     """Raw layout parameters as read from a config file.
 
-    Exactly one of `h_mm` / `F_mm` may be omitted; when both are given they
-    must satisfy F = 2f + h.
+    The folded focal length is not among them: it derives as F = 2f + h.
     """
 
     f_mm: float = 171.0
-    h_mm: float | None = None
-    F_mm: float | None = 384.0
+    h_mm: float = 42.0
     d_mm: float = 220.0
     ta: ApertureConfig = DEFAULT_TA
     fta: ApertureConfig = DEFAULT_FTA
@@ -197,31 +195,18 @@ def _square_aperture(config: ApertureConfig, plane_z: float, normal_sign: int) -
 def build_layout(config: LayoutConfig) -> SystemLayout:
     """Resolve a LayoutConfig into a validated SystemLayout.
 
-    Raises ValueError on nonpositive dimensions, an inconsistent
-    (f, h, F) triple or a stack whose extent F cannot be squared.
+    Raises ValueError on nonpositive dimensions or a stack whose extent
+    F = 2f + h cannot be squared.
     """
     f = float(config.f_mm)
     if f <= 0:
         raise ValueError(f"focal distance f must be positive, got {f}")
-    if config.h_mm is None and config.F_mm is None:
-        raise ValueError("layout needs h_mm or F_mm")
-    if config.h_mm is not None:
-        h = float(config.h_mm)
-        if h < 0:
-            raise ValueError(
-                f"distance h from the feed plane to the folded aperture must be nonnegative, got {h}"
-            )
-        F = 2 * f + h
-        if config.F_mm is not None and abs(float(config.F_mm) - F) > 1e-9:
-            raise ValueError(
-                f"inconsistent focal triple: f = {f}, h = {h} imply "
-                f"F = {F} but F = {config.F_mm} was given"
-            )
-    else:
-        F = float(config.F_mm)
-        if F < 2 * f:
-            raise ValueError(f"F = {F} must be at least 2f = {2 * f}")
-        h = F - 2 * f
+    h = float(config.h_mm)
+    if h < 0:
+        raise ValueError(
+            f"distance h from the feed plane to the folded aperture must be nonnegative, got {h}"
+        )
+    F = 2 * f + h
     # F spans the folded aperture to the mirrored feed plane, and the
     # path lengths square it
     if not math.isfinite(F * F):
@@ -241,7 +226,7 @@ def build_layout(config: LayoutConfig) -> SystemLayout:
         if fd.id in seen:
             raise ValueError(f"duplicate feed id {fd.id!r}")
         seen.add(fd.id)
-    return SystemLayout(f=f, h=h, F=F, d=d, ta=ta, fta=fta, feeds=feeds)
+    return SystemLayout(f=f, h=h, d=d, ta=ta, fta=fta, feeds=feeds)
 
 
 def mirror_point(p: Point3, plane_z: float) -> Point3:

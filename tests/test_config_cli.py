@@ -89,7 +89,7 @@ def test_numeric_keys_take_finite_numbers_only():
 def test_defaults_match_design():
     cfg = default_config()
     assert cfg.layout.f_mm == 171.0
-    assert cfg.layout.F_mm == 384.0
+    assert cfg.layout.h_mm == 42.0
     assert cfg.layout.d_mm == 220.0
     assert cfg.frequencies_ghz == (9.0, 9.75, 10.5)
     assert cfg.sim.ta_feed_ids == ("A2", "A3", "A4", "A5", "A6")
@@ -131,6 +131,7 @@ def test_unknown_keys_rejected():
         "curves.source = csv",
         "oblique.phase_deg_per_deg = 0",
         "reference_aperture_mm2 = 57600",
+        "F_mm = 384",
     ],
 )
 def test_removed_keys_rejected(tmp_path, capsys, line):
@@ -229,19 +230,9 @@ def test_validate_flags_short_csv_curve(tmp_path, capsys):
     assert out.splitlines()[-1] == "2 check(s) failed"
 
 
-def test_validate_flags_focal_relation(tmp_path, capsys):
-    # an inconsistent triple does not build: a layout error, as in every command
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("f_mm = 171\nh_mm = 40\nF_mm = 384\n")
-    assert main(["validate", "--config", str(cfg)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("layout error: inconsistent focal triple: ")
-
-
 def test_validate_passes_a_separation_off_the_binary_grid(tmp_path, capsys):
-    # here F - 2f - h rounds to a nonzero value; the layout's 1e-9
-    # tolerance is the focal check
+    # h is off the binary grid; F derives as 2f + h, so no tolerance on
+    # a stated F can reject the stack
     cfg = tmp_path / "h.cfg"
     cfg.write_text("h_mm = 42.1\n")
     assert main(["validate", "--config", str(cfg)]) == 0
@@ -395,7 +386,7 @@ def test_oversized_aperture_is_a_config_error(tmp_path, command):
     [
         ("ta.size_mm = inf\n", 2),
         ("f_mm = nan\n", 2),
-        ("F_mm = 1e300\n", 1),
+        ("h_mm = 1e300\n", 1),
         ("feeds = 1, 2\nfeeds[0].id = A1\n", 2),
         ("\x00 = \u00e9\n", 2),
     ],
@@ -441,10 +432,10 @@ def test_a_split_radiate_loads_no_executor(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 []"
 
 
-@pytest.mark.parametrize("line", ["F_mm = 1e300", "h_mm = 1e300"])
+@pytest.mark.parametrize("line", ["h_mm = 1e300"])
 @pytest.mark.parametrize("command", ["synthesize", "simulate", "sweep"])
 def test_unsquarable_stack_is_a_layout_error(tmp_path, command, line):
-    # the path lengths square the stack extent F, which overflows here
+    # the path lengths square the stack extent F = 2f + h, which overflows here
     cfg = tmp_path / "tall.cfg"
     cfg.write_text(FAST_SAMPLING + line + "\n")
     argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]

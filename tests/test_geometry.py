@@ -22,13 +22,12 @@ from htasim.geometry import (
 def test_default_layout_focal_relation(layout):
     assert layout.f == 171.0
     assert layout.F == 384.0
-    assert layout.h == 42.0  # solved from F = 2f + h
+    assert layout.h == 42.0  # F derives as 2f + h
     assert layout.F - 2 * layout.f - layout.h == 0.0
 
 
 def test_layout_from_f_and_h():
-    cfg = LayoutConfig(f_mm=100.0, h_mm=0.0, F_mm=None)
-    assert build_layout(cfg).F == 200.0
+    assert build_layout(LayoutConfig(f_mm=100.0, h_mm=0.0)).F == 200.0
 
 
 def test_offset_angle(layout):
@@ -39,15 +38,9 @@ def test_offset_angle(layout):
     assert layout.offset_angle_deg == pytest.approx(32.75215764853942)
 
 
-def test_inconsistent_focal_triple_rejected():
-    with pytest.raises(ValueError, match="focal"):
-        build_layout(LayoutConfig(f_mm=171.0, h_mm=40.0, F_mm=384.0))
-
-
 @pytest.mark.parametrize("bad", [
     LayoutConfig(f_mm=-1.0),
-    LayoutConfig(f_mm=171.0, h_mm=-5.0, F_mm=None),
-    LayoutConfig(f_mm=171.0, F_mm=300.0),   # F < 2f
+    LayoutConfig(f_mm=171.0, h_mm=-5.0),
     LayoutConfig(d_mm=-10.0),
 ])
 def test_bad_dimensions_rejected(bad):

@@ -227,8 +227,8 @@ def test_fta_with_d_zero_is_on_axis_single_focus():
 def test_fta_h0_equals_ta_with_doubled_focal():
     # pure focal-length relabeling between the two synthesis paths
     shared = ApertureConfig(size_mm=240.0, period_mm=6.0)
-    lay_fold = build_layout(LayoutConfig(f_mm=100.0, h_mm=0.0, F_mm=None, fta=shared))
-    lay_flat = build_layout(LayoutConfig(f_mm=200.0, h_mm=0.0, F_mm=None, ta=shared))
+    lay_fold = build_layout(LayoutConfig(f_mm=100.0, h_mm=0.0, fta=shared))
+    lay_flat = build_layout(LayoutConfig(f_mm=200.0, h_mm=0.0, ta=shared))
     k0 = wavenumber(9.75)
     folded = Side.FTA.phase_map(lay_fold, k0)
     flat = Side.TA.phase_map(lay_flat, k0)
