@@ -410,11 +410,12 @@ def cmd_report(args) -> int:
     table_path = Path(args.beam_table or Path(cfg.output_dir) / "beam_table.csv")
     try:
         with open(table_path, newline="") as fh:
-            rows = list(reader := csv.DictReader(fh, restval=""))
+            reader = csv.DictReader(fh, restval="")
+            rows, header = list(reader), reader.fieldnames or ()
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise CommandError(EXIT_USAGE, f"beam table {table_path}: {exc}") from exc
     used = ("state", "feed_id", "frequency_ghz", "hemisphere", "peak_theta_deg", "status")
-    missing = [column for column in used if column not in (reader.fieldnames or ())]
+    missing = [column for column in used if column not in header]
     if missing:
         raise CommandError(EXIT_USAGE, f"beam table lacks columns {missing}: {table_path}")
     targets = load_reference_targets()

@@ -12,7 +12,11 @@ and superposes the element contributions onto a hemisphere grid:
                     + y_j sin(phi))) * cos(theta)
 
 accumulated separately for the co-polarized (y) and cross-polarized (x)
-components.  The sum separates into two steering factors,
+components of a field.  `run_scenario` contracts the co-polarized one
+only: every routing path ends at a y-polarizing grid, so the only
+cross-polarized field is the rotator's unconverted residue, the leakage
+times the co-polarized field element by element, and its pattern is the
+leakage times E_co.  The sum separates into two steering factors,
 exp(+j k0 x_i u) and exp(+j k0 y_j v), one row per direction.  A field
 may stack several beams over one aperture (a side's beams at one
 frequency), and `radiate` contracts them all in one pass: it fills each
@@ -94,6 +98,9 @@ MAX_WORKERS = 2
 #: is: its intensities and their hemisphere sums stay normal floats, and a
 #: scaled copy would add to the cut grid's peak RSS
 MAX_PEAK_EXPONENT = 256
+#: the theta rows whose |E_co| comes this close, relatively, to a leaky
+#: beam's largest are contracted from its own cross-polar field
+PEAK_ROW_TOLERANCE = 1e-9
 
 
 class Side(str, Enum):
@@ -440,6 +447,37 @@ def _over_theta(task, n_theta: int, n_phi: int) -> None:
             raise exc
 
 
+def _contraction(aperture: ApertureSpec, k0: float, theta: np.ndarray, phi: np.ndarray):
+    """contract(blocks, lit), which fills the steering factors of each
+    slice of theta rows in `blocks` once and writes those rows of every
+    pattern in `lit`: pairs of a sequence of (nx, ny) beam grids and the
+    sequence of (theta, phi) patterns they radiate into.  A block is
+    contracted with one beam at a time, into one product buffer that
+    holds one beam's block."""
+    nx, ny = aperture.nx, aperture.ny
+    element_factor = np.cos(np.radians(theta))[:, None]
+    fill = _steering_fill(aperture, k0, theta, phi)
+
+    def contract(blocks: list[slice], lit) -> None:
+        # a run's first block is its largest
+        size = (blocks[0].stop - blocks[0].start) * phi.size
+        buffers = [np.empty((size, cols), complex) for cols in (nx, ny, ny)]
+        for block in blocks:
+            n = (block.stop - block.start) * phi.size
+            pu, pv, part = (b[:n] for b in buffers)
+            fill(block, pu, pv)
+            for beams, patterns in lit:
+                # Separable contraction: sum_i sum_j A_ij e^{jk0 x_i u} e^{jk0 y_j v},
+                # one beam at a time.
+                for beam, pattern in zip(beams, patterns):
+                    np.matmul(pu, beam, out=part)
+                    np.multiply(part, pv, out=part)
+                    rows = part.sum(axis=1).reshape(-1, phi.size)
+                    pattern[block] = rows * element_factor[block]
+
+    return contract
+
+
 def radiate(
     field: ApertureField,
     theta_step_deg: float,
@@ -452,8 +490,8 @@ def radiate(
     range evenly; theta includes both endpoints, phi omits the periodic
     duplicate at 360.  Each block of steering factors is filled once,
     into one buffer per worker, and contracted with each beam of a
-    stacked field in turn, into one product buffer per worker that
-    holds one beam's block; no beam of an `ApertureField` is dark.
+    stacked field in turn (`_contraction`); no beam of an
+    `ApertureField` is dark.
     """
     theta, phi = _grid(theta_step_deg, phi_step_deg)
     nx, ny = field.aperture.nx, field.aperture.ny
@@ -463,28 +501,8 @@ def radiate(
     e_cross = np.zeros((beams, theta.size, phi.size), complex)
     # a component that is zero in every beam radiates exact zeros
     lit = [(a, out) for a, out in ((ey, e_co), (ex, e_cross)) if np.any(a)]
-    element_factor = np.cos(np.radians(theta))[:, None]
-    fill = _steering_fill(field.aperture, k0, theta, phi)
-
-    def contract(blocks: list[slice]):
-        """Fill the rows of `blocks` in every lit component's pattern."""
-        # a run's first block is its largest
-        size = (blocks[0].stop - blocks[0].start) * phi.size
-        buffers = [np.empty((size, cols), complex) for cols in (nx, ny, ny)]
-        for block in blocks:
-            n = (block.stop - block.start) * phi.size
-            pu, pv, part = (b[:n] for b in buffers)
-            fill(block, pu, pv)
-            for a, out in lit:
-                # Separable contraction: sum_i sum_j A_ij e^{jk0 x_i u} e^{jk0 y_j v},
-                # one beam at a time.
-                for beam, pattern in zip(a, out):
-                    np.matmul(pu, beam, out=part)
-                    np.multiply(part, pv, out=part)
-                    rows = part.sum(axis=1).reshape(-1, phi.size)
-                    pattern[block] = rows * element_factor[block]
-
-    _over_theta(contract, theta.size, phi.size)
+    contract = _contraction(field.aperture, k0, theta, phi)
+    _over_theta(lambda blocks: contract(blocks, lit), theta.size, phi.size)
     single = field.ey.ndim == 2  # one beam's grid, not a stack
     return PatternGrid(
         theta_deg=theta,
@@ -769,6 +787,28 @@ def active_sides(state: PolarizationState) -> tuple[Side, ...]:
     return tuple(side for side in Side if side.routed(plan).norm_sq > 0.0)
 
 
+def _contract_peak_rows(
+    fields: list[ApertureField], patterns: PatternGrid, e_cross: np.ndarray, k0: float
+) -> None:
+    """Contract each beam's own cross-polar field on the theta rows where
+    its |E_co| comes within PEAK_ROW_TOLERANCE, relatively, of its
+    largest, and write those rows into the beam's `e_cross`.
+
+    Elsewhere `e_cross` is leakage * e_co, which the model makes exact
+    but which differs from the contraction of `ex` by ulps.  The largest
+    |E_x| lies on these rows, so the cross-polar peak keeps the bits of
+    the two-component contraction: each direction's reduction has the
+    same shape in a one-row block (a matmul of n_phi >= 2 rows) as in
+    `radiate`.  Rows are selected on |E_co|, not its square, so a beam
+    whose intensity underflows still selects its row.  Delete this step
+    once the metrics are printed at a stated precision."""
+    contract = _contraction(patterns.aperture, k0, patterns.theta_deg, patterns.phi_deg)
+    for fld, e_co, out in zip(fields, patterns.e_co, e_cross):
+        co = np.abs(e_co)
+        rows = np.flatnonzero(np.any(co >= co.max() * (1.0 - PEAK_ROW_TOLERANCE), axis=1))
+        contract([slice(r, r + 1) for r in rows], [([fld.ex], [out])])
+
+
 def run_scenario(
     layout: SystemLayout,
     beams: list[tuple[PolarizationState, str]],
@@ -782,7 +822,13 @@ def run_scenario(
     legality check, `illuminate` or `extract_metrics`.  The beams that
     illuminate radiate together in one pass (none if none does), so no
     beam fails another.  `cell_maps` is synthesize_cell_maps' output at
-    the settings' frequency."""
+    the settings' frequency.
+
+    The pass contracts the co-polarized component alone, with a zero ex.
+    At zero leakage the cross-polarized pattern is the pass's exact
+    zeros; otherwise it is the leakage times E_co, with the theta rows of
+    the co-polar peak contracted from illuminate's own ex
+    (`_contract_peak_rows`)."""
     k0 = wavenumber(settings.frequency_ghz)
     cm, curve, _ = cell_maps[side]
     outcomes = []
@@ -816,13 +862,14 @@ def run_scenario(
             outcomes.append(exc)
     lit = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, ApertureField)]
     if lit:
-        stack = ApertureField(
-            aperture=side.aperture(layout),
-            ex=np.stack([outcomes[i].ex for i in lit]),
-            ey=np.stack([outcomes[i].ey for i in lit]),
-        )
+        ey = np.stack([outcomes[i].ey for i in lit])
+        stack = ApertureField(aperture=side.aperture(layout), ex=np.zeros(ey.shape, complex), ey=ey)
         patterns = radiate(stack, settings.theta_step_deg, settings.phi_step_deg, k0)
-        for i, e_co, e_cross in zip(lit, patterns.e_co, patterns.e_cross):
+        cross = patterns.e_cross  # zero: no leakage, no cross-polar field
+        if settings.crosspol_leakage != 0.0:
+            cross = settings.crosspol_leakage * patterns.e_co
+            _contract_peak_rows([outcomes[i] for i in lit], patterns, cross, k0)
+        for i, e_co, e_cross in zip(lit, patterns.e_co, cross):
             pattern = replace(patterns, e_co=e_co, e_cross=e_cross)
             try:
                 metrics = extract_metrics(pattern, gain_offset_db=settings.gain_offset_db)

@@ -69,11 +69,6 @@ def pattern_amplitude(pattern: FeedPattern, off_axis_deg) -> np.ndarray:
     return amp
 
 
-def minus10db_angle(pattern: FeedPattern) -> float:
-    """Off-axis angle (deg) where the pattern is 10 dB below boresight."""
-    return math.degrees(math.acos(10.0 ** (-1.0 / (2.0 * pattern.q))))
-
-
 def incident_field(
     excitation: FeedExcitation, boresight_sign: int, point: Point3, k0: float
 ) -> tuple[complex, JonesVector]:

@@ -35,11 +35,6 @@ class Point3:
                 raise ValueError(f"non-finite coordinate in {self!r}")
 
 
-def path_length(a: Point3, b: Point3) -> float:
-    """Euclidean distance between two points (mm)."""
-    return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
-
-
 @dataclass(frozen=True)
 class ApertureSpec:
     """A planar rectangular grid of radiating cells.

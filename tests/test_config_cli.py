@@ -1103,8 +1103,9 @@ def test_report_rejects_unusable_row(tmp_path, capsys, field, value):
         (b"\xff\xfe not utf-8\n", "beam table "),
         (b"state,feed_id,frequency_ghz,hemisphere,peak_theta_deg\ny,A1,9.75,-z,22.0\n",
          "beam table lacks columns ['status']"),
+        (b"", "beam table lacks columns ['state', "),
     ],
-    ids=["not-utf8", "no-status"],
+    ids=["not-utf8", "no-status", "empty"],
 )
 def test_report_rejects_a_malformed_table(tmp_path, capsys, content, message):
     table = tmp_path / "beam_table.csv"

@@ -27,6 +27,7 @@ from htasim.farfield import (
     cut,
     directivity,
     extract_metrics,
+    feed_pattern_for,
     illuminate,
     peak,
     power,
@@ -43,12 +44,16 @@ from htasim.geometry import (
     Point3,
     build_layout,
     mirror_point,
-    path_length,
 )
 from htasim.polarization import PolarizationState
 from htasim.synthesis import wavenumber
 
 K0 = wavenumber(9.75)
+
+
+def path_length(a: Point3, b: Point3) -> float:
+    """Euclidean distance between two points (mm)."""
+    return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
 
 
 def _uniform_field(n=16, period=6.0):
@@ -946,6 +951,76 @@ def test_run_scenario_fails_each_beam_alone(layout, curves, monkeypatch):
     calls.clear()
     out = run_scenario(layout, beams[:1] + beams[2:4], s, maps, Side.TA)
     assert calls == [] and all(isinstance(o, ValueError) for o in out)
+
+
+def test_leaky_run_scenario_radiates_a_zero_cross_polar_field(layout, curves, monkeypatch):
+    # every routing path ends at a y-polarizing grid, so the cross-polar
+    # field is the leakage times the co-polar one: the hemisphere pass
+    # contracts ey alone
+    s = _settings(
+        theta_step_deg=3.0, phi_step_deg=10.0, crosspol_leakage=0.05, blockage=BlockageMask()
+    )
+    maps = synthesize_cell_maps(layout, curves, 9.75)
+    calls = []
+    real = farfield.radiate
+    monkeypatch.setattr(farfield, "radiate", lambda *a: calls.append(a) or real(*a))
+    beams = [(PolarizationState.SLANT45, "A2"), (PolarizationState.SLANT45, "A6")]
+    for side in Side:
+        for _, metrics in run_scenario(layout, beams, s, maps, side):
+            assert metrics.crosspol_peak_db == pytest.approx(20.0 * math.log10(0.05), abs=1e-9)
+    assert len(calls) == 2
+    assert all(c[0].ex.shape[0] == 2 and not np.any(c[0].ex) for c in calls)
+
+
+@settings(database=None, deadline=None, max_examples=30)
+@given(
+    side_state=st.sampled_from([
+        (Side.TA, PolarizationState.X),
+        (Side.TA, PolarizationState.SLANT45),
+        (Side.FTA, PolarizationState.Y),
+        (Side.FTA, PolarizationState.SLANT45),
+    ]),
+    frequency_ghz=st.sampled_from([9.0, 9.75, 10.5]),
+    leakage=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    blocked=st.booleans(),
+    data=st.data(),
+)
+def test_co_polar_pass_equals_the_two_component_oracle(
+    layout, curves, side_state, frequency_ghz, leakage, blocked, data
+):
+    # run_scenario contracts ey alone, takes e_cross = leakage * e_co and
+    # contracts ex itself on the peak's theta rows; the oracle radiates
+    # illuminate's two components.  A leakage small enough to leave ex
+    # subnormal or zero leaves every cross-polar intensity zero on both
+    # paths, so the cross-polar peak still agrees.
+    side, state = side_state
+    s = _settings(
+        frequency_ghz=frequency_ghz,
+        theta_step_deg=3.0,
+        phi_step_deg=10.0,
+        crosspol_leakage=leakage,
+        blockage=BlockageMask() if blocked else None,
+    )
+    feed_id = data.draw(st.sampled_from(allowed_feed_ids(layout, state, s)))
+    maps = synthesize_cell_maps(layout, curves, frequency_ghz)
+    [(pattern, metrics)] = run_scenario(layout, [(state, feed_id)], s, maps, side)
+    k0 = wavenumber(frequency_ghz)
+    cm, curve, _ = maps[side]
+    excitation = FeedExcitation(
+        placement=layout.feed(feed_id), pattern=feed_pattern_for(layout, s), state=state
+    )
+    fld = illuminate(
+        layout, excitation, side, cm, curve, k0, crosspol_leakage=leakage, blockage=s.blockage
+    )
+    oracle = radiate(fld, 3.0, 10.0, k0)
+    expect = extract_metrics(oracle)
+    np.testing.assert_array_equal(pattern.e_co, oracle.e_co)
+    co = np.abs(pattern.e_co)
+    rows = np.any(co >= co.max() * (1.0 - farfield.PEAK_ROW_TOLERANCE), axis=1)
+    np.testing.assert_array_equal(pattern.e_cross[rows], oracle.e_cross[rows])
+    np.testing.assert_array_equal(pattern.e_cross[~rows], leakage * pattern.e_co[~rows])
+    assert metrics.crosspol_peak_db.hex() == expect.crosspol_peak_db.hex()
+    assert metrics.figures() == pytest.approx(expect.figures(), rel=1e-12)
 
 
 def test_hta_fields_are_exact_half_power_split(layout, curves):

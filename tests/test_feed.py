@@ -10,13 +10,17 @@ from htasim.feed import (
     default_taper_exponent,
     illumination_grid,
     incident_field,
-    minus10db_angle,
     pattern_amplitude,
     taper_exponent_for_angle,
 )
 from htasim.geometry import FeedPlacement, LayoutConfig, Point3
 from htasim.polarization import PolarizationState
 from htasim.synthesis import wavenumber
+
+
+def minus10db_angle(pattern: FeedPattern) -> float:
+    """Off-axis angle (deg) where the pattern is 10 dB below boresight."""
+    return math.degrees(math.acos(10.0 ** (-1.0 / (2.0 * pattern.q))))
 
 
 def test_boresight_and_back_hemisphere():

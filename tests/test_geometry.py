@@ -14,9 +14,13 @@ from htasim.geometry import (
     build_layout,
     focal_from_taper,
     mirror_point,
-    path_length,
     taper_angle_from_focal,
 )
+
+
+def path_length(a: Point3, b: Point3) -> float:
+    """Euclidean distance between two points (mm)."""
+    return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
 
 
 def test_default_layout_focal_relation(layout):

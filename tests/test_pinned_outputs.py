@@ -2,12 +2,12 @@
 
 The sweep and simulate files are checked against the benchmark's golden
 digest list (``bench/golden/sha256.json``, read only).  The default
-sweep and the leakage sweep, where both polarization components are
-contracted, are checked whole, all 157 files each, in the child runs
-that also bound their peak RSS.  Nine `simulate` runs, one feed per
-state at each frequency, and one child run pin the 0.25 x 1 degree cut
-grid, the grid with the most conjugated steering rows.  `synthesize`
-runs in process against digests of its own.
+sweep and the leakage sweep, whose cross-polar patterns are the leakage
+times the co-polar ones, are checked whole, all 157 files each, in the
+child runs that also bound their peak RSS.  Nine `simulate` runs, one
+feed per state at each frequency, and one child run pin the 0.25 x 1
+degree cut grid, the grid with the most conjugated steering rows.
+`synthesize` runs in process against digests of its own.
 """
 
 import hashlib
@@ -132,8 +132,9 @@ def test_default_sweep_contracts_one_beam_at_a_time(tmp_path):
 
 def test_two_component_sweep_is_pinned(tmp_path):
     # a cross-polar residue and the feed-board shadow: every beam has a
-    # nonzero cross-polar field, so both components are contracted.  The
-    # sweep reads about 51 MiB of peak RSS; a product buffer over a side's
+    # nonzero cross-polar field, the leakage times its co-polar one, with
+    # the peak's theta row contracted from the field itself.  The sweep
+    # reads about 50 MiB of peak RSS; a product buffer over a side's
     # whole stack of beams took it to 64.0 MiB
     cfg = tmp_path / "leakage.cfg"
     cfg.write_text("crosspol.leakage = 0.05\nblockage.enabled = true\n")
