@@ -37,7 +37,6 @@ import numpy as np
 from . import __version__
 from .config import KEYS, ConfigError, RunConfig, default_config, load_config, with_overrides
 from .farfield import (
-    BeamMetrics,
     Side,
     active_sides,
     allowed_feed_ids,
@@ -45,6 +44,7 @@ from .farfield import (
     synthesize_cell_maps,
 )
 from .geometry import build_layout
+from .metrics import BeamMetrics
 from .polarization import PolarizationState
 from .synthesis import wrap_deg, write_cell_map_csv, write_phase_map_csv
 from .unitcell import (
@@ -433,6 +433,8 @@ def cmd_report(args) -> int:
         try:
             feed = layout.feed(row["feed_id"])
             ach = float(row["peak_theta_deg"])
+            if not math.isfinite(ach):
+                raise ValueError(f"peak_theta_deg {row['peak_theta_deg']!r} is not finite")
             if row["hemisphere"] not in focal_mm:
                 raise ValueError(f"unknown hemisphere {row['hemisphere']!r}")
         except ValueError as exc:

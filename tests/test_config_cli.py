@@ -286,6 +286,21 @@ def test_sweep_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, blas_threa
         assert digest == pinned[f"beams/{path.name}"], path.name
 
 
+def test_a_feed_far_off_the_aperture_fails_in_one_stderr_line(tmp_path):
+    # its spherical wave overflows to NaN inside the engine, whose field
+    # check rejects it without numpy's warnings
+    default = (Path(htasim.__file__).parent / "data" / "default.cfg").read_text()
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(default.replace("feeds[0].x_mm = -160", "feeds[0].x_mm = 1e200") + FAST_SAMPLING)
+    scenario = ["--state", "slant45", "--feed", "A1", "--freq", "9.75"]
+    proc = _cli_child(["simulate", "--config", str(cfg), *scenario, "--out", str(tmp_path / "s")])
+    assert proc.returncode == 1
+    assert proc.stderr == "scenario error: aperture field contains non-finite entries\n"
+    proc = _cli_child(["sweep", "--config", str(cfg), "--out", str(tmp_path / "w")])
+    assert proc.returncode == 1
+    assert "RuntimeWarning" not in proc.stderr
+
+
 # Periods such as 0.05 and 0.01 reach the cell cap (config.MAX_CELLS_PER_SIDE)
 # as well as the absurd values; steps that small reach the direction cap.
 _FUZZ_VALUES = st.sampled_from(
@@ -753,6 +768,18 @@ def test_simulate_bidirectional(tmp_path, fast_cfg):
     assert "slant45_A7_9.75GHz_back_metrics.json" in names
 
 
+def test_simulate_writes_a_fine_step_angle_as_its_quotient(tmp_path, fast_cfg):
+    # the grid angle is 409 * 90 / 900, not 409 * 0.1 = 40.900000000000006
+    out = tmp_path / "fine"
+    code = main(
+        ["simulate", "--config", str(fast_cfg), "--state", "slant45", "--feed", "A7",
+         "--freq", "9.75", "--theta-step", "0.1", "--out", str(out)]
+    )
+    assert code == 0
+    text = (out / "slant45_A7_9.75GHz_fwd_metrics.json").read_text()
+    assert '"peak_theta_deg": 40.9,' in text
+
+
 def test_simulate_illegal_combination(tmp_path, fast_cfg, capsys):
     code = main(
         ["simulate", "--config", str(fast_cfg), "--state", "x", "--feed", "A1",
@@ -1079,7 +1106,11 @@ def test_report_missing_table(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path / "empty")]) == 2
 
 
-@pytest.mark.parametrize("field, value", [("hemisphere", "+x"), ("feed_id", "A9"), ("peak_theta_deg", "")])
+@pytest.mark.parametrize(
+    "field, value",
+    [("hemisphere", "+x"), ("feed_id", "A9"), ("peak_theta_deg", ""),
+     ("peak_theta_deg", "nan"), ("peak_theta_deg", "inf")],
+)
 def test_report_rejects_unusable_row(tmp_path, capsys, field, value):
     row = {"state": "y", "feed_id": "A1", "frequency_ghz": "9.75", "hemisphere": "-z",
            "peak_theta_deg": "22.0", "status": "ok", field: value}
@@ -1090,10 +1121,12 @@ def test_report_rejects_unusable_row(tmp_path, capsys, field, value):
         writer.writerow(row)
     assert main(["report", "--beam-table", str(table)]) == 2
     reason = {
-        "hemisphere": "unknown hemisphere '+x'",
-        "feed_id": "unknown feed id 'A9'",
-        "peak_theta_deg": "could not convert string to float: ''",
-    }[field]
+        "+x": "unknown hemisphere '+x'",
+        "A9": "unknown feed id 'A9'",
+        "": "could not convert string to float: ''",
+        "nan": "peak_theta_deg 'nan' is not finite",
+        "inf": "peak_theta_deg 'inf' is not finite",
+    }[value]
     assert capsys.readouterr().err == f"beam table row unusable: {reason}\n"
 
 

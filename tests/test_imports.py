@@ -33,3 +33,13 @@ def test_no_unused_imports():
     assert modules
     unused = {p.name: _unused_imports(p.read_text()) for p in modules}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_metrics_import_only_geometry_and_synthesis():
+    # the metrics read a pattern; the engine, the scenarios and the CLI
+    # make or write one, so none of them is a metrics dependency
+    tree = ast.parse((PACKAGE_DIR / "metrics.py").read_text())
+    relative = {
+        node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+    }
+    assert relative <= {"geometry", "synthesis"}
