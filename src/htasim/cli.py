@@ -79,8 +79,9 @@ def _curves(cfg: RunConfig) -> CurveLibrary:
 
 def _prepare(args):
     """The set-up every command shares: the config with the command's flag
-    overrides (argparse dests named after config keys) checked by the same
-    key table, the curve library and the layout."""
+    overrides (argparse dests named after config keys, their text as
+    given) converted and checked by the same key table, the curve library
+    and the layout."""
     overrides = {k: v for k, v in vars(args).items() if k in KEYS and v is not None}
     try:
         cfg = default_config() if args.config is None else load_config(args.config)
@@ -486,14 +487,14 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p)
     p.add_argument("--state", required=True, choices=[s.value for s in PolarizationState])
     p.add_argument("--feed", required=True, help="feed id, e.g. A4")
-    p.add_argument("--freq", required=True, type=float, dest="frequencies", metavar="GHZ",
+    p.add_argument("--freq", required=True, dest="frequencies", metavar="GHZ",
                    help="overrides frequencies with one frequency")
     for flag, key in (
         ("--theta-step", "sampling.cut_theta_step_deg"),
         ("--phi-step", "sampling.cut_phi_step_deg"),
         ("--gain-offset-db", "gain_offset_db"),
     ):
-        p.add_argument(flag, type=float, dest=key, metavar="VALUE", help=f"overrides {key}")
+        p.add_argument(flag, dest=key, metavar="VALUE", help=f"overrides {key}")
     p.add_argument(
         "--blockage", action="store_const", const=True, dest="blockage.enabled",
         help="overrides blockage.enabled with true",

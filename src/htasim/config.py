@@ -8,15 +8,17 @@ The grammar is dependency-free on purpose:
 * list entries are indexed from 0 without gaps (`feeds[0].id`,
   `feeds[0].x_mm`),
 * comma-separated values make a list (`frequencies = 9.0, 9.75, 10.5`),
-* booleans are `true` / `false`.
+* booleans are `true` / `false` in any case.
 
-The parser yields the dotted keys as they are written, with the entries
-of an indexed key gathered into one list under its name (`feeds`).
-Every accepted key is one row of `KEYS`: the `RunConfig` attribute it
-sets (dotted into `layout`, `sim` and `blockage`), its parser and, where
-one applies, the rule its value must satisfy.  Defaults live only in the
-dataclasses those attributes belong to.  Unknown keys are rejected so
-typos fail loudly.
+The parser yields each dotted key with its value as written (a list for
+a comma list), the entries of an indexed key gathered into one list
+under its name (`feeds`).  Every accepted key is one row of `KEYS`: the
+`RunConfig` attribute it sets (dotted into `layout`, `sim` and
+`blockage`), the parser that converts its text and, where one applies,
+the rule the value must satisfy.  A one-value key rejects a list or an
+empty value; a feed id names files, so it may not hold `/` or NUL.
+Defaults live only in the dataclasses those attributes belong to.
+Unknown keys are rejected so typos fail loudly.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .farfield import BlockageMask, SimulationSettings, whole_steps
-from .geometry import FeedConfig, LayoutConfig
+from .geometry import FeedPlacement, LayoutConfig, Point3
 from .synthesis import C_MM_PER_NS
 
 _ASSIGN_RE = re.compile(r"^([A-Za-z0-9_.\[\]]+)\s*=\s*(.*)$")
@@ -84,15 +86,28 @@ def _tuple_of(cast):
 
 
 def _flag(value) -> bool:
-    if not isinstance(value, bool):
+    # the text of a config line, or the bool `--blockage` passes
+    if str(value).lower() not in ("true", "false"):
         raise ValueError(f"expected true or false, got {value!r}")
+    return str(value).lower() == "true"
+
+
+def _text(value) -> str:
+    if not isinstance(value, str) or not value or "\x00" in value:
+        raise ValueError(f"expected one non-empty value without a NUL byte, got {value!r}")
     return value
 
 
-_FEED_FIELDS = {"id": str, "x_mm": _real, "y_mm": _real}
+def _feed_id(value) -> str:
+    if "/" in _text(value):
+        raise ValueError(f"a feed id names files and may not hold '/', got {value!r}")
+    return value
 
 
-def _feeds(entries) -> tuple[FeedConfig, ...]:
+_FEED_FIELDS = {"id": _feed_id, "x_mm": _real, "y_mm": _real}
+
+
+def _feeds(entries) -> tuple[FeedPlacement, ...]:
     if not (isinstance(entries, list) and entries and all(isinstance(e, dict) for e in entries)):
         raise ValueError(f"expected feeds[k].id and feeds[k].x_mm lines, got {entries!r}")
     feeds = []
@@ -102,7 +117,9 @@ def _feeds(entries) -> tuple[FeedConfig, ...]:
             raise ValueError(f"unknown feeds[{k}].* keys: {unknown}")
         if "id" not in entry or "x_mm" not in entry:
             raise ValueError(f"feeds[{k}] needs `id` and `x_mm`")
-        feeds.append(FeedConfig(**{n: _FEED_FIELDS[n](v) for n, v in entry.items()}))
+        fields = {n: _FEED_FIELDS[n](v) for n, v in entry.items()}
+        position = Point3(fields["x_mm"], fields.get("y_mm", 0.0), 0.0)
+        feeds.append(FeedPlacement(fields["id"], position))
     return tuple(feeds)
 
 
@@ -161,27 +178,16 @@ KEYS = {
     "gain_offset_db": Key(
         "sim.gain_offset_db", _real, lambda v: v <= 0.0, "is a loss budget and must be <= 0"
     ),
-    "curves.uc1_csv": Key("uc1_curve_csv", str),
-    "curves.uc2_csv": Key("uc2_curve_csv", str),
-    "output_dir": Key("output_dir", str),
+    "curves.uc1_csv": Key("uc1_curve_csv", _text),
+    "curves.uc2_csv": Key("uc2_curve_csv", _text),
+    "output_dir": Key("output_dir", _text),
 }
 
 
-def _parse_scalar(raw: str):
-    text = raw.strip()
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    return text
-
-
 def parse_config_text(text: str) -> dict:
-    """Parse the flat grammar into {dotted key: value}; the `name[k].field`
-    lines of an indexed key gather into a list of dicts under `name`."""
+    """Parse the flat grammar into {dotted key: text as written}: a comma
+    list is a list of its non-empty items, and the `name[k].field` lines
+    of an indexed key gather into a list of dicts under `name`."""
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -191,10 +197,8 @@ def parse_config_text(text: str) -> dict:
         if m is None:
             raise ConfigError(f"line {lineno}: expected `key = value`, got {line!r}")
         key, raw_value = m.group(1), m.group(2).strip()
-        if "," in raw_value:
-            value = [_parse_scalar(v) for v in raw_value.split(",") if v.strip()]
-        else:
-            value = _parse_scalar(raw_value)
+        items = [v.strip() for v in raw_value.split(",") if v.strip()]
+        value = items if "," in raw_value else raw_value
         idx_match = _INDEX_RE.match(key)
         if idx_match is None:
             values[key] = value
@@ -222,8 +226,9 @@ def _set(obj, attr: str, value):
 
 
 def with_overrides(cfg: RunConfig, values: dict) -> RunConfig:
-    """`cfg` with the dotted config keys in `values` set, each parsed and
-    checked by its row of KEYS, then validated as a whole."""
+    """`cfg` with the dotted config keys in `values` (text as written, or
+    Python values) set, each converted and checked by its row of KEYS,
+    then validated as a whole."""
     unknown = sorted(set(values) - set(KEYS))
     if unknown:
         raise ConfigError(f"unknown keys: {unknown}")
@@ -234,7 +239,8 @@ def with_overrides(cfg: RunConfig, values: dict) -> RunConfig:
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{key}: {exc}") from exc
         if not spec.ok(value):
-            raise ConfigError(f"{key} = {raw} {spec.rule}")
+            written = ", ".join(map(str, raw)) if isinstance(raw, list) else raw
+            raise ConfigError(f"{key} = {written} {spec.rule}")
         cfg = _set(cfg, spec.attr, value)
     _validate(cfg)
     return cfg

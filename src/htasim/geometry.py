@@ -141,20 +141,13 @@ class ApertureConfig:
     period_mm: float
 
 
-@dataclass(frozen=True)
-class FeedConfig:
-    id: str
-    x_mm: float
-    y_mm: float = 0.0
-
-
 # Defaults: 240 mm TA aperture at 6 mm pitch (40x40 cells), 360 mm FTA
 # aperture at 10 mm pitch (36x36 cells), feeds every 50..110..160 mm.
 DEFAULT_TA = ApertureConfig(size_mm=240.0, period_mm=6.0)
 DEFAULT_FTA = ApertureConfig(size_mm=360.0, period_mm=10.0)
 DEFAULT_FEED_X_MM = (-160.0, -110.0, -50.0, 0.0, 50.0, 110.0, 160.0)
 DEFAULT_FEEDS = tuple(
-    FeedConfig(id=f"A{k + 1}", x_mm=x) for k, x in enumerate(DEFAULT_FEED_X_MM)
+    FeedPlacement(f"A{k + 1}", Point3(x, 0.0, 0.0)) for k, x in enumerate(DEFAULT_FEED_X_MM)
 )
 
 
@@ -170,7 +163,7 @@ class LayoutConfig:
     d_mm: float = 220.0
     ta: ApertureConfig = DEFAULT_TA
     fta: ApertureConfig = DEFAULT_FTA
-    feeds: tuple[FeedConfig, ...] = DEFAULT_FEEDS
+    feeds: tuple[FeedPlacement, ...] = DEFAULT_FEEDS
 
 
 def _grid_count(size_mm: float, period_mm: float) -> int:
@@ -212,16 +205,12 @@ def build_layout(config: LayoutConfig) -> SystemLayout:
 
     ta = _square_aperture(config.ta, plane_z=+f, normal_sign=+1)
     fta = _square_aperture(config.fta, plane_z=-h, normal_sign=-1)
-    feeds = tuple(
-        FeedPlacement(id=fc.id, position=Point3(fc.x_mm, fc.y_mm, 0.0))
-        for fc in config.feeds
-    )
     seen = set()
-    for fd in feeds:
+    for fd in config.feeds:
         if fd.id in seen:
             raise ValueError(f"duplicate feed id {fd.id!r}")
         seen.add(fd.id)
-    return SystemLayout(f=f, h=h, d=d, ta=ta, fta=fta, feeds=feeds)
+    return SystemLayout(f=f, h=h, d=d, ta=ta, fta=fta, feeds=config.feeds)
 
 
 def mirror_point(p: Point3, plane_z: float) -> Point3:

@@ -53,11 +53,12 @@ def test_parse_grammar():
         blockage.enabled = true
         """
     )
-    assert values["f_mm"] == 171
-    assert values["ta.size_mm"] == 240
-    assert values["feeds"][0] == {"id": "A1", "x_mm": -160}
-    assert values["frequencies"] == [9.0, 9.75, 10.5]
-    assert values["blockage.enabled"] is True
+    # every value is its text as written; the key table converts it
+    assert values["f_mm"] == "171"
+    assert values["ta.size_mm"] == "240"
+    assert values["feeds"][0] == {"id": "A1", "x_mm": "-160"}
+    assert values["frequencies"] == ["9.0", "9.75", "10.5"]
+    assert values["blockage.enabled"] == "true"
 
 
 def test_parse_rejects_garbage():
@@ -255,14 +256,14 @@ def test_missing_curve_file_exits_usage(tmp_path, capsys):
     assert "/nonexistent/curve.csv" in err
 
 
-def _cli_child(argv, **env_vars):
-    """Run the CLI as a child process, so that a traceback shows on its
-    stderr; `env_vars` are added to its environment."""
+def _cli_child(argv, cwd=None, **env_vars):
+    """Run the CLI as a child process in `cwd`, so that a traceback shows
+    on its stderr; `env_vars` are added to its environment."""
     src = str(Path(htasim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
         [sys.executable, "-m", "htasim.cli", *argv], capture_output=True, text=True,
-        env=dict(env, **env_vars),
+        env=dict(env, **env_vars), cwd=cwd,
     )
 
 
@@ -404,6 +405,9 @@ def test_oversized_aperture_is_a_config_error(tmp_path, command):
         ("h_mm = 1e300\n", 1),
         ("feeds = 1, 2\nfeeds[0].id = A1\n", 2),
         ("\x00 = \u00e9\n", 2),
+        # a one-value key takes neither a list nor an empty value
+        ("output_dir = a, b\n", 2),
+        ("output_dir =\n", 2),
     ],
 )
 def test_malformed_config_exits_without_traceback(tmp_path, text, code):
@@ -415,6 +419,61 @@ def test_malformed_config_exits_without_traceback(tmp_path, text, code):
 
 
 _SCENARIO = ["--state", "y", "--feed", "A4", "--freq", "9.75"]
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("synthesize", "output_dir = a\x00b\n"),
+        ("report", "output_dir = a\x00b\n"),
+        # a config that radiates, were the id not refused
+        ("sweep", FAST_SAMPLING + "feeds[0].id = A\x001\nfeeds[0].x_mm = 0\nta_feed_ids = A\x001\n"),
+    ],
+)
+def test_a_nul_byte_is_a_config_error(tmp_path, command, text):
+    # no path or file name may hold one, so the text parser refuses it
+    cfg = tmp_path / "nul.cfg"
+    cfg.write_text(text)
+    proc = _cli_child([command, "--config", str(cfg)], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("config error: ") and "NUL" in line
+
+
+def test_a_feed_id_that_cannot_name_a_file_is_a_config_error(tmp_path, capsys):
+    # every beam file's name holds its feed id: refused before any beam radiates
+    cfg = tmp_path / "slash.cfg"
+    cfg.write_text(FAST_SAMPLING + "feeds[0].id = a/b\nfeeds[0].x_mm = 0\nta_feed_ids = a/b\n")
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: feeds: a feed id names files and may not hold '/', got 'a/b'\n"
+    )
+    assert not out.exists()
+
+
+def test_a_feed_id_is_read_as_written(tmp_path):
+    # 007 stays 007 in the key that names it and in the files it writes
+    default = (Path(htasim.__file__).parent / "data" / "default.cfg").read_text()
+    text = default.replace("feeds[3].id = A4", "feeds[3].id = 007")
+    text = text.replace("ta_feed_ids = A2, A3, A4, A5, A6", "ta_feed_ids = 007")
+    cfg = tmp_path / "ids.cfg"
+    cfg.write_text(text + FAST_SAMPLING)
+    out = tmp_path / "o"
+    argv = ["simulate", "--config", str(cfg), "--state", "x", "--feed", "007", "--freq", "9.75"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "x_007_9.75GHz_fwd_cut.csv", "x_007_9.75GHz_fwd_metrics.json"
+    ]
+
+
+def test_an_output_dir_is_read_as_written(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "dir.cfg"
+    cfg.write_text("output_dir = 1e3\n")
+    assert main(["synthesize", "--config", str(cfg)]) == 0
+    assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == ["1e3"]
 
 
 def test_negative_h_names_the_distance_it_is(tmp_path):
@@ -593,7 +652,7 @@ def test_uncovered_frequency_is_a_config_error(tmp_path, command):
     proc = _cli_child(argv)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("config error:") and "1e+200" in proc.stderr
+    assert proc.stderr.startswith("config error:") and "1e200" in proc.stderr
     assert not (tmp_path / "o").exists()
 
 
@@ -618,7 +677,7 @@ def test_unusable_frequency_is_a_config_error(tmp_path, capsys, command, freq, s
         argv += ["--state", "y", "--feed", "A4", "--freq", freq]
     assert main(argv) == 2
     [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith(f"config error: frequencies = {float(freq):g} must be positive")
+    assert line.startswith(f"config error: frequencies = {freq} must be positive")
     assert not out.exists()
     if command == "simulate":
         # --freq sets `frequencies`, so the same rule refuses it over a valid list
@@ -812,14 +871,16 @@ def test_simulate_flag_overrides(tmp_path, fast_cfg):
 
 
 def test_simulate_flags_pass_config_validation(tmp_path, fast_cfg, capsys):
-    # a flag is an override of its config key and fails the same way
+    # a flag is an override of its config key and fails the same way,
+    # quoting the value as written
     bad = tmp_path / "bad.cfg"
-    bad.write_text(FAST_SAMPLING + "sampling.cut_theta_step_deg = 0.7\n")
     scenario = ["--state", "y", "--feed", "A4", "--freq", "9.75", "--out", str(tmp_path / "o")]
-    assert main(["simulate", "--config", str(fast_cfg), "--theta-step", "0.7", *scenario]) == 2
-    assert main(["simulate", "--config", str(bad), *scenario]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["config error: sampling.cut_theta_step_deg = 0.7 must divide 90 evenly"] * 2
+    for step in ("0.7", "7"):
+        bad.write_text(FAST_SAMPLING + f"sampling.cut_theta_step_deg = {step}\n")
+        assert main(["simulate", "--config", str(fast_cfg), "--theta-step", step, *scenario]) == 2
+        assert main(["simulate", "--config", str(bad), *scenario]) == 2
+        line = f"config error: sampling.cut_theta_step_deg = {step} must divide 90 evenly"
+        assert capsys.readouterr().err.splitlines() == [line] * 2
 
 
 def test_simulate_blockage_flag_keeps_configured_mask(tmp_path, fast_cfg):

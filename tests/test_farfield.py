@@ -36,7 +36,7 @@ from htasim.farfield import (
 from htasim.feed import FeedExcitation, FeedPattern, illumination_grid
 from htasim.geometry import (
     ApertureSpec,
-    FeedConfig,
+    FeedPlacement,
     LayoutConfig,
     Point3,
     build_layout,
@@ -1063,7 +1063,7 @@ def test_hta_fields_are_exact_half_power_split(layout, curves):
 def test_mirrored_feeds_mirror_the_pattern(layout, curves, x, y, state, blocked):
     # the element grid and both compensation maps are symmetric in x, so
     # the feed mirrored to -x radiates the pattern mirrored to 180 - phi
-    feeds = (FeedConfig("P", x, y), FeedConfig("M", -x, y))
+    feeds = (FeedPlacement("P", Point3(x, y, 0.0)), FeedPlacement("M", Point3(-x, y, 0.0)))
     lay = build_layout(LayoutConfig(feeds=feeds))
     maps = synthesize_cell_maps(lay, curves, 9.75)
     s = _settings(

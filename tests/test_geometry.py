@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from htasim.geometry import (
     ApertureConfig,
     ApertureSpec,
-    FeedConfig,
+    FeedPlacement,
     LayoutConfig,
     Point3,
     build_layout,
@@ -203,7 +203,7 @@ def test_aperture_fit_invariant():
 
 def test_duplicate_feed_ids_rejected():
     cfg = LayoutConfig(
-        feeds=(FeedConfig("A1", -50.0), FeedConfig("A1", 50.0))
+        feeds=tuple(FeedPlacement("A1", Point3(x, 0.0, 0.0)) for x in (-50.0, 50.0))
     )
     with pytest.raises(ValueError, match="duplicate"):
         build_layout(cfg)
