@@ -12,31 +12,32 @@ and superposes the element contributions onto a hemisphere grid:
                     + y_j sin(phi))) * cos(theta)
 
 accumulated separately for the co-polarized (y) and cross-polarized (x)
-components of a field.  `run_scenario` contracts the co-polarized one
-only: every routing path ends at a y-polarizing grid, so the only
-cross-polarized field is the rotator's unconverted residue, the leakage
-times the co-polarized field element by element, and its pattern is the
-leakage times E_co.  The sum separates into two steering factors,
-exp(+j k0 x_i u) and exp(+j k0 y_j v), one row per direction.  A field
-may stack several beams over one aperture (a side's beams at one
-frequency), and `radiate` contracts them all in one pass: it fills each
-block of factors once and contracts that block with one beam at a time.
-A block is a slice of theta rows.  `radiate` shares the blocks out in
-one contiguous run per worker: the calling thread takes the first, each
-other runs in a thread of its own, does numpy work only and writes only
-its own rows.  There is one worker per CPU the process may use, at most
-`MAX_WORKERS`, and one only unless the BLAS pool is one thread
-(`htasim.SERIAL_BLAS`); n workers take blocks of `BLOCK_DIRECTIONS` //
-(n * phi samples) theta rows, at least one, each filled into one buffer
-per worker beside one beam's products, so `BLOCK_DIRECTIONS` directions
-are live over all workers, whatever the number of beams.  A block's fill
-evaluates one table of exp(j k0 w x_i), one entry per (theta, distinct
-|cos(phi)| or |sin(phi)|), shared by both factors when the x and y
-element coordinates are equal, and gathers each direction's row from
-it by its magnitude alone; a direction whose cosine is negative reads
-that entry's conjugate, applied in place on its run of phi samples.
-Within an entry cos and sin run on the first half of the element
-columns and the other half holds the mirrored conjugates.
+components of a field.  Every routing path ends at a y-polarizing grid,
+so `illuminate`'s x component is zero.  The imperfect rotator's
+unconverted residue is the leakage times the co-polarized field, element
+by element, so its pattern is the leakage times E_co, exactly, on every
+direction: `run_scenario` contracts the co-polarized component alone and
+is the only place the leakage enters.  The sum separates into two
+steering factors, exp(+j k0 x_i u) and exp(+j k0 y_j v), one row per
+direction.  A field may stack several beams over one aperture (a side's
+beams at one frequency), and `radiate` contracts them all in one pass:
+it fills each block of factors once and contracts that block with one
+beam at a time.  A block is a slice of theta rows.  `radiate` shares the
+blocks out in one contiguous run per worker: the calling thread takes
+the first, each other runs in a thread of its own, does numpy work only
+and writes only its own rows.  There is one worker per CPU the process
+may use, at most `MAX_WORKERS`, and one only unless the BLAS pool is one
+thread (`htasim.SERIAL_BLAS`); n workers take blocks of
+`BLOCK_DIRECTIONS` // (n * phi samples) theta rows, at least one, each
+filled into one buffer per worker beside one beam's products, so
+`BLOCK_DIRECTIONS` directions are live over all workers, whatever the
+number of beams.  A block's fill evaluates one table of exp(j k0 w x_i),
+one entry per (theta, distinct |cos(phi)| or |sin(phi)|), shared by both
+factors when the x and y element coordinates are equal, and gathers each
+direction's row from it by its magnitude alone; a direction whose cosine
+is negative reads that entry's conjugate, applied in place on its run of
+phi samples.  Within an entry cos and sin run on the first half of the
+element columns and the other half holds the mirrored conjugates.
 sin(theta) >= 0 and the element grid is antisymmetric bit for bit
 (x_{n-1-i} == -x_i), so this is exact.  Each direction's element
 reduction has a fixed shape in any block, thread or stack, so results
@@ -79,9 +80,6 @@ from .unitcell import DESIGN_FREQUENCY_GHZ, CurveLibrary, PhaseCurve
 BLOCK_DIRECTIONS = 1440
 #: the most far-field workers: the count the split was measured at
 MAX_WORKERS = 2
-#: the theta rows whose |E_co| comes this close, relatively, to a leaky
-#: beam's largest are contracted from its own cross-polar field
-PEAK_ROW_TOLERANCE = 1e-9
 
 
 class Side(str, Enum):
@@ -136,7 +134,12 @@ class ApertureField:
     """Outgoing (post-cell) field over one aperture: per-element Jones
     components ex, ey as complex (nx, ny) grids, or (beams, nx, ny)
     stacks of several beams' grids; a non-finite entry or a dark beam
-    (zero in both components) is a ValueError."""
+    (zero in both components) is a ValueError.
+
+    `illuminate` leaves ex zero, but a field built by hand may set it:
+    the acceptance suite and the engine tests radiate two-component
+    fields as the oracle of `run_scenario`'s leakage, and the
+    benchmark's tracer reads ex."""
 
     aperture: ApertureSpec
     ex: np.ndarray
@@ -159,7 +162,6 @@ def illuminate(
     cell_map: CellMap,
     curve: PhaseCurve,
     k0: float,
-    crosspol_leakage: float = 0.0,
     blockage: BlockageMask | None = None,
 ) -> ApertureField:
     """Outgoing aperture field on one side of the stack.
@@ -167,11 +169,11 @@ def illuminate(
     The side's aperture sees the side's feed image (`Side.feed_image`);
     an unknown side name is a ValueError.  Each element multiplies the
     incident field by the routed Jones operator, the cell's transmission
-    magnitude and its realized compensation phase.  `crosspol_leakage`
-    adds that fraction of the co-polarized output into the orthogonal
-    component (an unconverted transmission residue); `blockage` zeroes
-    folded-side elements shadowed by the feed board.  Subnormal parts are
-    zeroed in a component whose largest part is 2**-970 or more (`_flushed`).
+    magnitude and its realized compensation phase; every routed path is
+    y-polarized, so ex is signed zeros (the rotator's leakage enters in
+    `run_scenario`).  `blockage` zeroes folded-side elements shadowed by
+    the feed board.  Subnormal parts are zeroed in a component whose
+    largest part is 2**-970 or more (`_flushed`).
     """
     side = Side(side)
     path_jones = side.routed(route(excitation.state))
@@ -204,7 +206,7 @@ def illuminate(
         )
         amplitude = np.where(shadow, 0.0, amplitude)
 
-    ex = amplitude * (path_jones.ex + crosspol_leakage * path_jones.ey)
+    ex = amplitude * path_jones.ex
     ey = amplitude * path_jones.ey
     return ApertureField(aperture=aperture, ex=_flushed(ex), ey=_flushed(ey))
 
@@ -411,7 +413,9 @@ def radiate(
     duplicate at 360.  Each block of steering factors is filled once,
     into one buffer per worker, and contracted with each beam of a
     stacked field in turn (`_contraction`); no beam of an
-    `ApertureField` is dark.
+    `ApertureField` is dark.  A component that is zero in every beam, as
+    `run_scenario`'s ex is, is not contracted; the oracles' hand-built
+    fields radiate both (see `ApertureField`).
     """
     theta, phi = _grid(theta_step_deg, phi_step_deg)
     nx, ny = field.aperture.nx, field.aperture.ny
@@ -510,28 +514,6 @@ def active_sides(state: PolarizationState) -> tuple[Side, ...]:
     return tuple(side for side in Side if side.routed(plan).norm_sq > 0.0)
 
 
-def _contract_peak_rows(
-    fields: list[ApertureField], patterns: PatternGrid, e_cross: np.ndarray, k0: float
-) -> None:
-    """Contract each beam's own cross-polar field on the theta rows where
-    its |E_co| comes within PEAK_ROW_TOLERANCE, relatively, of its
-    largest, and write those rows into the beam's `e_cross`.
-
-    Elsewhere `e_cross` is leakage * e_co, which the model makes exact
-    but which differs from the contraction of `ex` by ulps.  The largest
-    |E_x| lies on these rows, so the cross-polar peak keeps the bits of
-    the two-component contraction: each direction's reduction has the
-    same shape in a one-row block (a matmul of n_phi >= 2 rows) as in
-    `radiate`.  Rows are selected on |E_co|, not its square, so a beam
-    whose intensity underflows still selects its row.  Delete this step
-    once the metrics are printed at a stated precision."""
-    contract = _contraction(patterns.aperture, k0, patterns.theta_deg, patterns.phi_deg)
-    for fld, e_co, out in zip(fields, patterns.e_co, e_cross):
-        co = np.abs(e_co)
-        rows = np.flatnonzero(np.any(co >= co.max() * (1.0 - PEAK_ROW_TOLERANCE), axis=1))
-        contract([slice(r, r + 1) for r in rows], [([fld.ex], [out])])
-
-
 def run_scenario(
     layout: SystemLayout,
     beams: list[tuple[PolarizationState, str]],
@@ -548,10 +530,8 @@ def run_scenario(
     the settings' frequency.
 
     The pass contracts the co-polarized component alone, with a zero ex.
-    At zero leakage the cross-polarized pattern is the pass's exact
-    zeros; otherwise it is the leakage times E_co, with the theta rows of
-    the co-polar peak contracted from illuminate's own ex
-    (`_contract_peak_rows`)."""
+    The cross-polarized pattern is the leakage times E_co on every
+    direction; at zero leakage it is the pass's exact zeros."""
     k0 = wavenumber(settings.frequency_ghz)
     cm, curve, _ = cell_maps[side]
     outcomes = []
@@ -569,18 +549,7 @@ def run_scenario(
                 pattern=feed_pattern_for(layout, settings),
                 state=state,
             )
-            outcomes.append(
-                illuminate(
-                    layout,
-                    excitation,
-                    side,
-                    cm,
-                    curve,
-                    k0,
-                    crosspol_leakage=settings.crosspol_leakage,
-                    blockage=settings.blockage,
-                )
-            )
+            outcomes.append(illuminate(layout, excitation, side, cm, curve, k0, settings.blockage))
         except ValueError as exc:
             outcomes.append(exc)
     lit = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, ApertureField)]
@@ -588,10 +557,11 @@ def run_scenario(
         ey = np.stack([outcomes[i].ey for i in lit])
         stack = ApertureField(aperture=side.aperture(layout), ex=np.zeros(ey.shape, complex), ey=ey)
         patterns = radiate(stack, settings.theta_step_deg, settings.phi_step_deg, k0)
-        cross = patterns.e_cross  # zero: no leakage, no cross-polar field
+        # zero leakage reuses the pass's exact zeros: 0.0 * e_co would
+        # hold a second hemisphere stack
+        cross = patterns.e_cross
         if settings.crosspol_leakage != 0.0:
             cross = settings.crosspol_leakage * patterns.e_co
-            _contract_peak_rows([outcomes[i] for i in lit], patterns, cross, k0)
         for i, e_co, e_cross in zip(lit, patterns.e_co, cross):
             pattern = replace(patterns, e_co=e_co, e_cross=e_cross)
             try:

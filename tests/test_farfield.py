@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import htasim
@@ -229,10 +229,8 @@ def _hybrid_fields(layout, curves, leakage=0.05):
     exc = FeedExcitation(
         placement=layout.feed("A6"), pattern=FeedPattern(q=5.75), state=PolarizationState.SLANT45
     )
-    return [
-        illuminate(layout, exc, side, maps[side][0], maps[side][1], K0, crosspol_leakage=leakage)
-        for side in ("ta", "fta")
-    ]
+    fields = (illuminate(layout, exc, side, *maps[side][:2], K0) for side in ("ta", "fta"))
+    return [replace(fld, ex=leakage * fld.ey) for fld in fields]
 
 
 #: (theta step, phi step).  The sweep grid's 181 rows of 180 directions
@@ -802,18 +800,6 @@ def test_illuminate_rejects_unknown_side(layout, curves):
         illuminate(layout, exc, "side", cm, curve, K0)
 
 
-def test_illuminate_crosspol_leakage(layout, curves):
-    maps = synthesize_cell_maps(layout, curves, 9.75)
-    cm, curve, _ = maps["ta"]
-    exc = FeedExcitation(
-        placement=layout.feed("A4"),
-        pattern=FeedPattern(q=5.75),
-        state=PolarizationState.X,
-    )
-    fld = illuminate(layout, exc, "ta", cm, curve, K0, crosspol_leakage=0.05)
-    np.testing.assert_allclose(fld.ex, 0.05 * fld.ey, rtol=1e-15)
-
-
 def test_illuminate_blockage_shadows_fta(layout, curves):
     maps = synthesize_cell_maps(layout, curves, 9.75)
     cm, curve, _ = maps["fta"]
@@ -899,7 +885,8 @@ def test_metrics_do_not_depend_on_the_pattern_scale(layout, curves, exponent):
     exc = FeedExcitation(
         placement=layout.feed("A5"), pattern=FeedPattern(q=5.75), state=PolarizationState.X
     )
-    pat = radiate(illuminate(layout, exc, "ta", cm, curve, K0, crosspol_leakage=0.05), 3.0, 10.0, K0)
+    fld = illuminate(layout, exc, "ta", cm, curve, K0)
+    pat = radiate(replace(fld, ex=0.05 * fld.ey), 3.0, 10.0, K0)
     scaled = replace(pat, e_co=pat.e_co * 2.0**exponent, e_cross=pat.e_cross * 2.0**exponent)
     assert extract_metrics(scaled) == extract_metrics(pat)
 
@@ -986,18 +973,26 @@ def test_leaky_run_scenario_radiates_a_zero_cross_polar_field(layout, curves, mo
         (Side.FTA, PolarizationState.SLANT45),
     ]),
     frequency_ghz=st.sampled_from([9.0, 9.75, 10.5]),
+    feed_id=st.sampled_from([feed.id for feed in LayoutConfig().feeds]),
     leakage=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     blocked=st.booleans(),
-    data=st.data(),
+)
+@example(
+    side_state=(Side.TA, PolarizationState.X), frequency_ghz=9.75, feed_id="A4", leakage=1e-160,
+    blocked=False,
+)
+@example(
+    side_state=(Side.TA, PolarizationState.X), frequency_ghz=9.75, feed_id="A4", leakage=5e-324,
+    blocked=False,
 )
 def test_co_polar_pass_equals_the_two_component_oracle(
-    layout, curves, side_state, frequency_ghz, leakage, blocked, data
+    layout, curves, side_state, frequency_ghz, feed_id, leakage, blocked
 ):
-    # run_scenario contracts ey alone, takes e_cross = leakage * e_co and
-    # contracts ex itself on the peak's theta rows; the oracle radiates
-    # illuminate's two components.  A leakage small enough to leave ex
-    # subnormal or zero leaves every cross-polar intensity zero on both
-    # paths, so the cross-polar peak still agrees.
+    # run_scenario contracts ey alone and takes e_cross = leakage * e_co
+    # on every row; the oracle radiates the two components of the field
+    # with ex = leakage * ey.  A leakage small enough to leave the
+    # cross-polar intensities subnormal (1e-160) or zero (5e-324) rounds
+    # them alike on both paths, so the cross-polar peak still agrees.
     side, state = side_state
     s = _settings(
         frequency_ghz=frequency_ghz,
@@ -1006,7 +1001,7 @@ def test_co_polar_pass_equals_the_two_component_oracle(
         crosspol_leakage=leakage,
         blockage=BlockageMask() if blocked else None,
     )
-    feed_id = data.draw(st.sampled_from(allowed_feed_ids(layout, state, s)))
+    assume(feed_id in allowed_feed_ids(layout, state, s))
     maps = synthesize_cell_maps(layout, curves, frequency_ghz)
     [(pattern, metrics)] = run_scenario(layout, [(state, feed_id)], s, maps, side)
     k0 = wavenumber(frequency_ghz)
@@ -1014,18 +1009,11 @@ def test_co_polar_pass_equals_the_two_component_oracle(
     excitation = FeedExcitation(
         placement=layout.feed(feed_id), pattern=feed_pattern_for(layout, s), state=state
     )
-    fld = illuminate(
-        layout, excitation, side, cm, curve, k0, crosspol_leakage=leakage, blockage=s.blockage
-    )
-    oracle = radiate(fld, 3.0, 10.0, k0)
-    expect = extract_metrics(oracle)
+    fld = illuminate(layout, excitation, side, cm, curve, k0, s.blockage)
+    oracle = radiate(replace(fld, ex=leakage * fld.ey), 3.0, 10.0, k0)
     np.testing.assert_array_equal(pattern.e_co, oracle.e_co)
-    co = np.abs(pattern.e_co)
-    rows = np.any(co >= co.max() * (1.0 - farfield.PEAK_ROW_TOLERANCE), axis=1)
-    np.testing.assert_array_equal(pattern.e_cross[rows], oracle.e_cross[rows])
-    np.testing.assert_array_equal(pattern.e_cross[~rows], leakage * pattern.e_co[~rows])
-    assert metrics.crosspol_peak_db.hex() == expect.crosspol_peak_db.hex()
-    assert metrics.figures() == pytest.approx(expect.figures(), rel=1e-12)
+    np.testing.assert_array_equal(pattern.e_cross, leakage * pattern.e_co)
+    assert metrics.figures() == pytest.approx(extract_metrics(oracle).figures(), rel=1e-12)
 
 
 def test_hta_fields_are_exact_half_power_split(layout, curves):
