@@ -11,26 +11,25 @@ and superposes the element contributions onto a hemisphere grid:
     E(theta, phi) = sum_ij A_ij exp(+j k0 sin(theta) (x_i cos(phi)
                     + y_j sin(phi))) * cos(theta)
 
-accumulated separately for the co-polarized (y) and cross-polarized (x)
-components of a field.  Every routing path ends at a y-polarizing grid,
-so `illuminate`'s x component is zero.  The imperfect rotator's
-unconverted residue is the leakage times the co-polarized field, element
-by element, so its pattern is the leakage times E_co, exactly, on every
-direction: `run_scenario` contracts the co-polarized component alone and
-is the only place the leakage enters.  The sum separates into two
-steering factors, exp(+j k0 x_i u) and exp(+j k0 y_j v), one row per
-direction.  A field may stack several beams over one aperture (a side's
-beams at one frequency), and `radiate` contracts them all in one pass:
-it fills each block of factors once and contracts that block with one
-beam at a time.  A block is a slice of theta rows.  `radiate` shares the
-blocks out in one contiguous run per worker: the calling thread takes
-the first, each other runs in a thread of its own, does numpy work only
-and writes only its own rows.  There is one worker per CPU the process
-may use, at most `MAX_WORKERS`, and one only unless the BLAS pool is one
-thread (`htasim.SERIAL_BLAS`); n workers take blocks of
-`BLOCK_DIRECTIONS` // (n * phi samples) theta rows, at least one, each
-filled into one buffer per worker beside one beam's products, so
-`BLOCK_DIRECTIONS` directions are live over all workers, whatever the
+for the co-polarized (y) component of a field.  Every routing path ends
+at a y-polarizing grid, so a field's x component is zero.  The imperfect
+rotator's unconverted residue is the leakage times the co-polarized
+field, element by element, so its pattern is the leakage times E_co,
+exactly, on every direction: a pattern carries the leakage as a scalar
+beside E_co, and `run_scenario` is the only place it enters.  The sum
+separates into two steering factors, exp(+j k0 x_i u) and
+exp(+j k0 y_j v), one row per direction.  A field may stack several
+beams over one aperture (a side's beams at one frequency), and `radiate`
+contracts them all in one pass: it fills each block of factors once and
+contracts that block with one beam at a time.  A block is a slice of
+theta rows.  `radiate` shares the blocks out in one contiguous run per worker: the
+calling thread takes the first, each other runs in a thread of its own,
+does numpy work only and writes only its own rows.  There is one worker
+per CPU the process may use, at most `MAX_WORKERS`, and one only unless
+the BLAS pool is one thread (`htasim.SERIAL_BLAS`); n workers take
+blocks of `BLOCK_DIRECTIONS` // (n * phi samples) theta rows, at least
+one, each filled into one buffer per worker beside one beam's products,
+so `BLOCK_DIRECTIONS` directions are live over all workers, whatever the
 number of beams.  A block's fill evaluates one table of exp(j k0 w x_i),
 one entry per (theta, distinct |cos(phi)| or |sin(phi)|), shared by both
 factors when the x and y element coordinates are equal, and gathers each
@@ -42,8 +41,7 @@ sin(theta) >= 0 and the element grid is antisymmetric bit for bit
 (x_{n-1-i} == -x_i), so this is exact.  Each direction's element
 reduction has a fixed shape in any block, thread or stack, so results
 are bit-identical whatever the split, the BLAS thread count or the beams
-radiated beside it.  A component that is zero over the whole aperture in
-every beam is not contracted; its pattern is exactly zero.
+radiated beside it.
 
 A field and its pattern carry their aperture; the hemisphere a pattern
 covers is its aperture's (`ApertureSpec.hemisphere`, read off the
@@ -133,13 +131,13 @@ class BlockageMask:
 class ApertureField:
     """Outgoing (post-cell) field over one aperture: per-element Jones
     components ex, ey as complex (nx, ny) grids, or (beams, nx, ny)
-    stacks of several beams' grids; a non-finite entry or a dark beam
-    (zero in both components) is a ValueError.
+    stacks of several beams' grids; a non-finite ey entry or a dark beam
+    is a ValueError.
 
-    `illuminate` leaves ex zero, but a field built by hand may set it:
-    the acceptance suite and the engine tests radiate two-component
-    fields as the oracle of `run_scenario`'s leakage, and the
-    benchmark's tracer reads ex."""
+    Every routed path is y-polarized, so a nonzero ex is a ValueError:
+    the cross-polarized field is the leakage times E_co
+    (`PatternGrid.crosspol_leakage`).  ex stays because the acceptance
+    suite builds fields with it and the benchmark's tracer reads it."""
 
     aperture: ApertureSpec
     ex: np.ndarray
@@ -149,9 +147,11 @@ class ApertureField:
         shape = (self.aperture.nx, self.aperture.ny)
         if self.ex.shape != self.ey.shape or self.ex.shape[-2:] != shape or self.ex.ndim > 3:
             raise ValueError("aperture field grids do not match the aperture")
-        if not (np.all(np.isfinite(self.ex)) and np.all(np.isfinite(self.ey))):
+        if np.any(self.ex):
+            raise ValueError("nonzero aperture field ex: cross-polarization is crosspol.leakage")
+        if not np.all(np.isfinite(self.ey)):
             raise ValueError("aperture field contains non-finite entries")
-        if not np.all(np.any(self.ex, axis=(-2, -1)) | np.any(self.ey, axis=(-2, -1))):
+        if not np.all(np.any(self.ey, axis=(-2, -1))):
             raise ValueError("aperture field is identically zero")
 
 
@@ -170,10 +170,10 @@ def illuminate(
     an unknown side name is a ValueError.  Each element multiplies the
     incident field by the routed Jones operator, the cell's transmission
     magnitude and its realized compensation phase; every routed path is
-    y-polarized, so ex is signed zeros (the rotator's leakage enters in
+    y-polarized, so ex is zero (the rotator's leakage enters in
     `run_scenario`).  `blockage` zeroes folded-side elements shadowed by
-    the feed board.  Subnormal parts are zeroed in a component whose
-    largest part is 2**-970 or more (`_flushed`).
+    the feed board.  Subnormal parts of ey are zeroed when its largest
+    part is 2**-970 or more (`_flushed`).
     """
     side = Side(side)
     path_jones = side.routed(route(excitation.state))
@@ -206,9 +206,8 @@ def illuminate(
         )
         amplitude = np.where(shadow, 0.0, amplitude)
 
-    ex = amplitude * path_jones.ex
-    ey = amplitude * path_jones.ey
-    return ApertureField(aperture=aperture, ex=_flushed(ex), ey=_flushed(ey))
+    ey = _flushed(amplitude * path_jones.ey)
+    return ApertureField(aperture=aperture, ex=np.zeros_like(ey), ey=ey)
 
 
 def _flushed(a: np.ndarray) -> np.ndarray:
@@ -370,17 +369,16 @@ def _over_theta(task, n_theta: int, n_phi: int) -> None:
 
 
 def _contraction(aperture: ApertureSpec, k0: float, theta: np.ndarray, phi: np.ndarray):
-    """contract(blocks, lit), which fills the steering factors of each
-    slice of theta rows in `blocks` once and writes those rows of every
-    pattern in `lit`: pairs of a sequence of (nx, ny) beam grids and the
-    sequence of (theta, phi) patterns they radiate into.  A block is
-    contracted with one beam at a time, into one product buffer that
-    holds one beam's block."""
+    """contract(blocks, beams, patterns), which fills the steering
+    factors of each slice of theta rows in `blocks` once and writes those
+    rows of every (theta, phi) pattern in `patterns` from its (nx, ny)
+    grid in `beams`.  A block is contracted with one beam at a time, into
+    one product buffer that holds one beam's block."""
     nx, ny = aperture.nx, aperture.ny
     element_factor = np.cos(np.radians(theta))[:, None]
     fill = _steering_fill(aperture, k0, theta, phi)
 
-    def contract(blocks: list[slice], lit) -> None:
+    def contract(blocks: list[slice], beams, patterns) -> None:
         # a run's first block is its largest
         size = (blocks[0].stop - blocks[0].start) * phi.size
         buffers = [np.empty((size, cols), complex) for cols in (nx, ny, ny)]
@@ -388,14 +386,13 @@ def _contraction(aperture: ApertureSpec, k0: float, theta: np.ndarray, phi: np.n
             n = (block.stop - block.start) * phi.size
             pu, pv, part = (b[:n] for b in buffers)
             fill(block, pu, pv)
-            for beams, patterns in lit:
-                # Separable contraction: sum_i sum_j A_ij e^{jk0 x_i u} e^{jk0 y_j v},
-                # one beam at a time.
-                for beam, pattern in zip(beams, patterns):
-                    np.matmul(pu, beam, out=part)
-                    np.multiply(part, pv, out=part)
-                    rows = part.sum(axis=1).reshape(-1, phi.size)
-                    pattern[block] = rows * element_factor[block]
+            # Separable contraction: sum_i sum_j A_ij e^{jk0 x_i u} e^{jk0 y_j v},
+            # one beam at a time.
+            for beam, pattern in zip(beams, patterns):
+                np.matmul(pu, beam, out=part)
+                np.multiply(part, pv, out=part)
+                rows = part.sum(axis=1).reshape(-1, phi.size)
+                pattern[block] = rows * element_factor[block]
 
     return contract
 
@@ -413,26 +410,18 @@ def radiate(
     duplicate at 360.  Each block of steering factors is filled once,
     into one buffer per worker, and contracted with each beam of a
     stacked field in turn (`_contraction`); no beam of an
-    `ApertureField` is dark.  A component that is zero in every beam, as
-    `run_scenario`'s ex is, is not contracted; the oracles' hand-built
-    fields radiate both (see `ApertureField`).
+    `ApertureField` is dark.  Only ey is contracted, since ex is zero;
+    the pattern's leakage is zero.
     """
     theta, phi = _grid(theta_step_deg, phi_step_deg)
-    nx, ny = field.aperture.nx, field.aperture.ny
-    ex, ey = (a.reshape(-1, nx, ny) for a in (field.ex, field.ey))
-    beams = ey.shape[0]
-    e_co = np.zeros((beams, theta.size, phi.size), complex)
-    e_cross = np.zeros((beams, theta.size, phi.size), complex)
-    # a component that is zero in every beam radiates exact zeros
-    lit = [(a, out) for a, out in ((ey, e_co), (ex, e_cross)) if np.any(a)]
+    ey = field.ey.reshape(-1, field.aperture.nx, field.aperture.ny)
+    e_co = np.zeros((ey.shape[0], theta.size, phi.size), complex)
     contract = _contraction(field.aperture, k0, theta, phi)
-    _over_theta(lambda blocks: contract(blocks, lit), theta.size, phi.size)
-    single = field.ey.ndim == 2  # one beam's grid, not a stack
+    _over_theta(lambda blocks: contract(blocks, ey, e_co), theta.size, phi.size)
     return PatternGrid(
         theta_deg=theta,
         phi_deg=phi,
-        e_co=e_co[0] if single else e_co,
-        e_cross=e_cross[0] if single else e_cross,
+        e_co=e_co[0] if field.ey.ndim == 2 else e_co,
         aperture=field.aperture,
         frequency_ghz=k0 * C_MM_PER_NS / (2.0 * math.pi),
     )
@@ -529,9 +518,9 @@ def run_scenario(
     beam fails another.  `cell_maps` is synthesize_cell_maps' output at
     the settings' frequency.
 
-    The pass contracts the co-polarized component alone, with a zero ex.
-    The cross-polarized pattern is the leakage times E_co on every
-    direction; at zero leakage it is the pass's exact zeros."""
+    The pass contracts the co-polarized component alone, with a zero ex;
+    each pattern carries the settings' leakage, so its cross-polarized
+    pattern is the leakage times E_co on every direction."""
     k0 = wavenumber(settings.frequency_ghz)
     cm, curve, _ = cell_maps[side]
     outcomes = []
@@ -557,13 +546,8 @@ def run_scenario(
         ey = np.stack([outcomes[i].ey for i in lit])
         stack = ApertureField(aperture=side.aperture(layout), ex=np.zeros(ey.shape, complex), ey=ey)
         patterns = radiate(stack, settings.theta_step_deg, settings.phi_step_deg, k0)
-        # zero leakage reuses the pass's exact zeros: 0.0 * e_co would
-        # hold a second hemisphere stack
-        cross = patterns.e_cross
-        if settings.crosspol_leakage != 0.0:
-            cross = settings.crosspol_leakage * patterns.e_co
-        for i, e_co, e_cross in zip(lit, patterns.e_co, cross):
-            pattern = replace(patterns, e_co=e_co, e_cross=e_cross)
+        for i, e_co in zip(lit, patterns.e_co):
+            pattern = replace(patterns, e_co=e_co, crosspol_leakage=settings.crosspol_leakage)
             try:
                 metrics = extract_metrics(pattern, gain_offset_db=settings.gain_offset_db)
                 outcomes[i] = (pattern, metrics)

@@ -32,15 +32,20 @@ class PatternGrid:
     theta is measured from the aperture's normal (+z or -z), so theta in
     [0, 90] on either side; phi covers [0, 360) uniformly.  A stacked
     field's pattern has the field's leading (beams,) shape before the
-    grid's; the metrics take one beam's pattern.
+    grid's; the metrics take one beam's pattern.  Its cross-polarized
+    pattern is the rotator's leakage times E_co, formed on each read.
     """
 
     theta_deg: np.ndarray
     phi_deg: np.ndarray
     e_co: np.ndarray  # ([beams,] n_theta, n_phi) complex
-    e_cross: np.ndarray
     aperture: ApertureSpec
     frequency_ghz: float
+    crosspol_leakage: float = 0.0
+
+    @property
+    def e_cross(self) -> np.ndarray:
+        return self.crosspol_leakage * self.e_co
 
 
 @dataclass(frozen=True)
@@ -134,7 +139,7 @@ def cut(pattern: PatternGrid, phi_deg: float) -> Cut:
         theta_deg=np.concatenate([-pattern.theta_deg[:0:-1], pattern.theta_deg]),
         phi_deg=phi[cols],
         e_co=pattern.e_co[rows, cols],
-        e_cross=pattern.e_cross[rows, cols],
+        e_cross=pattern.crosspol_leakage * pattern.e_co[rows, cols],
     )
 
 
@@ -143,6 +148,17 @@ def _power(pattern: PatternGrid, co: np.ndarray, cross: np.ndarray) -> float:
     into `co`."""
     co += cross
     return _ring_integral(pattern, np.sum(co, axis=1))
+
+
+def _cross_magnitudes(pattern: PatternGrid) -> np.ndarray:
+    """|E_x| over the hemisphere, formed one theta row at a time; a zero
+    scalar at zero leakage."""
+    if pattern.crosspol_leakage == 0.0:
+        return np.zeros(())
+    out = np.empty(pattern.e_co.shape)
+    for row, e_co in zip(out, pattern.e_co):
+        np.abs(pattern.crosspol_leakage * e_co, out=row)
+    return out
 
 
 def _main_lobe_bounds(power: np.ndarray, peak_idx: int, peak_power: float):
@@ -236,7 +252,8 @@ def beam_metrics(
 def extract_metrics(pattern: PatternGrid, gain_offset_db: float = 0.0) -> BeamMetrics:
     """`beam_metrics` of the pattern's peak, its cut through the peak's
     azimuth, its power and its largest cross-polar intensity, read in
-    one pass: |E_co| and |E_x| are taken once and squared in place.
+    one pass: |E_co| and |E_x| (`_cross_magnitudes`) are taken once and
+    squared in place.
 
     Every metric is a ratio, so a pattern whose peak |E| lies beyond
     2**(+-MAX_PEAK_EXPONENT) is first scaled by a power of two, exactly,
@@ -244,18 +261,17 @@ def extract_metrics(pattern: PatternGrid, gain_offset_db: float = 0.0) -> BeamMe
     underflow or overflow still gets metrics.  The metrics' cut and
     0 dB reference come from the scaled pattern, like the rest.
     """
-    co, cross = np.abs(pattern.e_co), np.abs(pattern.e_cross)
+    co, cross = np.abs(pattern.e_co), _cross_magnitudes(pattern)
     e_co_max = float(co.max())
     e = math.frexp(max(e_co_max, float(cross.max())))[1]
     if abs(e) > MAX_PEAK_EXPONENT:
         del co, cross
         # in two steps: 2.0 ** 1030 alone, for a subnormal peak, overflows
         first, second = 2.0 ** -(e // 2), 2.0 ** -(e - e // 2)
-        scaled = [a * first for a in (pattern.e_co, pattern.e_cross)]
-        for a in scaled:
-            a *= second
-        pattern = replace(pattern, e_co=scaled[0], e_cross=scaled[1])
-        co, cross = np.abs(pattern.e_co), np.abs(pattern.e_cross)
+        scaled = pattern.e_co * first
+        scaled *= second
+        pattern = replace(pattern, e_co=scaled)
+        co, cross = np.abs(pattern.e_co), _cross_magnitudes(pattern)
         e_co_max = float(co.max())
     np.square(co, out=co)
     np.square(cross, out=cross)

@@ -143,22 +143,20 @@ def test_brute_force_oracle():
             nx=nx,
             ny=ny,
         )
-        ex = rng.normal(size=(nx, ny)) + 1j * rng.normal(size=(nx, ny))
         ey = rng.normal(size=(nx, ny)) + 1j * rng.normal(size=(nx, ny))
-        fld = ApertureField(aperture=ap, ex=ex, ey=ey)
+        fld = ApertureField(aperture=ap, ex=np.zeros((nx, ny), complex), ey=ey)
         pat = radiate(fld, 18.0, 60.0, K0)
         x, y = ap.x_centers(), ap.y_centers()
         for it, th in enumerate(pat.theta_deg):
             for ip, ph in enumerate(pat.phi_deg):
                 u = math.sin(math.radians(th)) * math.cos(math.radians(ph))
                 v = math.sin(math.radians(th)) * math.sin(math.radians(ph))
-                for a, got in ((ey, pat.e_co[it, ip]), (ex, pat.e_cross[it, ip])):
-                    acc = 0.0 + 0.0j
-                    for i in range(nx):
-                        for j in range(ny):
-                            acc += a[i, j] * cmath.exp(1j * K0 * (x[i] * u + y[j] * v))
-                    acc *= math.cos(math.radians(th))
-                    assert got == pytest.approx(acc, rel=1e-12, abs=1e-12)
+                acc = 0.0 + 0.0j
+                for i in range(nx):
+                    for j in range(ny):
+                        acc += ey[i, j] * cmath.exp(1j * K0 * (x[i] * u + y[j] * v))
+                acc *= math.cos(math.radians(th))
+                assert pat.e_co[it, ip] == pytest.approx(acc, rel=1e-12, abs=1e-12)
 
 
 def test_radiate_validates_steps():
@@ -197,6 +195,19 @@ def test_radiate_rejects_dark_aperture():
             ApertureField(aperture=ap, ex=ex, ey=ey)
 
 
+def test_a_nonzero_ex_is_an_error():
+    # every routed path is y-polarized, and the rotator's residue is the
+    # pattern's scalar leakage, so ex is the zero component
+    ap = ApertureSpec(plane_z=0.0, size_x=12.0, size_y=12.0, period=6.0, nx=2, ny=2)
+    lit = np.ones((2, 2), complex)
+    for ex in (0.05 * lit, np.where(np.eye(2), np.nan, 0.0), np.stack([0 * lit, 1e-300j * lit])):
+        ey = np.broadcast_to(lit, ex.shape)
+        with pytest.raises(ValueError, match="nonzero aperture field ex: .*crosspol.leakage"):
+            ApertureField(aperture=ap, ex=ex, ey=ey)
+    # a signed zero is zero
+    ApertureField(aperture=ap, ex=-0.0 * lit, ey=lit)
+
+
 def test_radiate_deterministic():
     fld = _uniform_field(10)
     a = radiate(fld, 1.0, 4.0, K0)
@@ -206,7 +217,7 @@ def test_radiate_deterministic():
 
 def _one_shot(field, theta_step_deg, phi_step_deg, k0):
     """The module docstring's formula over the whole grid in one
-    contraction: (e_co, e_cross)."""
+    contraction: e_co."""
     n_theta, n_phi = round(90.0 / theta_step_deg), round(360.0 / phi_step_deg)
     theta = np.arange(n_theta + 1) * 90.0 / n_theta
     phi = np.arange(n_phi) * 360.0 / n_phi
@@ -217,20 +228,16 @@ def _one_shot(field, theta_step_deg, phi_step_deg, k0):
     pu = np.exp(1j * k0 * u.reshape(-1)[:, None] * x[None, :])
     pv = np.exp(1j * k0 * v.reshape(-1)[:, None] * y[None, :])
     cos_theta = np.cos(np.radians(theta))[:, None]
-    return tuple(
-        np.sum((pu @ a) * pv, axis=1).reshape(u.shape) * cos_theta
-        for a in (field.ey, field.ex)
-    )
+    return np.sum((pu @ field.ey) * pv, axis=1).reshape(u.shape) * cos_theta
 
 
-def _hybrid_fields(layout, curves, leakage=0.05):
-    """TA and FTA fields of the hybrid state, with a cross-polar residue."""
+def _hybrid_fields(layout, curves):
+    """TA and FTA fields of the hybrid state."""
     maps = synthesize_cell_maps(layout, curves, 9.75)
     exc = FeedExcitation(
         placement=layout.feed("A6"), pattern=FeedPattern(q=5.75), state=PolarizationState.SLANT45
     )
-    fields = (illuminate(layout, exc, side, *maps[side][:2], K0) for side in ("ta", "fta"))
-    return [replace(fld, ex=leakage * fld.ey) for fld in fields]
+    return [illuminate(layout, exc, side, *maps[side][:2], K0) for side in ("ta", "fta")]
 
 
 #: (theta step, phi step).  The sweep grid's 181 rows of 180 directions
@@ -253,30 +260,23 @@ _SPLIT_WORKERS = (1, 2, 3, 16)
 
 def _split_patterns(fld, theta_step, phi_step):
     """The pattern of `fld` radiated on its own and as the middle beam of
-    a stack beside a field with a zero ex and another field, each under
-    every count of `_SPLIT_WORKERS`, whatever the host's CPUs."""
-    dark_x = replace(fld, ex=np.zeros_like(fld.ex), ey=2.0 * fld.ey)
-    swapped = replace(fld, ex=fld.ey, ey=fld.ex)
-    stack = [dark_x, fld, swapped]
-    stacked = ApertureField(
-        aperture=fld.aperture,
-        ex=np.stack([f.ex for f in stack]),
-        ey=np.stack([f.ey for f in stack]),
-    )
+    a stack between two other fields, each under every count of
+    `_SPLIT_WORKERS`, whatever the host's CPUs."""
+    ey = np.stack([2.0 * fld.ey, fld.ey, np.flip(fld.ey)])
+    stacked = ApertureField(aperture=fld.aperture, ex=np.zeros_like(ey), ey=ey)
     for workers in _SPLIT_WORKERS:
         with mock.patch.object(farfield, "_workers", lambda: workers):
             yield radiate(fld, theta_step, phi_step, K0)
             pat = radiate(stacked, theta_step, phi_step, K0)
-            yield replace(pat, e_co=pat.e_co[1], e_cross=pat.e_cross[1])
+            yield replace(pat, e_co=pat.e_co[1])
 
 
 @pytest.mark.parametrize("theta_step, phi_step", _SPLIT_GRIDS)
 def test_blocked_radiate_equals_one_shot_formula(layout, curves, theta_step, phi_step):
     for fld in _hybrid_fields(layout, curves):
-        e_co, e_cross = _one_shot(fld, theta_step, phi_step, K0)
+        e_co = _one_shot(fld, theta_step, phi_step, K0)
         for pat in _split_patterns(fld, theta_step, phi_step):
             assert np.array_equal(pat.e_co, e_co)
-            assert np.array_equal(pat.e_cross, e_cross)
 
 
 @pytest.mark.parametrize("beams", [(), (3,)], ids=["radiate", "radiate_stack"])
@@ -336,7 +336,7 @@ def test_many_workers_hold_no_more_steering_rows_than_one(layout, curves):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_radiate_working_set_is_the_same_on_the_cut_grid(layout, curves, workers):
-    # beyond its two output grids, radiate holds BLOCK_DIRECTIONS
+    # beyond its output grid, radiate holds BLOCK_DIRECTIONS
     # directions of steering blocks and products on either grid; blocks
     # of a fixed count of theta rows held twice the sweep grid's 5.6 MB
     # on the cut grid's 360 phi samples.  Two workers' peak varies with
@@ -344,14 +344,14 @@ def test_radiate_working_set_is_the_same_on_the_cut_grid(layout, curves, workers
     ta, _ = _hybrid_fields(layout, curves)
     beyond = {}
     for steps, grid, n in (((0.5, 2.0), (181, 180), 1), ((0.25, 1.0), (361, 360), workers)):
-        outputs = 2 * grid[0] * grid[1] * np.dtype(complex).itemsize
+        outputs = grid[0] * grid[1] * np.dtype(complex).itemsize
         with mock.patch.object(farfield, "_workers", lambda: n):
             beyond[steps] = _traced_peak(lambda: radiate(ta, *steps, K0)) - outputs
     assert beyond[(0.25, 1.0)] <= 1.1 * beyond[(0.5, 2.0)]
 
 
 def test_radiate_holds_one_positive_magnitude_table(layout, curves):
-    # beyond its two output grids, one worker holds three block buffers of
+    # beyond its output grid, one worker holds three block buffers of
     # BLOCK_DIRECTIONS rows and one steering table of its block's theta
     # rows, an entry per distinct |cos(phi)| or |sin(phi)|.  The slack is
     # half a table, for the real angle grid (a quarter) and small
@@ -364,21 +364,21 @@ def test_radiate_holds_one_positive_magnitude_table(layout, curves):
     nx, item = ta.aperture.nx, np.dtype(complex).itemsize
     buffers = 3 * farfield.BLOCK_DIRECTIONS * nx * item
     table = farfield.BLOCK_DIRECTIONS // phi.size * mags.size * nx * item
-    outputs = 2 * 181 * phi.size * item
+    outputs = 181 * phi.size * item
     with mock.patch.object(farfield, "_workers", lambda: 1):
         beyond = _traced_peak(lambda: radiate(ta, 0.5, 2.0, K0)) - outputs
     assert beyond <= buffers + table + table // 2 + 256 * 1024
 
 
 def test_radiate_working_set_does_not_grow_with_the_stack(layout, curves):
-    # beyond its two output stacks, radiate holds the workers' steering
+    # beyond its output stack, radiate holds the workers' steering
     # blocks and one beam's products, whatever the number of beams; a
     # (directions, beams * ny) product per worker grew it 10 MB here
     ta, _ = _hybrid_fields(layout, curves)
     beyond = {}
     for beams in (1, 12):
         stack = replace(ta, ex=np.stack([ta.ex] * beams), ey=np.stack([ta.ey] * beams))
-        outputs = 2 * beams * 181 * 180 * np.dtype(complex).itemsize
+        outputs = beams * 181 * 180 * np.dtype(complex).itemsize
         with mock.patch.object(farfield, "_workers", lambda: 2):
             beyond[beams] = _traced_peak(lambda: radiate(stack, 0.5, 2.0, K0)) - outputs
     assert beyond[12] - beyond[1] < 1_000_000
@@ -413,14 +413,26 @@ def test_the_engine_splits_only_beside_a_one_thread_blas():
 
 
 def test_zero_component_radiates_exact_zeros(layout, curves):
+    # radiate contracts ey alone: its pattern carries no leakage, so the
+    # cross-polarized pattern is exact zeros
     ta, _ = _hybrid_fields(layout, curves)
-    dark_x = ApertureField(
-        aperture=ta.aperture, ex=np.zeros_like(ta.ex), ey=ta.ey
-    )
-    lit = radiate(ta, 3.0, 10.0, K0)
-    pat = radiate(dark_x, 3.0, 10.0, K0)
-    assert np.array_equal(pat.e_cross, np.zeros_like(pat.e_cross))
-    assert np.array_equal(pat.e_co, lit.e_co)
+    pat = radiate(ta, 3.0, 10.0, K0)
+    assert pat.crosspol_leakage == 0.0
+    assert np.array_equal(pat.e_cross, np.zeros_like(pat.e_co))
+    assert np.array_equal(pat.e_co, _one_shot(ta, 3.0, 10.0, K0))
+
+
+def test_e_cross_is_the_leakage_times_e_co(layout, curves):
+    # bit for bit, for one beam's pattern and for a stack's
+    ta, fta = _hybrid_fields(layout, curves)
+    one = radiate(ta, 3.0, 10.0, K0)
+    stack = radiate(replace(fta, ex=np.stack([fta.ex] * 2), ey=np.stack([fta.ey, -fta.ey])), 3.0, 10.0, K0)
+    for pat in (one, stack):
+        for leakage in (0.05, 0.5, 1e-160):
+            leaky = replace(pat, crosspol_leakage=leakage)
+            assert leaky.e_cross.shape == pat.e_co.shape
+            assert np.array_equal(leaky.e_cross, leakage * pat.e_co)
+        assert not np.any(pat.e_cross)
 
 
 _SMALL_APERTURE = ApertureSpec(plane_z=0.0, size_x=30.0, size_y=24.0, period=6.0, nx=5, ny=4)
@@ -433,15 +445,12 @@ _AMPLITUDE = st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0, allow_nan
     st.floats(min_value=-math.pi, max_value=math.pi),
 )
 def test_pattern_magnitudes_invariant_under_global_phase(amplitudes, phase):
+    # a stack of two beams, each turned by the same phase
     a = np.array(amplitudes).reshape(2, 5, 4)
-    fld = ApertureField(aperture=_SMALL_APERTURE, ex=a[0], ey=a[1])
-    turned = ApertureField(
-        aperture=_SMALL_APERTURE,
-        ex=a[0] * cmath.exp(1j * phase),
-        ey=a[1] * cmath.exp(1j * phase),
-    )
+    fld = ApertureField(aperture=_SMALL_APERTURE, ex=np.zeros_like(a), ey=a)
+    turned = replace(fld, ey=a * cmath.exp(1j * phase))
     pat, pat2 = radiate(fld, 6.0, 20.0, K0), radiate(turned, 6.0, 20.0, K0)
-    for got, ref in ((pat2.e_co, pat.e_co), (pat2.e_cross, pat.e_cross)):
+    for got, ref in zip(pat2.e_co, pat.e_co):
         scale = np.max(np.abs(ref))
         np.testing.assert_allclose(np.abs(got), np.abs(ref), rtol=0, atol=1e-12 * scale)
 
@@ -451,11 +460,10 @@ def test_odd_grid_radiate_equals_one_shot_formula(theta_step, phi_step):
     # nx = 5 leaves an unpaired middle column in the halved steering build
     rng = np.random.default_rng(7)
     a = rng.standard_normal((2, 5, 4)) + 1j * rng.standard_normal((2, 5, 4))
-    fld = ApertureField(aperture=_SMALL_APERTURE, ex=a[0], ey=a[1])
-    e_co, e_cross = _one_shot(fld, theta_step, phi_step, K0)
+    fld = ApertureField(aperture=_SMALL_APERTURE, ex=np.zeros_like(a[1]), ey=a[1])
+    e_co = _one_shot(fld, theta_step, phi_step, K0)
     for pat in _split_patterns(fld, theta_step, phi_step):
         assert np.array_equal(pat.e_co, e_co)
-        assert np.array_equal(pat.e_cross, e_cross)
 
 
 @settings(database=None, max_examples=40, deadline=None)
@@ -546,7 +554,6 @@ def test_directivity_scale_invariant():
         theta_deg=pat.theta_deg,
         phi_deg=pat.phi_deg,
         e_co=0.5 * pat.e_co,
-        e_cross=pat.e_cross,
         aperture=pat.aperture,
         frequency_ghz=pat.frequency_ghz,
     )
@@ -562,7 +569,6 @@ def test_isotropic_hemisphere_directivity():
         theta_deg=th,
         phi_deg=ph,
         e_co=np.ones((th.size, ph.size), complex),
-        e_cross=np.zeros((th.size, ph.size), complex),
         aperture=_SMALL_APERTURE,
         frequency_ghz=10.0,
     )
@@ -629,7 +635,7 @@ def _unit_peak(pat):
     if abs(e) <= metrics.MAX_PEAK_EXPONENT:
         return pat
     first, second = 2.0 ** -(e // 2), 2.0 ** -(e - e // 2)
-    return replace(pat, e_co=pat.e_co * first * second, e_cross=pat.e_cross * first * second)
+    return replace(pat, e_co=pat.e_co * first * second)
 
 
 def _assert_one_pass_equals_the_oracles(pat):
@@ -658,8 +664,9 @@ def test_one_pass_metrics_equal_the_oracles(seed, steps, leakage, exponent):
     rng = np.random.default_rng(seed)
     shape = (_SMALL_APERTURE.nx, _SMALL_APERTURE.ny)
     ey = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 2.0**exponent
-    fld = ApertureField(_SMALL_APERTURE, ex=leakage * ey, ey=ey)
-    _assert_one_pass_equals_the_oracles(radiate(fld, *steps, K0))
+    fld = ApertureField(_SMALL_APERTURE, ex=np.zeros(shape, complex), ey=ey)
+    pat = replace(radiate(fld, *steps, K0), crosspol_leakage=leakage)
+    _assert_one_pass_equals_the_oracles(pat)
 
 
 def test_one_pass_metrics_equal_the_oracles_on_an_underflowing_beam(layout, curves):
@@ -687,7 +694,6 @@ def test_peak_takes_the_first_of_equal_maxima():
         theta_deg=th,
         phi_deg=ph,
         e_co=e_co,
-        e_cross=np.zeros_like(e_co),
         aperture=_SMALL_APERTURE,
         frequency_ghz=10.0,
     )
@@ -697,11 +703,14 @@ def test_peak_takes_the_first_of_equal_maxima():
 
 def test_metrics_hold_two_intensity_grids(layout, curves):
     # |E_co|^2 and |E_x|^2 are the metrics' only hemisphere-sized arrays;
-    # seven abs passes and a dB grid took 3.04 grids
+    # seven abs passes and a dB grid took 3.04 grids.  E_x is formed a
+    # row at a time, and at zero leakage not at all
     ta, _ = _hybrid_fields(layout, curves)
     pat = radiate(ta, 0.25, 1.0, K0)
     grid = pat.theta_deg.size * pat.phi_deg.size * np.dtype(float).itemsize
-    assert _traced_peak(lambda: extract_metrics(pat)) <= 2.2 * grid
+    assert _traced_peak(lambda: extract_metrics(pat)) <= 1.2 * grid
+    leaky = replace(pat, crosspol_leakage=0.05)
+    assert _traced_peak(lambda: extract_metrics(leaky)) <= 2.2 * grid
 
 
 # --- illuminate ------------------------------------------------------------
@@ -886,8 +895,8 @@ def test_metrics_do_not_depend_on_the_pattern_scale(layout, curves, exponent):
         placement=layout.feed("A5"), pattern=FeedPattern(q=5.75), state=PolarizationState.X
     )
     fld = illuminate(layout, exc, "ta", cm, curve, K0)
-    pat = radiate(replace(fld, ex=0.05 * fld.ey), 3.0, 10.0, K0)
-    scaled = replace(pat, e_co=pat.e_co * 2.0**exponent, e_cross=pat.e_cross * 2.0**exponent)
+    pat = replace(radiate(fld, 3.0, 10.0, K0), crosspol_leakage=0.05)
+    scaled = replace(pat, e_co=pat.e_co * 2.0**exponent)
     assert extract_metrics(scaled) == extract_metrics(pat)
 
 
@@ -948,7 +957,7 @@ def test_run_scenario_fails_each_beam_alone(layout, curves, monkeypatch):
 def test_leaky_run_scenario_radiates_a_zero_cross_polar_field(layout, curves, monkeypatch):
     # every routing path ends at a y-polarizing grid, so the cross-polar
     # field is the leakage times the co-polar one: the hemisphere pass
-    # contracts ey alone
+    # contracts ey alone, and each pattern carries the leakage
     s = _settings(
         theta_step_deg=3.0, phi_step_deg=10.0, crosspol_leakage=0.05, blockage=BlockageMask()
     )
@@ -958,10 +967,28 @@ def test_leaky_run_scenario_radiates_a_zero_cross_polar_field(layout, curves, mo
     monkeypatch.setattr(farfield, "radiate", lambda *a: calls.append(a) or real(*a))
     beams = [(PolarizationState.SLANT45, "A2"), (PolarizationState.SLANT45, "A6")]
     for side in Side:
-        for _, metrics in run_scenario(layout, beams, s, maps, side):
+        for pattern, metrics in run_scenario(layout, beams, s, maps, side):
+            assert pattern.crosspol_leakage == 0.05
             assert metrics.crosspol_peak_db == pytest.approx(20.0 * math.log10(0.05), abs=1e-9)
     assert len(calls) == 2
     assert all(c[0].ex.shape[0] == 2 and not np.any(c[0].ex) for c in calls)
+
+
+def test_leakage_holds_no_second_hemisphere_stack(layout, curves):
+    # the folded side's 14 beams radiate as one stack; a leaky sweep
+    # carries the leakage as a scalar, so it peaks where an ideal one
+    # does.  A leakage * E_co stack beside the co-polar one took twice
+    s = _settings(theta_step_deg=0.5, phi_step_deg=2.0)
+    maps = synthesize_cell_maps(layout, curves, 9.75)
+    beams = [(state, fid) for state in (PolarizationState.Y, PolarizationState.SLANT45)
+             for fid in layout.feed_ids]
+    assert len(beams) == 14
+    peaks = {}
+    with mock.patch.object(farfield, "_workers", lambda: 1):
+        for leakage in (0.0, 0.05):
+            leaky = replace(s, crosspol_leakage=leakage)
+            peaks[leakage] = _traced_peak(lambda: run_scenario(layout, beams, leaky, maps, Side.FTA))
+    assert peaks[0.05] <= 1.1 * peaks[0.0]
 
 
 @settings(database=None, deadline=None, max_examples=30)
@@ -988,11 +1015,12 @@ def test_leaky_run_scenario_radiates_a_zero_cross_polar_field(layout, curves, mo
 def test_co_polar_pass_equals_the_two_component_oracle(
     layout, curves, side_state, frequency_ghz, feed_id, leakage, blocked
 ):
-    # run_scenario contracts ey alone and takes e_cross = leakage * e_co
-    # on every row; the oracle radiates the two components of the field
-    # with ex = leakage * ey.  A leakage small enough to leave the
-    # cross-polar intensities subnormal (1e-160) or zero (5e-324) rounds
-    # them alike on both paths, so the cross-polar peak still agrees.
+    # run_scenario contracts ey alone in one stacked pass and carries the
+    # leakage on each pattern; the oracle is the beam's field radiated
+    # alone with the same leakage, and the hemisphere-wide oracles
+    # (`directivity`) read both of its components.  A leakage small
+    # enough to leave the cross-polar intensities subnormal (1e-160) or
+    # zero (5e-324) rounds them alike on both paths.
     side, state = side_state
     s = _settings(
         frequency_ghz=frequency_ghz,
@@ -1010,10 +1038,11 @@ def test_co_polar_pass_equals_the_two_component_oracle(
         placement=layout.feed(feed_id), pattern=feed_pattern_for(layout, s), state=state
     )
     fld = illuminate(layout, excitation, side, cm, curve, k0, s.blockage)
-    oracle = radiate(replace(fld, ex=leakage * fld.ey), 3.0, 10.0, k0)
+    oracle = replace(radiate(fld, 3.0, 10.0, k0), crosspol_leakage=leakage)
     np.testing.assert_array_equal(pattern.e_co, oracle.e_co)
     np.testing.assert_array_equal(pattern.e_cross, leakage * pattern.e_co)
-    assert metrics.figures() == pytest.approx(extract_metrics(oracle).figures(), rel=1e-12)
+    assert metrics == extract_metrics(oracle)
+    _assert_one_pass_equals_the_oracles(oracle)
 
 
 def test_hta_fields_are_exact_half_power_split(layout, curves):
@@ -1206,7 +1235,6 @@ def test_directivity_rejects_dark_pattern():
         theta_deg=th,
         phi_deg=ph,
         e_co=np.zeros((th.size, ph.size), complex),
-        e_cross=np.zeros((th.size, ph.size), complex),
         aperture=_SMALL_APERTURE,
         frequency_ghz=10.0,
     )
@@ -1215,16 +1243,10 @@ def test_directivity_rejects_dark_pattern():
 
 
 def test_metrics_need_a_main_lobe():
-    # cross-polar power only: no resolvable co-polar lobe
-    th = np.arange(0.0, 91.0, 1.0)
-    ph = np.arange(0.0, 360.0, 10.0)
-    crossed = PatternGrid(
-        theta_deg=th,
-        phi_deg=ph,
-        e_co=np.zeros((th.size, ph.size), complex),
-        e_cross=np.ones((th.size, ph.size), complex),
-        aperture=_SMALL_APERTURE,
-        frequency_ghz=10.0,
-    )
+    # power, but a zero co-polar cut: no resolvable main lobe
+    theta = np.arange(-90.0, 91.0, 1.0)
+    dark = np.zeros(theta.size, complex)
+    top = metrics.Peak(theta_deg=0.0, phi_deg=0.0, intensity=1.0, e_co_max=1.0)
+    crossed = metrics.Cut(theta_deg=theta, phi_deg=np.zeros(theta.size), e_co=dark, e_cross=dark + 1.0)
     with pytest.raises(ValueError, match="main lobe"):
-        extract_metrics(crossed)
+        metrics.beam_metrics(top, crossed, 1.0, 1.0, _SMALL_APERTURE, 10.0)
