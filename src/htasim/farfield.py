@@ -22,26 +22,26 @@ exp(+j k0 y_j v), one row per direction.  A field may stack several
 beams over one aperture (a side's beams at one frequency), and `radiate`
 contracts them all in one pass: it fills each block of factors once and
 contracts that block with one beam at a time.  A block is a slice of
-theta rows.  `radiate` shares the blocks out in one contiguous run per worker: the
-calling thread takes the first, each other runs in a thread of its own,
-does numpy work only and writes only its own rows.  There is one worker
-per CPU the process may use, at most `MAX_WORKERS`, and one only unless
-the BLAS pool is one thread (`htasim.SERIAL_BLAS`); n workers take
-blocks of `BLOCK_DIRECTIONS` // (n * phi samples) theta rows, at least
-one, each filled into one buffer per worker beside one beam's products,
-so `BLOCK_DIRECTIONS` directions are live over all workers, whatever the
-number of beams.  A block's fill evaluates one table of exp(j k0 w x_i),
-one entry per (theta, distinct |cos(phi)| or |sin(phi)|), shared by both
-factors when the x and y element coordinates are equal, and gathers each
-direction's row from it by its magnitude alone; a direction whose cosine
-is negative reads that entry's conjugate, applied in place on its run of
-phi samples.  Within an entry cos and sin run on the first half of the
-element columns and the other half holds the mirrored conjugates.
-sin(theta) >= 0 and the element grid is antisymmetric bit for bit
-(x_{n-1-i} == -x_i), so this is exact.  Each direction's element
-reduction has a fixed shape in any block, thread or stack, so results
-are bit-identical whatever the split, the BLAS thread count or the beams
-radiated beside it.
+theta rows.  `radiate` shares the blocks out in one contiguous run per
+worker: the calling thread takes the first, each other runs in a thread
+of its own, does numpy work only and writes only its own rows.  There is
+one worker per CPU the process may use, at most `MAX_WORKERS`, and one
+only unless the BLAS pool is one thread (`htasim.SERIAL_BLAS`); n
+workers take blocks of `BLOCK_DIRECTIONS` // (n * phi samples) theta
+rows, at least one, each filled into one buffer per worker beside one
+beam's products, so `BLOCK_DIRECTIONS` directions are live over all
+workers, whatever the number of beams.  A block's fill evaluates one
+table of exp(j k0 w x_i), one entry per (theta, distinct |cos(phi)| or
+|sin(phi)|), shared by both factors when the x and y element coordinates
+are equal, and gathers each direction's row from it by its magnitude
+alone; a direction whose cosine is negative reads that entry's
+conjugate, applied in place on its run of phi samples.  Within an entry
+cos and sin run on the first half of the element columns and the other
+half holds the mirrored conjugates.  sin(theta) >= 0 and the element
+grid is antisymmetric bit for bit (x_{n-1-i} == -x_i), so this is exact.
+Each direction's element reduction has a fixed shape in any block,
+thread or stack, so results are bit-identical whatever the split, the
+BLAS thread count or the beams radiated beside it.
 
 A field and its pattern carry their aperture; the hemisphere a pattern
 covers is its aperture's (`ApertureSpec.hemisphere`, read off the
@@ -371,9 +371,8 @@ def _over_theta(task, n_theta: int, n_phi: int) -> None:
 def _contraction(aperture: ApertureSpec, k0: float, theta: np.ndarray, phi: np.ndarray):
     """contract(blocks, beams, patterns), which fills the steering
     factors of each slice of theta rows in `blocks` once and writes those
-    rows of every (theta, phi) pattern in `patterns` from its (nx, ny)
-    grid in `beams`.  A block is contracted with one beam at a time, into
-    one product buffer that holds one beam's block."""
+    rows of each (theta, phi) pattern in `patterns` from its (nx, ny)
+    grid in `beams`, one beam at a time, into one product buffer."""
     nx, ny = aperture.nx, aperture.ny
     element_factor = np.cos(np.radians(theta))[:, None]
     fill = _steering_fill(aperture, k0, theta, phi)
@@ -428,8 +427,9 @@ def radiate(
 
 
 def radiated_power_integral(pattern: PatternGrid) -> float:
-    """Hemisphere integral of |E|^2 (both polarizations) with the
-    trapezoid-on-sphere rule; the oracle of `metrics._power`."""
+    """Hemisphere integral of |E|^2 (both polarizations: E_x is the
+    leakage times E_co) with the trapezoid-on-sphere rule; the oracle of
+    `metrics._power`."""
     intensity = np.abs(pattern.e_co) ** 2 + np.abs(pattern.e_cross) ** 2
     return _ring_integral(pattern, np.sum(intensity, axis=1))
 

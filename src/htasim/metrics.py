@@ -4,8 +4,9 @@
 and `_power` (the trapezoid integral) read the hemisphere; `beam_metrics`
 computes the figures from theirs, the sidelobe level and beamwidth from
 the cut alone.  `extract_metrics` composes them over one intensity pass,
-|E_co|^2 and |E_x|^2 squared in place; its `BeamMetrics` keep the cut and
-the 0 dB reference, so a cut file needs no hemisphere.  `farfield`'s
+|E_co|^2 and |E_x|^2 squared in place (E_x, the leakage times E_co, is
+formed a theta row at a time); its `BeamMetrics` keep the cut and the
+0 dB reference, so a cut file needs no hemisphere.  `farfield`'s
 `directivity` and `radiated_power_integral` are the oracles they equal.
 """
 
@@ -252,8 +253,7 @@ def beam_metrics(
 def extract_metrics(pattern: PatternGrid, gain_offset_db: float = 0.0) -> BeamMetrics:
     """`beam_metrics` of the pattern's peak, its cut through the peak's
     azimuth, its power and its largest cross-polar intensity, read in
-    one pass: |E_co| and |E_x| (`_cross_magnitudes`) are taken once and
-    squared in place.
+    one pass: |E_co| and |E_x| are taken once and squared in place.
 
     Every metric is a ratio, so a pattern whose peak |E| lies beyond
     2**(+-MAX_PEAK_EXPONENT) is first scaled by a power of two, exactly,

@@ -426,7 +426,8 @@ def test_e_cross_is_the_leakage_times_e_co(layout, curves):
     # bit for bit, for one beam's pattern and for a stack's
     ta, fta = _hybrid_fields(layout, curves)
     one = radiate(ta, 3.0, 10.0, K0)
-    stack = radiate(replace(fta, ex=np.stack([fta.ex] * 2), ey=np.stack([fta.ey, -fta.ey])), 3.0, 10.0, K0)
+    two = replace(fta, ex=np.stack([fta.ex] * 2), ey=np.stack([fta.ey, -fta.ey]))
+    stack = radiate(two, 3.0, 10.0, K0)
     for pat in (one, stack):
         for leakage in (0.05, 0.5, 1e-160):
             leaky = replace(pat, crosspol_leakage=leakage)
@@ -987,7 +988,9 @@ def test_leakage_holds_no_second_hemisphere_stack(layout, curves):
     with mock.patch.object(farfield, "_workers", lambda: 1):
         for leakage in (0.0, 0.05):
             leaky = replace(s, crosspol_leakage=leakage)
-            peaks[leakage] = _traced_peak(lambda: run_scenario(layout, beams, leaky, maps, Side.FTA))
+            peaks[leakage] = _traced_peak(
+                lambda: run_scenario(layout, beams, leaky, maps, Side.FTA)
+            )
     assert peaks[0.05] <= 1.1 * peaks[0.0]
 
 
@@ -1247,6 +1250,8 @@ def test_metrics_need_a_main_lobe():
     theta = np.arange(-90.0, 91.0, 1.0)
     dark = np.zeros(theta.size, complex)
     top = metrics.Peak(theta_deg=0.0, phi_deg=0.0, intensity=1.0, e_co_max=1.0)
-    crossed = metrics.Cut(theta_deg=theta, phi_deg=np.zeros(theta.size), e_co=dark, e_cross=dark + 1.0)
+    crossed = metrics.Cut(
+        theta_deg=theta, phi_deg=np.zeros(theta.size), e_co=dark, e_cross=dark + 1.0
+    )
     with pytest.raises(ValueError, match="main lobe"):
         metrics.beam_metrics(top, crossed, 1.0, 1.0, _SMALL_APERTURE, 10.0)
