@@ -43,7 +43,7 @@ from .farfield import (
     run_scenario,
     synthesize_cell_maps,
 )
-from .geometry import build_layout
+from .geometry import DEFAULT_FEEDS, build_layout
 from .metrics import BeamMetrics
 from .polarization import PolarizationState
 from .synthesis import wrap_deg, write_cell_map_csv, write_phase_map_csv
@@ -442,8 +442,10 @@ def cmd_report(args) -> int:
             raise CommandError(EXIT_USAGE, f"beam table row unusable: {exc}") from exc
         geo = math.degrees(math.atan(abs(feed.position.x) / focal_mm[row["hemisphere"]]))
         d_geo = abs(ach - geo)
+        # the prototype measured its feeds where DEFAULT_FEEDS puts them;
+        # a feed moved away from its id's position has no measured target
         key = (row["state"], row["feed_id"], row["hemisphere"])
-        meas = targets.get(key)
+        meas = targets.get(key) if feed in DEFAULT_FEEDS else None
         d_meas = None if meas is None else abs(ach - meas)
         notes = []
         if d_geo > tol:

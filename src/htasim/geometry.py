@@ -119,11 +119,6 @@ class SystemLayout:
         """The two virtual feeds, d apart about the axis on the feed plane."""
         return Point3(self.d / 2.0, 0.0, 0.0), Point3(-self.d / 2.0, 0.0, 0.0)
 
-    @property
-    def offset_angle_deg(self) -> float:
-        """Angle between the axis and a virtual feed as seen from the TA."""
-        return math.degrees(math.atan2(self.d / 2.0, self.f))
-
     def feed(self, feed_id: str) -> FeedPlacement:
         for fd in self.feeds:
             if fd.id == feed_id:
@@ -223,23 +218,8 @@ def mirror_point(p: Point3, plane_z: float) -> Point3:
     return Point3(p.x, p.y, 2.0 * plane_z - p.z)
 
 
-def focal_from_taper(D: float, alpha_10db_deg: float) -> float:
-    """Focal distance that puts the feed's -10 dB taper angle at the rim.
-
-    f = D / (2 tan(alpha)), with D the lateral aperture size and alpha the
-    half-angle at which the feed illumination has fallen 10 dB.
-    """
-    if D <= 0:
-        raise ValueError(f"aperture size must be positive, got {D}")
-    if not 0.0 < alpha_10db_deg < 90.0:
-        raise ValueError(
-            f"taper angle must lie strictly between 0 and 90 deg, got {alpha_10db_deg}"
-        )
-    return D / (2.0 * math.tan(math.radians(alpha_10db_deg)))
-
-
 def taper_angle_from_focal(D: float, f: float) -> float:
-    """Inverse of focal_from_taper: rim half-angle (deg) for a given focal."""
+    """Rim half-angle alpha (deg) of an aperture D seen from f: tan(alpha) = D / (2f)."""
     if D <= 0 or f <= 0:
         raise ValueError("aperture size and focal distance must be positive")
     return math.degrees(math.atan(D / (2.0 * f)))

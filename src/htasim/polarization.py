@@ -41,10 +41,6 @@ class JonesVector:
     def norm_sq(self) -> float:
         return abs(self.ex) ** 2 + abs(self.ey) ** 2
 
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq)
-
 
 class PolarizationState(Enum):
     """Linear drive states of the feed line."""

@@ -1142,6 +1142,23 @@ def test_report(tmp_path, fast_cfg, capsys):
     assert "measured reference offset" in a1
 
 
+def test_report_gives_a_moved_feed_no_measured_target(tmp_path, capsys):
+    # A1 moved to boresight is not the prototype's A1, whose measured
+    # angles are 22 and 40 deg
+    cfg = tmp_path / "moved.cfg"
+    cfg.write_text(FAST_SAMPLING + "feeds[0].id = A1\nfeeds[0].x_mm = 0\nta_feed_ids = A1\n")
+    out = tmp_path / "swp"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 4 and {row[1] for row in rows} == {"A1"}
+    for row in rows:
+        assert row[5] == "0.00"  # geom: on axis
+        assert row[7:9] == ["nan", "nan"]  # meas, d_meas
+        assert "measured" not in " ".join(row)
+
+
 @pytest.mark.parametrize("unbuffered", ["1", ""])
 @pytest.mark.parametrize("command", ["validate", "report"])
 def test_closed_stdout_exits_quietly(command, unbuffered):

@@ -12,7 +12,6 @@ from htasim.geometry import (
     LayoutConfig,
     Point3,
     build_layout,
-    focal_from_taper,
     mirror_point,
     taper_angle_from_focal,
 )
@@ -35,11 +34,12 @@ def test_layout_from_f_and_h():
 
 
 def test_offset_angle(layout):
-    # alpha = atan((d/2)/f) for d = 220, f = 171
-    assert layout.offset_angle_deg == pytest.approx(
+    # a virtual feed, d/2 off the axis, is seen from the TA at atan((d/2)/f)
+    # for d = 220, f = 171: the rim-angle formula with D = d
+    assert taper_angle_from_focal(layout.d, layout.f) == pytest.approx(
         math.degrees(math.atan(110.0 / 171.0)), abs=1e-12
     )
-    assert layout.offset_angle_deg == pytest.approx(32.75215764853942)
+    assert taper_angle_from_focal(layout.d, layout.f) == pytest.approx(32.75215764853942)
 
 
 @pytest.mark.parametrize("bad", [
@@ -135,21 +135,16 @@ def test_path_length_properties():
         assert path_length(a, a) == 0.0
 
 
-def test_focal_from_taper():
-    # round-tripping the design geometry: alpha from (D=240, f=171), then back
-    alpha = taper_angle_from_focal(240.0, 171.0)
-    assert focal_from_taper(240.0, alpha) == pytest.approx(171.0, rel=1e-9)
-    assert focal_from_taper(240.0, 35.06) == pytest.approx(170.9963628237692)
-    assert focal_from_taper(200.0, 45.0) == pytest.approx(100.0)
+def test_taper_angle_from_focal():
+    # tan(alpha) = D / (2 f): the design geometry's rim angle, and a 45 deg case
+    assert taper_angle_from_focal(240.0, 171.0) == pytest.approx(35.0594269668870, abs=1e-9)
+    assert taper_angle_from_focal(200.0, 100.0) == pytest.approx(45.0)
 
 
-def test_focal_from_taper_domain():
-    with pytest.raises(ValueError):
-        focal_from_taper(240.0, 90.0)
-    with pytest.raises(ValueError):
-        focal_from_taper(240.0, 0.0)
-    with pytest.raises(ValueError):
-        focal_from_taper(-1.0, 30.0)
+def test_taper_angle_from_focal_domain():
+    for d, f in ((240.0, 0.0), (240.0, -1.0), (0.0, 171.0), (-1.0, 171.0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            taper_angle_from_focal(d, f)
 
 
 def test_taper_round_trip_many():
@@ -158,7 +153,8 @@ def test_taper_round_trip_many():
         d = rng.uniform(50.0, 500.0)
         f = rng.uniform(20.0, 600.0)
         alpha = taper_angle_from_focal(d, f)
-        assert focal_from_taper(d, alpha) == pytest.approx(f, rel=1e-9)
+        assert 0.0 < alpha < 90.0
+        assert math.tan(math.radians(alpha)) == pytest.approx(d / (2.0 * f), rel=1e-12)
 
 
 def test_element_centers_symmetric(layout):
