@@ -46,7 +46,7 @@ from .farfield import (
 from .geometry import DEFAULT_FEEDS, build_layout
 from .metrics import BeamMetrics
 from .polarization import PolarizationState
-from .synthesis import wrap_deg, write_cell_map_csv, write_phase_map_csv
+from .synthesis import wrap_deg
 from .unitcell import (
     RESIDUAL_WARN_DEG,
     CurveLibrary,
@@ -111,6 +111,14 @@ def _fmt(value: float, nd: int = 4) -> str:
     if value is None or (isinstance(value, float) and math.isinf(value)):
         return ""
     return f"{value:.{nd}f}"
+
+
+def _write_csv(path, header: str, row_format: str, *columns: np.ndarray):
+    """Write the `header` line, then one `row_format` line per entry of
+    the equal-length `columns`, each read in C order."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        fh.writelines(map((row_format + "\n").format, *(np.ravel(c).tolist() for c in columns)))
 
 
 def _metrics_dict(state, feed_id, frequency, hemisphere, m: BeamMetrics) -> dict:
@@ -185,11 +193,20 @@ def cmd_synthesize(args) -> int:
     maps = _cell_maps(layout, curves, freq)
     out = _out_dir(Path(cfg.output_dir))
     for side, (cm, _, pm) in maps.items():
-        name = side.value
-        write_phase_map_csv(pm, out / f"{name}_phase.csv")
-        write_cell_map_csv(pm, cm, out / f"{name}_cells.csv")
+        name, ap = side.value, pm.aperture
+        x, y = np.meshgrid(ap.x_centers(), ap.y_centers(), indexing="ij")
+        cells = (*np.indices(x.shape), x, y, pm.phases_deg)
+        _write_csv(out / f"{name}_phase.csv", "i,j,x_mm,y_mm,phase_deg", "{},{},{:.6f},{:.6f},{:.6f}", *cells)
+        _write_csv(
+            out / f"{name}_cells.csv",
+            "i,j,x_mm,y_mm,phase_deg,param_mm,rotated",
+            "{},{},{:.6f},{:.6f},{:.6f},{:.6f},{}",
+            *cells,
+            cm.params_mm,
+            cm.rotated.astype(int),
+        )
         print(
-            f"{name}: {pm.aperture.nx}x{pm.aperture.ny} cells at {freq} GHz, "
+            f"{name}: {ap.nx}x{ap.ny} cells at {freq} GHz, "
             f"max residual {cm.max_residual_deg:.2e} deg -> "
             f"{name}_phase.csv, {name}_cells.csv"
         )
@@ -216,10 +233,7 @@ def _write_cut_csv(metrics: BeamMetrics, path):
         co_db = 20.0 * np.log10(np.abs(cut.e_co) / reference)
         cx_db = 20.0 * np.log10(np.abs(cut.e_cross) / reference)
     columns = (cut.theta_deg, cut.phi_deg, co_db, cx_db)
-    row = "{:.4f},{:.4f},{:.4f},{:.4f}\n".format
-    with open(path, "w", newline="") as fh:
-        fh.write("theta_deg,phi_deg,e_co_db,e_cross_db\n")
-        fh.writelines([row(*r) for r in zip(*(c.tolist() for c in columns))])
+    _write_csv(path, "theta_deg,phi_deg,e_co_db,e_cross_db", "{:.4f},{:.4f},{:.4f},{:.4f}", *columns)
 
 
 def _simulate_side(layout, beam, settings, cell_maps, side):

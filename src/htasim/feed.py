@@ -16,9 +16,6 @@ import numpy as np
 from .geometry import FeedPlacement, Point3, taper_angle_from_focal
 from .polarization import PolarizationState
 
-#: Reference distance for the spherical-spreading factor, mm.
-R_REF_MM = 1.0
-
 
 def taper_exponent_for_angle(alpha_10db_deg: float) -> float:
     """Cosine exponent whose pattern is 10 dB down at the given angle."""
@@ -67,7 +64,7 @@ def illumination_grid(
     """Incident-field amplitude over an aperture grid.
 
     At each (x_i, y_j) on the plane z = plane_z, at distance R from the
-    feed, the amplitude is cos^q(off-axis) * (R_ref / R) * exp(-j k0 R),
+    feed, the amplitude is cos^q(off-axis) * (1 / R) * exp(-j k0 R), R in mm,
     with the off-axis angle measured from +z (`boresight_sign` +1) or -z
     (-1) and zero behind the feed; returns a complex (nx, ny) array.
     """
@@ -77,6 +74,6 @@ def illumination_grid(
     r = np.sqrt(dx * dx + dy * dy + dz * dz)
     if np.any(r == 0.0):
         raise ValueError("aperture grid touches the feed position")
-    cos_off = np.clip(boresight_sign * dz / r, -1.0, 1.0)
-    taper = np.where(cos_off < 0.0, 0.0, cos_off**pattern.q)
-    return taper * (R_REF_MM / r) * np.exp(-1j * k0 * r)
+    # behind the feed the cosine clips to 0, and 0**q is 0 for every q > 0
+    cos_off = np.clip(boresight_sign * dz / r, 0.0, 1.0)
+    return cos_off**pattern.q * (1.0 / r) * np.exp(-1j * k0 * r)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -177,45 +176,4 @@ def quantize(phase_map: PhaseMap, curve: PhaseCurve) -> CellMap:
         params_mm=params,
         rotated=rotated,
         max_residual_deg=float(residual.max()),
-    )
-
-
-# --- exports ------------------------------------------------------------
-
-
-def _write_cells(path, header: str, row: str, aperture: ApertureSpec, *columns: np.ndarray):
-    """Write `header`, then one `row`-formatted line per cell, row-major in
-    (i, j): the cell's i, j, x_mm and y_mm, then its entry of each (nx, ny)
-    array in `columns`.  Lines are formatted and written one aperture row
-    at a time."""
-    ny = aperture.ny
-    y = aperture.y_centers().tolist()
-    with open(path, "w", newline="") as fh:
-        fh.write(header)
-        for i, xi in enumerate(aperture.x_centers().tolist()):
-            cells = (repeat(i, ny), range(ny), repeat(xi, ny), y, *(c[i].tolist() for c in columns))
-            fh.writelines(list(map(row.format, *cells)))
-
-
-def write_phase_map_csv(phase_map: PhaseMap, path):
-    _write_cells(
-        path,
-        "i,j,x_mm,y_mm,phase_deg\n",
-        "{},{},{:.6f},{:.6f},{:.6f}\n",
-        phase_map.aperture,
-        phase_map.phases_deg,
-    )
-
-
-def write_cell_map_csv(phase_map: PhaseMap, cell_map: CellMap, path):
-    if cell_map.aperture != phase_map.aperture:
-        raise ValueError("cell map and phase map describe different apertures")
-    _write_cells(
-        path,
-        "i,j,x_mm,y_mm,phase_deg,param_mm,rotated\n",
-        "{},{},{:.6f},{:.6f},{:.6f},{:.6f},{}\n",
-        phase_map.aperture,
-        phase_map.phases_deg,
-        cell_map.params_mm,
-        cell_map.rotated.astype(int),
     )

@@ -17,8 +17,8 @@ ORIGIN = Point3(0.0, 0.0, 0.0)
 
 
 def _taper(pattern: FeedPattern, x: float, z: float, boresight_sign: int = +1) -> float:
-    """Feed taper |E| R / R_ref (R_ref = 1 mm) at the point (x, 0, z) from
-    a feed at the origin."""
+    """Feed taper |E| R (R in mm) at the point (x, 0, z) from a feed at
+    the origin."""
     [[amp]] = illumination_grid(
         pattern, ORIGIN, boresight_sign, np.array([x]), np.array([0.0]), z, 1.0
     )

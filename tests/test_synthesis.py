@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from htasim.cli import main
 from htasim.farfield import Side
 from htasim.geometry import ApertureConfig, ApertureSpec, LayoutConfig, Point3, build_layout
 from htasim.synthesis import (
@@ -15,8 +16,6 @@ from htasim.synthesis import (
     single_focus_phase_unwrapped,
     wavenumber,
     wrap_deg,
-    write_cell_map_csv,
-    write_phase_map_csv,
 )
 from htasim.unitcell import PhaseCurve
 
@@ -297,26 +296,22 @@ def test_phase_map_validation():
 # --- exports ------------------------------------------------------------------
 
 
-def test_csv_exports(tmp_path, layout, curves):
-    k0 = wavenumber(9.75)
-    pm = Side.TA.phase_map(layout, k0)
-    cm = quantize(pm, curves.curve("uc1", 9.75))
-    p1 = tmp_path / "ta_phase.csv"
-    p2 = tmp_path / "ta_cells.csv"
-    write_phase_map_csv(pm, p1)
-    write_cell_map_csv(pm, cm, p2)
-    lines = p1.read_text().splitlines()
+def test_csv_exports(tmp_path):
+    out = tmp_path / "syn"
+    assert main(["synthesize", "--out", str(out)]) == 0
+    lines = (out / "ta_phase.csv").read_text().splitlines()
     assert lines[0] == "i,j,x_mm,y_mm,phase_deg"
     assert len(lines) == 1 + 40 * 40
     first = lines[1].split(",")
     assert first[:2] == ["0", "0"]
     assert float(first[2]) == -117.0
-    assert 0.0 <= float(first[4]) < 360.0
-    cells = p2.read_text().splitlines()
+    assert all(0.0 <= float(line.split(",")[4]) < 360.0 for line in lines[1:])
+    cells = (out / "ta_cells.csv").read_text().splitlines()
     assert cells[0] == "i,j,x_mm,y_mm,phase_deg,param_mm,rotated"
     assert len(cells) == 1 + 40 * 40
-    assert cells[1].split(",")[6] in ("0", "1")
+    assert {line.split(",")[6] for line in cells[1:]} <= {"0", "1"}
     # deterministic re-run
-    p3 = tmp_path / "again.csv"
-    write_phase_map_csv(pm, p3)
-    assert p3.read_bytes() == p1.read_bytes()
+    again = tmp_path / "again"
+    assert main(["synthesize", "--out", str(again)]) == 0
+    for name in ("ta_phase.csv", "ta_cells.csv"):
+        assert (again / name).read_bytes() == (out / name).read_bytes()
