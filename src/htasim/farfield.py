@@ -429,7 +429,7 @@ def radiate(
 def radiated_power_integral(pattern: PatternGrid) -> float:
     """Hemisphere integral of |E|^2 (both polarizations: E_x is the
     leakage times E_co) with the trapezoid-on-sphere rule; the oracle of
-    `metrics._power`."""
+    `extract_metrics`' power."""
     intensity = np.abs(pattern.e_co) ** 2 + np.abs(pattern.e_cross) ** 2
     return _ring_integral(pattern, np.sum(intensity, axis=1))
 

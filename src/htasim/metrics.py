@@ -1,13 +1,14 @@
 """Beam metrics: a beam's figures of merit, read off its pattern once.
 
-`_peak`, `cut` (the great circle through an azimuth and its antipode)
-and `_power` (the trapezoid integral) read the hemisphere; `beam_metrics`
-computes the figures from theirs, the sidelobe level and beamwidth from
-the cut alone.  `extract_metrics` composes them over one intensity pass,
-|E_co|^2 and |E_x|^2 squared in place (E_x, the leakage times E_co, is
-formed a theta row at a time); its `BeamMetrics` keep the cut and the
-0 dB reference, so a cut file needs no hemisphere.  `farfield`'s
-`directivity` and `radiated_power_integral` are the oracles they equal.
+`extract_metrics` reads the peak, the power and the cut in one function,
+over one intensity pass: |E_co|^2 and |E_x|^2 squared in place (E_x, the
+leakage times E_co, is formed a theta row at a time).  The peak is read
+on the hemisphere, the power with the trapezoid rule of `_ring_integral`,
+and the sidelobe level and beamwidth on the `cut` (the great circle
+through the peak's azimuth and its antipode) alone.  Its `BeamMetrics`
+keep the cut and the 0 dB reference, so a cut file needs no hemisphere.
+`farfield`'s `directivity` and `radiated_power_integral` are the oracles
+it equals.
 """
 
 from __future__ import annotations
@@ -47,18 +48,6 @@ class PatternGrid:
     @property
     def e_cross(self) -> np.ndarray:
         return self.crosspol_leakage * self.e_co
-
-
-@dataclass(frozen=True)
-class Peak:
-    """A pattern's co-polar peak: the first sample in flat grid order
-    (np.argmax's rule) of the largest |E_co|^2, that intensity, and the
-    largest |E_co|, which is its cut file's 0 dB."""
-
-    theta_deg: float
-    phi_deg: float
-    intensity: float
-    e_co_max: float
 
 
 @dataclass(frozen=True)
@@ -111,17 +100,6 @@ def _directivity_dbi(u_co, total: float):
     return 10.0 * np.log10(4.0 * math.pi * u_co / total)
 
 
-def _peak(pattern: PatternGrid, co: np.ndarray, e_co_max: float) -> Peak:
-    """The peak of the |E_co|^2 grid `co`."""
-    it, ip = np.unravel_index(int(np.argmax(co)), co.shape)
-    return Peak(
-        theta_deg=float(pattern.theta_deg[it]),
-        phi_deg=float(pattern.phi_deg[ip]),
-        intensity=float(co[it, ip]),
-        e_co_max=e_co_max,
-    )
-
-
 def _nearest_phi_index(phi_deg: np.ndarray, target_deg: float) -> int:
     circ = np.abs((phi_deg - target_deg + 180.0) % 360.0 - 180.0)
     return int(np.argmin(circ))
@@ -142,13 +120,6 @@ def cut(pattern: PatternGrid, phi_deg: float) -> Cut:
         e_co=pattern.e_co[rows, cols],
         e_cross=pattern.crosspol_leakage * pattern.e_co[rows, cols],
     )
-
-
-def _power(pattern: PatternGrid, co: np.ndarray, cross: np.ndarray) -> float:
-    """`radiated_power_integral` from the intensity grids; adds `cross`
-    into `co`."""
-    co += cross
-    return _ring_integral(pattern, np.sum(co, axis=1))
 
 
 def _cross_magnitudes(pattern: PatternGrid) -> np.ndarray:
@@ -204,56 +175,16 @@ def _beamwidth_3db_deg(theta, power, peak_idx) -> float:
     return float(abs(right - left))
 
 
-def beam_metrics(
-    top: Peak,
-    beam_cut: Cut,
-    total_power: float,
-    cross_peak: float,
-    aperture: ApertureSpec,
-    frequency_ghz: float,
-    gain_offset_db: float = 0.0,
-) -> BeamMetrics:
-    """Scalar beam metrics from a pattern's peak, its cut through the
-    peak's azimuth, its power and its largest cross-polar intensity.
-
-    The sidelobe level and 3 dB beamwidth are read on the cut alone; the
-    main lobe is excluded down to the first local minimum at least 3 dB
-    below the cut's peak.  Aperture efficiency references the aperture's
-    area.
-    """
-    if total_power <= 0.0:
-        raise ValueError("pattern carries no power")
-    power_cut = np.abs(beam_cut.e_co) ** 2
-    peak_idx = int(np.argmax(power_cut))
-    if power_cut[peak_idx] <= 0.0:
-        raise ValueError("pattern has no resolvable main lobe")
-    sll = _sidelobe_level_db(power_cut, peak_idx)
-    bw = _beamwidth_3db_deg(beam_cut.theta_deg, power_cut, peak_idx)
-    # directivity's own expression at the peak intensity alone
-    peak_dbi = float(_directivity_dbi(top.intensity, total_power))
-    crosspol_db = (
-        10.0 * math.log10(cross_peak / top.intensity) if cross_peak > 0.0 else -math.inf
-    )
-    lam = C_MM_PER_NS / frequency_ghz
-    d_max = 4.0 * math.pi * aperture.area_mm2 / lam**2
-    return BeamMetrics(
-        peak_theta_deg=top.theta_deg,
-        peak_phi_deg=top.phi_deg,
-        directivity_dbi=peak_dbi,
-        peak_gain_dbi=peak_dbi + gain_offset_db,
-        sll_db=sll,
-        beamwidth_3db_deg=bw,
-        crosspol_peak_db=crosspol_db,
-        aperture_efficiency=10.0 ** (peak_dbi / 10.0) / d_max,
-        cut=beam_cut,
-        e_co_max=top.e_co_max,
-    )
-
-
 def extract_metrics(pattern: PatternGrid, gain_offset_db: float = 0.0) -> BeamMetrics:
-    """`beam_metrics` of the pattern's peak, its cut through the peak's
-    azimuth, its power and its largest cross-polar intensity, read in
-    one pass: |E_co| and |E_x| are taken once and squared in place.
+    """A beam's figures of merit, read in one pass: |E_co| and |E_x| are
+    taken once and squared in place.
+
+    The peak is the first largest |E_co|^2 in flat grid order (np.argmax's
+    rule); the power integral adds |E_x|^2 into that grid.  The sidelobe
+    level and 3 dB beamwidth are read on the cut through the peak's
+    azimuth alone, the main lobe excluded down to the first local minimum
+    at least 3 dB below the cut's peak.  Aperture efficiency references
+    the aperture's area.
 
     Every metric is a ratio, so a pattern whose peak |E| lies beyond
     2**(+-MAX_PEAK_EXPONENT) is first scaled by a power of two, exactly,
@@ -275,14 +206,31 @@ def extract_metrics(pattern: PatternGrid, gain_offset_db: float = 0.0) -> BeamMe
         e_co_max = float(co.max())
     np.square(co, out=co)
     np.square(cross, out=cross)
-    top = _peak(pattern, co, e_co_max)
-    cross_peak = float(cross.max())
-    return beam_metrics(
-        top,
-        cut(pattern, top.phi_deg),
-        _power(pattern, co, cross),
-        cross_peak,
-        pattern.aperture,
-        pattern.frequency_ghz,
-        gain_offset_db,
+    it, ip = np.unravel_index(int(np.argmax(co)), co.shape)
+    intensity, cross_peak = float(co[it, ip]), float(cross.max())
+    co += cross
+    total_power = _ring_integral(pattern, np.sum(co, axis=1))
+    if total_power <= 0.0:
+        raise ValueError("pattern carries no power")
+    peak_phi_deg = float(pattern.phi_deg[ip])
+    # the cut holds the peak sample, so its own peak is positive
+    beam_cut = cut(pattern, peak_phi_deg)
+    power_cut = np.abs(beam_cut.e_co) ** 2
+    peak_idx = int(np.argmax(power_cut))
+    # directivity's own expression at the peak intensity alone
+    peak_dbi = float(_directivity_dbi(intensity, total_power))
+    crosspol_db = 10.0 * math.log10(cross_peak / intensity) if cross_peak > 0.0 else -math.inf
+    lam = C_MM_PER_NS / pattern.frequency_ghz
+    d_max = 4.0 * math.pi * pattern.aperture.area_mm2 / lam**2
+    return BeamMetrics(
+        peak_theta_deg=float(pattern.theta_deg[it]),
+        peak_phi_deg=peak_phi_deg,
+        directivity_dbi=peak_dbi,
+        peak_gain_dbi=peak_dbi + gain_offset_db,
+        sll_db=_sidelobe_level_db(power_cut, peak_idx),
+        beamwidth_3db_deg=_beamwidth_3db_deg(beam_cut.theta_deg, power_cut, peak_idx),
+        crosspol_peak_db=crosspol_db,
+        aperture_efficiency=10.0 ** (peak_dbi / 10.0) / d_max,
+        cut=beam_cut,
+        e_co_max=e_co_max,
     )

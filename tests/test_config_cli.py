@@ -883,6 +883,24 @@ def test_simulate_flags_pass_config_validation(tmp_path, fast_cfg, capsys):
         assert capsys.readouterr().err.splitlines() == [line] * 2
 
 
+def test_negative_exponent_flag_value_equals_its_config_line(tmp_path, fast_cfg):
+    # `--gain-offset-db -1e-3` reads as an option; the `=` form takes the
+    # value as the config line does
+    keyed = tmp_path / "keyed.cfg"
+    keyed.write_text(FAST_SAMPLING + "gain_offset_db = -1e-3\n")
+    scenario = ["--state", "y", "--feed", "A4", "--freq", "9.75"]
+    flag, line = tmp_path / "flag", tmp_path / "line"
+    assert main(["simulate", "--config", str(fast_cfg), *scenario,
+                 "--out", str(flag), "--gain-offset-db=-1e-3"]) == 0
+    assert main(["simulate", "--config", str(keyed), *scenario, "--out", str(line)]) == 0
+    names = sorted(p.name for p in flag.iterdir())
+    assert names == sorted(p.name for p in line.iterdir()) and names
+    for name in names:
+        assert (flag / name).read_bytes() == (line / name).read_bytes()
+    payload = json.loads((flag / "y_A4_9.75GHz_back_metrics.json").read_text())
+    assert payload["peak_gain_dbi"] == payload["directivity_dbi"] - 1e-3
+
+
 def test_simulate_blockage_flag_keeps_configured_mask(tmp_path, fast_cfg):
     narrow = tmp_path / "narrow.cfg"
     narrow.write_text(FAST_SAMPLING + "blockage.width_mm = 120\n")

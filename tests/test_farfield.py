@@ -1245,13 +1245,41 @@ def test_directivity_rejects_dark_pattern():
         directivity(dark)
 
 
-def test_metrics_need_a_main_lobe():
-    # power, but a zero co-polar cut: no resolvable main lobe
-    theta = np.arange(-90.0, 91.0, 1.0)
-    dark = np.zeros(theta.size, complex)
-    top = metrics.Peak(theta_deg=0.0, phi_deg=0.0, intensity=1.0, e_co_max=1.0)
-    crossed = metrics.Cut(
-        theta_deg=theta, phi_deg=np.zeros(theta.size), e_co=dark, e_cross=dark + 1.0
+@pytest.mark.parametrize("lit_rows", [0, 1])
+@pytest.mark.parametrize("leakage", [0.0, 0.05])
+def test_metrics_reject_a_pattern_without_power(lit_rows, leakage):
+    # all dark, or lit only on the theta = 0 row, whose sin(theta) weight
+    # is zero
+    th = np.arange(0.0, 91.0, 1.0)
+    ph = np.arange(0.0, 360.0, 10.0)
+    e_co = np.zeros((th.size, ph.size), complex)
+    e_co[:lit_rows] = 1.0
+    pat = PatternGrid(
+        theta_deg=th,
+        phi_deg=ph,
+        e_co=e_co,
+        aperture=_SMALL_APERTURE,
+        frequency_ghz=10.0,
+        crosspol_leakage=leakage,
     )
-    with pytest.raises(ValueError, match="main lobe"):
-        metrics.beam_metrics(top, crossed, 1.0, 1.0, _SMALL_APERTURE, 10.0)
+    with pytest.raises(ValueError, match="pattern carries no power"):
+        extract_metrics(pat)
+
+
+@pytest.mark.parametrize("steps", [(0.5, 2.0), (2.0, 360.0 / 7.0)])
+def test_the_cut_holds_the_peak_sample(steps):
+    # the cut's positive branch is the peak's own phi column, so the cut
+    # holds the pattern's largest |E_co|; at a 360/7 deg step the antipode
+    # falls between phi samples
+    rng = np.random.default_rng(23)
+    shape = (_SMALL_APERTURE.nx, _SMALL_APERTURE.ny)
+    for _ in range(5):
+        ey = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        fld = ApertureField(_SMALL_APERTURE, ex=np.zeros(shape, complex), ey=ey)
+        pat = radiate(fld, *steps, K0)
+        m = extract_metrics(pat)
+        n = pat.theta_deg.size
+        assert np.max(np.abs(m.cut.e_co)) == m.e_co_max
+        assert np.all(m.cut.phi_deg[n - 1 :] == m.peak_phi_deg)
+    antipode = (pat.phi_deg + 180.0) % 360.0
+    assert np.isin(antipode, pat.phi_deg).all() == (steps[1] == 2.0)
