@@ -236,27 +236,21 @@ def _write_cut_csv(metrics: BeamMetrics, path):
     _write_csv(path, "theta_deg,phi_deg,e_co_db,e_cross_db", "{:.4f},{:.4f},{:.4f},{:.4f}", *columns)
 
 
-def _simulate_side(layout, beam, settings, cell_maps, side):
-    """The aperture and metrics of one side of a `simulate` scenario: what
-    it writes, without the hemisphere, which goes when this returns."""
-    outcome = run_scenario(layout, [beam], settings, cell_maps, side)[0]
-    if isinstance(outcome, ValueError):
-        raise outcome
-    pattern, metrics = outcome
-    return pattern.aperture, metrics
-
-
 def cmd_simulate(args) -> int:
     cfg, curves, layout = _prepare(args)
     state = PolarizationState(args.state)
     (freq,) = cfg.frequencies_ghz
     settings = cfg.settings(freq, for_cuts=True)
+    result = []
     try:
         cell_maps = synthesize_cell_maps(layout, curves, freq)
-        result = [
-            _simulate_side(layout, (state, args.feed), settings, cell_maps, side)
-            for side in active_sides(state)
-        ]
+        for side in active_sides(state):
+            (outcome,) = run_scenario(layout, [(state, args.feed)], settings, cell_maps, side)
+            if isinstance(outcome, ValueError):
+                raise outcome
+            # the metrics carry the cut; the hemisphere goes before the next side radiates
+            result.append((side.aperture(layout), outcome[1]))
+            del outcome
     except ValueError as exc:
         raise CommandError(EXIT_DOMAIN, f"scenario error: {exc}") from exc
     for aperture, metrics in result:

@@ -137,7 +137,9 @@ class ApertureField:
     Every routed path is y-polarized, so a nonzero ex is a ValueError:
     the cross-polarized field is the leakage times E_co
     (`PatternGrid.crosspol_leakage`).  ex stays because the acceptance
-    suite builds fields with it and the benchmark's tracer reads it."""
+    suite builds fields with it and the benchmark's tracer reads it; the
+    engine's own fields carry it as a read-only zero view (`_zero_ex`),
+    which holds no grid."""
 
     aperture: ApertureSpec
     ex: np.ndarray
@@ -170,10 +172,10 @@ def illuminate(
     an unknown side name is a ValueError.  Each element multiplies the
     incident field by the routed Jones operator, the cell's transmission
     magnitude and its realized compensation phase; every routed path is
-    y-polarized, so ex is zero (the rotator's leakage enters in
-    `run_scenario`).  `blockage` zeroes folded-side elements shadowed by
-    the feed board.  Subnormal parts of ey are zeroed when its largest
-    part is 2**-970 or more (`_flushed`).
+    y-polarized, so ex is a zero view of ey's shape that holds no grid
+    (the rotator's leakage enters in `run_scenario`).  `blockage` zeroes
+    folded-side elements shadowed by the feed board.  Subnormal parts of
+    ey are zeroed when its largest part is 2**-970 or more (`_flushed`).
     """
     side = Side(side)
     path_jones = side.routed(route(excitation.state))
@@ -207,7 +209,13 @@ def illuminate(
         amplitude = np.where(shadow, 0.0, amplitude)
 
     ey = _flushed(amplitude * path_jones.ey)
-    return ApertureField(aperture=aperture, ex=np.zeros_like(ey), ey=ey)
+    return ApertureField(aperture=aperture, ex=_zero_ex(ey), ey=ey)
+
+
+def _zero_ex(ey: np.ndarray) -> np.ndarray:
+    """A read-only complex zero of ey's shape whose strides are all 0: the
+    ex of a routed field, which no reader writes, without a grid."""
+    return np.broadcast_to(np.zeros((), complex), ey.shape)
 
 
 def _flushed(a: np.ndarray) -> np.ndarray:
@@ -518,9 +526,10 @@ def run_scenario(
     beam fails another.  `cell_maps` is synthesize_cell_maps' output at
     the settings' frequency.
 
-    The pass contracts the co-polarized component alone, with a zero ex;
-    each pattern carries the settings' leakage, so its cross-polarized
-    pattern is the leakage times E_co on every direction."""
+    The pass contracts the co-polarized component alone, with a zero ex
+    view that holds no grid; each pattern carries the settings' leakage,
+    so its cross-polarized pattern is the leakage times E_co on every
+    direction."""
     k0 = wavenumber(settings.frequency_ghz)
     cm, curve, _ = cell_maps[side]
     outcomes = []
@@ -544,7 +553,7 @@ def run_scenario(
     lit = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, ApertureField)]
     if lit:
         ey = np.stack([outcomes[i].ey for i in lit])
-        stack = ApertureField(aperture=side.aperture(layout), ex=np.zeros(ey.shape, complex), ey=ey)
+        stack = ApertureField(aperture=side.aperture(layout), ex=_zero_ex(ey), ey=ey)
         patterns = radiate(stack, settings.theta_step_deg, settings.phi_step_deg, k0)
         for i, e_co in zip(lit, patterns.e_co):
             pattern = replace(patterns, e_co=e_co, crosspol_leakage=settings.crosspol_leakage)

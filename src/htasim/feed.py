@@ -18,12 +18,18 @@ from .polarization import PolarizationState
 
 
 def taper_exponent_for_angle(alpha_10db_deg: float) -> float:
-    """Cosine exponent whose pattern is 10 dB down at the given angle."""
+    """Cosine exponent whose pattern is 10 dB down at the given angle; an
+    angle whose cosine rounds to 1 has none, a ValueError."""
     if not 0.0 < alpha_10db_deg < 90.0:
         raise ValueError(
             f"taper angle must lie strictly between 0 and 90 deg, got {alpha_10db_deg}"
         )
-    return -0.5 / math.log10(math.cos(math.radians(alpha_10db_deg)))
+    log_cos = math.log10(math.cos(math.radians(alpha_10db_deg)))
+    if log_cos == 0.0:
+        raise ValueError(
+            f"taper angle {alpha_10db_deg} deg is too narrow for a cosine-q exponent; set feed.q"
+        )
+    return -0.5 / log_cos
 
 
 def default_taper_exponent(aperture_size_mm: float, f_mm: float) -> float:

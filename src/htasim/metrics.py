@@ -2,13 +2,13 @@
 
 `extract_metrics` reads the peak, the power and the cut in one function,
 over one intensity pass: |E_co|^2 and |E_x|^2 squared in place (E_x, the
-leakage times E_co, is formed a theta row at a time).  The peak is read
-on the hemisphere, the power with the trapezoid rule of `_ring_integral`,
-and the sidelobe level and beamwidth on the `cut` (the great circle
-through the peak's azimuth and its antipode) alone.  Its `BeamMetrics`
-keep the cut and the 0 dB reference, so a cut file needs no hemisphere.
-`farfield`'s `directivity` and `radiated_power_integral` are the oracles
-it equals.
+leakage times E_co, is formed a block of theta rows at a time).  The
+peak is read on the hemisphere, the power with the trapezoid rule of
+`_ring_integral`, and the sidelobe level and beamwidth on the `cut` (the
+great circle through the peak's azimuth and its antipode) alone.  Its
+`BeamMetrics` keep the cut and the 0 dB reference, so a cut file needs
+no hemisphere.  `farfield`'s `directivity` and `radiated_power_integral`
+are the oracles it equals.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ from .synthesis import C_MM_PER_NS
 #: is: its intensities and their hemisphere sums stay normal floats, and a
 #: scaled copy would add to the cut grid's peak RSS
 MAX_PEAK_EXPONENT = 256
+#: theta rows of E_x formed at once: a block's complex temporary stays a
+#: small part of an intensity grid
+CROSS_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -123,13 +126,14 @@ def cut(pattern: PatternGrid, phi_deg: float) -> Cut:
 
 
 def _cross_magnitudes(pattern: PatternGrid) -> np.ndarray:
-    """|E_x| over the hemisphere, formed one theta row at a time; a zero
-    scalar at zero leakage."""
+    """|E_x| over the hemisphere, formed CROSS_ROWS theta rows at a time;
+    a zero scalar at zero leakage."""
     if pattern.crosspol_leakage == 0.0:
         return np.zeros(())
     out = np.empty(pattern.e_co.shape)
-    for row, e_co in zip(out, pattern.e_co):
-        np.abs(pattern.crosspol_leakage * e_co, out=row)
+    for start in range(0, out.shape[0], CROSS_ROWS):
+        rows = slice(start, start + CROSS_ROWS)
+        np.abs(pattern.crosspol_leakage * pattern.e_co[rows], out=out[rows])
     return out
 
 

@@ -421,6 +421,32 @@ def test_malformed_config_exits_without_traceback(tmp_path, text, code):
 _SCENARIO = ["--state", "y", "--feed", "A4", "--freq", "9.75"]
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_a_far_focus_without_feed_q_is_a_domain_failure(tmp_path, command):
+    # at f = 1e12 mm the rim angle's cosine rounds to 1, so the default
+    # taper has no exponent: the scenario fails and names feed.q, which
+    # sets one
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(FAST_SAMPLING + "f_mm = 1e12\n")
+    out = tmp_path / "o"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    argv += _SCENARIO if command == "simulate" else []
+    proc = _cli_child(argv)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    message = "deg is too narrow for a cosine-q exponent; set feed.q"
+    if command == "simulate":
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("scenario error: taper angle ") and line.endswith(message)
+        assert not out.exists()
+    else:
+        with open(out / "beam_table.csv", newline="") as fh:
+            statuses = [row["status"] for row in csv.DictReader(fh)]
+        assert len(statuses) == 26 and all(s.endswith(message) for s in statuses)
+    cfg.write_text(FAST_SAMPLING + "f_mm = 1e12\nfeed.q = 5\n")
+    assert _cli_child(argv).returncode == 0
+
+
 @pytest.mark.parametrize(
     "command, text",
     [

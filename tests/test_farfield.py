@@ -714,6 +714,16 @@ def test_metrics_hold_two_intensity_grids(layout, curves):
     assert _traced_peak(lambda: extract_metrics(leaky)) <= 2.2 * grid
 
 
+def test_cross_magnitudes_equal_the_row_by_row_loop(layout, curves):
+    # E_x is formed in blocks of theta rows; each element is still
+    # |leakage * E_co|, so a last block shorter than the rest changes no bit
+    ta, _ = _hybrid_fields(layout, curves)
+    pat = replace(radiate(ta, 3.0, 10.0, K0), crosspol_leakage=0.05)
+    assert pat.theta_deg.size % metrics.CROSS_ROWS != 0
+    by_row = np.stack([np.abs(0.05 * row) for row in pat.e_co])
+    np.testing.assert_array_equal(metrics._cross_magnitudes(pat), by_row)
+
+
 # --- illuminate ------------------------------------------------------------
 
 
@@ -973,6 +983,26 @@ def test_leaky_run_scenario_radiates_a_zero_cross_polar_field(layout, curves, mo
             assert metrics.crosspol_peak_db == pytest.approx(20.0 * math.log10(0.05), abs=1e-9)
     assert len(calls) == 2
     assert all(c[0].ex.shape[0] == 2 and not np.any(c[0].ex) for c in calls)
+
+
+def test_engine_fields_hold_no_ex_grid(layout, curves, monkeypatch):
+    # ex is a read-only zero view, in illuminate's field and in the stack
+    # run_scenario radiates: no side's pass allocates or writes an ex grid
+    s = _settings(theta_step_deg=3.0, phi_step_deg=10.0)
+    maps = synthesize_cell_maps(layout, curves, 9.75)
+    cm, curve, _ = maps[Side.FTA]
+    exc = FeedExcitation(layout.feed("A6"), feed_pattern_for(layout, s), PolarizationState.Y)
+    fields = [illuminate(layout, exc, Side.FTA, cm, curve, K0)]
+    real = farfield.radiate
+    monkeypatch.setattr(farfield, "radiate", lambda *a: fields.append(a[0]) or real(*a))
+    run_scenario(layout, [(PolarizationState.Y, "A2"), (PolarizationState.Y, "A6")], s, maps, Side.FTA)
+    assert [f.ex.shape for f in fields] == [(36, 36), (2, 36, 36)]
+    for f in fields:
+        assert f.ex.strides == (0,) * f.ex.ndim and not f.ex.flags.writeable
+        assert f.ex.dtype == complex and not np.any(f.ex)
+        # the field's own check still reads ex
+        with pytest.raises(ValueError, match="nonzero aperture field ex"):
+            replace(f, ex=f.ex + 0.05)
 
 
 def test_leakage_holds_no_second_hemisphere_stack(layout, curves):

@@ -66,6 +66,18 @@ def test_default_taper_exponent():
     assert q == pytest.approx(5.750349515268054, rel=1e-12)
 
 
+def test_a_taper_angle_whose_cosine_rounds_to_one_names_feed_q():
+    # a focal distance of 1e12 mm sees the 240 mm rim at 6.9e-9 deg, whose
+    # cosine is 1.0: no cosine-q exponent is 10 dB down there
+    assert math.cos(math.radians(1e-8)) == 1.0
+    with pytest.raises(ValueError, match="too narrow for a cosine-q exponent; set feed.q$"):
+        taper_exponent_for_angle(1e-8)
+    with pytest.raises(ValueError, match="set feed.q$"):
+        default_taper_exponent(240.0, 1e12)
+    # the default geometry's exponent, bit for bit
+    assert default_taper_exponent(240.0, 171.0) == 5.750349515268054
+
+
 def test_minus10db_angle_closed_form():
     assert minus10db_angle(FeedPattern(q=1.0)) == pytest.approx(
         math.degrees(math.acos(10.0**-0.5))
